@@ -20,11 +20,13 @@ from .core import (
     walk_weight,
 )
 from .decomposition import (
+    Analysis,
     Condensation,
     EdgePartition,
     MresResult,
     Partition,
     SolverConfig,
+    analyze,
     condensation,
     condensation_redundant_pairs,
     equivalence_classes,
@@ -65,6 +67,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "Condensation",
     "DcsError",
     "Digraph",
@@ -91,6 +94,7 @@ __all__ = [
     "Walk",
     "WalkDecomposition",
     "ZeroWeightCycle",
+    "analyze",
     "as_weight",
     "brute_force_max_redundant",
     "brute_force_redundant_edges",

@@ -19,17 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 from . import fileformat
 from .core import PrecedenceGraph, min_walk_weights
-from .decomposition import (
-    SolverConfig,
-    condensation,
-    equivalence_classes,
-    max_redundant_edge_set,
-    partition_edges,
-)
+from .decomposition import SolverConfig, analyze, max_redundant_edge_set
 from .errors import (
     DcsError,
     ExactLimitExceeded,
@@ -38,7 +31,7 @@ from .errors import (
     ZeroWeightCycle,
 )
 from .meg import DEFAULT_EXACT_LIMIT
-from .redundancy import find_redundant_edges, has_zero_weight_cycle
+from .redundancy import find_redundant_edges
 from .reduction import equivalent_reduction, er_condensation
 from .verify import brute_force_redundant_edges, systems_equivalent
 
@@ -49,62 +42,9 @@ EXIT_NOT_EQUIVALENT = 3
 EXIT_LIMIT = 4
 
 
-@dataclass
-class RunConfig:
-    """One resolved invocation, independent of argparse."""
-
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    out: str | None = None
-    exact_limit: int = DEFAULT_EXACT_LIMIT
-    allow_heuristic: bool = False
-    representative: str = "smallest"
-    oracle: bool = False
-    of_reduction: bool = False
-
-
-@dataclass
-class AnalysisSummary:
-    """What ``info`` prints."""
-
-    n: int
-    m: int
-    feasible: bool
-    zero_cycle: bool
-    class_count: int
-    class_sizes: list[int]
-    slack_intra_count: int
-    condensation_edges: int
-    removable_count: int
-    certified: bool
-
-    def render(self) -> str:
-        lines = [
-            f"nodes: {self.n}",
-            f"constraints: {self.m}",
-            f"feasible: {'yes' if self.feasible else 'no'}",
-            f"zero-weight cycle: {'yes' if self.zero_cycle else 'no'}",
-            f"classes: {self.class_count}",
-            f"class sizes: {' '.join(map(str, self.class_sizes))}",
-            f"slack intra-class edges: {self.slack_intra_count}",
-            f"condensation edges: {self.condensation_edges}",
-            f"removable edges (max): {self.removable_count}",
-            f"certified maximum: {'yes' if self.certified else 'no'}",
-        ]
-        return "\n".join(lines) + "\n"
-
-
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        exact_limit=cfg.exact_limit,
-        allow_heuristic=cfg.allow_heuristic,
-        representative=cfg.representative,  # type: ignore[arg-type]
-    )
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -123,89 +63,85 @@ def _load(path: str) -> PrecedenceGraph:
     return g
 
 
-def _cmd_info(cfg: RunConfig) -> int:
-    g = _load(cfg.inputs[0])
-    d = min_walk_weights(g)
-    p = equivalence_classes(d, representative=cfg.representative)  # type: ignore[arg-type]
-    ep = partition_edges(g, d, p)
-    cond = condensation(g, d, p, ep)
-    res = max_redundant_edge_set(g, _solver_config(cfg))
-    summary = AnalysisSummary(
-        n=g.n,
-        m=g.m,
-        feasible=True,
-        zero_cycle=has_zero_weight_cycle(d),
-        class_count=len(p.classes),
-        class_sizes=[len(c) for c in p.classes],
-        slack_intra_count=sum(len(s) for s in ep.intra_slack),
-        condensation_edges=len(cond.edges),
-        removable_count=len(res.edges),
-        certified=res.certified,
-    )
-    _emit(cfg, summary.render())
+def _cmd_info(args: argparse.Namespace) -> int:
+    g = _load(args.input)
+    cfg = SolverConfig(args.exact_limit, args.allow_heuristic, args.representative)
+    res = max_redundant_edge_set(g, cfg)
+    p, ep = res.analysis.partition, res.analysis.edges
+    zero_cycle = any(len(c) > 1 for c in p.classes)
+    lines = [
+        f"nodes: {g.n}",
+        f"constraints: {g.m}",
+        "feasible: yes",
+        f"zero-weight cycle: {'yes' if zero_cycle else 'no'}",
+        f"classes: {len(p.classes)}",
+        f"class sizes: {' '.join(str(len(c)) for c in p.classes)}",
+        f"slack intra-class edges: {sum(len(s) for s in ep.intra_slack)}",
+        f"condensation edges: {len(res.analysis.condensation.edges)}",
+        f"removable edges (max): {len(res.edges)}",
+        f"certified maximum: {'yes' if res.certified else 'no'}",
+    ]
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_redundant(cfg: RunConfig) -> int:
-    g = _load(cfg.inputs[0])
-    d = min_walk_weights(g)
-    if not has_zero_weight_cycle(d):
-        edges = find_redundant_edges(g, d)
-    elif cfg.oracle:
+def _cmd_redundant(args: argparse.Namespace) -> int:
+    g = _load(args.input)
+    try:
+        edges = find_redundant_edges(g, min_walk_weights(g))
+    except ZeroWeightCycle:
+        if not args.oracle:
+            raise ZeroWeightCycle(
+                "the system has a zero-weight cycle, where the fast criterion "
+                "is unsound; rerun with --oracle to check each edge by deletion"
+            ) from None
         edges = brute_force_redundant_edges(g)
-    else:
-        raise ZeroWeightCycle(
-            "the system has a zero-weight cycle, where the fast criterion "
-            "is unsound; rerun with --oracle to check each edge by deletion"
-        )
-    _emit(cfg, "".join(f"{i} {j}\n" for i, j in sorted(edges)))
+    _emit(args, "".join(f"{i} {j}\n" for i, j in sorted(edges)))
     return EXIT_OK
 
 
-def _cmd_simplify(cfg: RunConfig) -> int:
-    g = _load(cfg.inputs[0])
-    res = max_redundant_edge_set(g, _solver_config(cfg))
-    _emit(cfg, fileformat.dumps(g.without(res.edges)))
+def _cmd_simplify(args: argparse.Namespace) -> int:
+    g = _load(args.input)
+    cfg = SolverConfig(args.exact_limit, args.allow_heuristic, args.representative)
+    res = max_redundant_edge_set(g, cfg)
+    _emit(args, fileformat.dumps(g.without(res.edges)))
     grade = "certified" if res.certified else "maximal (not certified)"
     _note(f"removed {len(res.edges)}, {grade}")
     return EXIT_OK
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    g = _load(cfg.inputs[0])
-    rr = equivalent_reduction(g, representative=cfg.representative)  # type: ignore[arg-type]
-    _emit(cfg, fileformat.dumps(rr.reduced))
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    g = _load(args.input)
+    rr = equivalent_reduction(g, representative=args.representative)
+    _emit(args, fileformat.dumps(rr.reduced))
     _note(f"reduced to {rr.reduced.m} constraints ({rr.removed_count} fewer)")
     return EXIT_OK
 
 
-def _cmd_condense(cfg: RunConfig) -> int:
-    g = _load(cfg.inputs[0])
-    d = min_walk_weights(g)
-    p = equivalence_classes(d, representative=cfg.representative)  # type: ignore[arg-type]
-    if cfg.of_reduction:
-        rr = equivalent_reduction(g, representative=cfg.representative)  # type: ignore[arg-type]
-        cond = er_condensation(rr, d)
+def _cmd_condense(args: argparse.Namespace) -> int:
+    g = _load(args.input)
+    if args.of_reduction:
+        rr = equivalent_reduction(g, representative=args.representative)
+        analysis = rr.analysis
+        cond = er_condensation(rr, analysis.d)
     else:
-        ep = partition_edges(g, d, p)
-        cond = condensation(g, d, p, ep)
-    _emit(cfg, fileformat.dumps(cond.as_graph()))
-    for k, (rep, members) in enumerate(zip(cond.reps, p.classes), 1):
+        analysis = analyze(g, args.representative)
+        cond = analysis.condensation
+    _emit(args, fileformat.dumps(cond.as_graph()))
+    for k, (rep, members) in enumerate(zip(cond.reps, analysis.partition.classes), 1):
         _note(f"class {k}: rep {rep}, nodes {' '.join(map(str, sorted(members)))}")
     return EXIT_OK
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    a = _load(cfg.inputs[0])
-    b = _load(cfg.inputs[1])
-    report = systems_equivalent(a, b)
+def _cmd_check(args: argparse.Namespace) -> int:
+    report = systems_equivalent(_load(args.input_a), _load(args.input_b))
     if report.equivalent:
-        _emit(cfg, "equivalent\n")
+        _emit(args, "equivalent\n")
         return EXIT_OK
     (i, j), side = report.witness
-    origin = cfg.inputs[0] if side == "a" else cfg.inputs[1]
+    origin = args.input_a if side == "a" else args.input_b
     _emit(
-        cfg,
+        args,
         f"not equivalent: constraint ({i},{j}) of {origin} "
         "is not implied by the other system\n",
     )
@@ -229,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, solver: bool = False) -> None:
+    def common(
+        p: argparse.ArgumentParser, representative: bool = False, limit: bool = False
+    ) -> None:
         p.add_argument("--out", metavar="FILE", help="write results here instead of stdout")
-        if solver:
+        if limit:
             p.add_argument(
                 "--exact-limit",
                 type=int,
@@ -244,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="fall back to a greedy (maximal, uncertified) solve over the limit",
             )
+        if representative:
             p.add_argument(
                 "--representative",
                 choices=["smallest", "largest"],
@@ -253,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("info", help="summary statistics")
     p_info.add_argument("input")
-    common(p_info, solver=True)
+    common(p_info, representative=True, limit=True)
 
     p_red = sub.add_parser("redundant", help="list all redundant edges")
     p_red.add_argument("input")
@@ -266,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_simp = sub.add_parser("simplify", help="delete a maximum redundant edge set")
     p_simp.add_argument("input")
-    common(p_simp, solver=True)
+    common(p_simp, representative=True, limit=True)
 
     p_reduce = sub.add_parser("reduce", help="synthesize the minimum equivalent system")
     p_reduce.add_argument("input")
-    common(p_reduce, solver=True)
+    common(p_reduce, representative=True)
 
     p_cond = sub.add_parser("condense", help="condense classes onto representatives")
     p_cond.add_argument("input")
@@ -279,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="condense the equivalent reduction instead of the input",
     )
-    common(p_cond, solver=True)
+    common(p_cond, representative=True)
 
     p_check = sub.add_parser("check", help="are two systems equivalent?")
     p_check.add_argument("input_a")
@@ -289,24 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs = [args.input] if hasattr(args, "input") else [args.input_a, args.input_b]
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        out=args.out,
-        exact_limit=getattr(args, "exact_limit", DEFAULT_EXACT_LIMIT),
-        allow_heuristic=getattr(args, "allow_heuristic", False),
-        representative=getattr(args, "representative", "smallest"),
-        oracle=getattr(args, "oracle", False),
-        of_reduction=getattr(args, "of_reduction", False),
-    )
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command, mapping library errors to exit codes."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command, mapping library errors to exit codes."""
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         _note(f"error: {exc}")
         return EXIT_PARSE
@@ -322,8 +247,11 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 for --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -15,18 +15,20 @@ lets the redundancy problem split cleanly:
 * the tight intra-class edges form an unweighted reachability problem: which
   arcs of a strongly connected digraph can go while preserving reachability.
   That piece is NP-hard and goes to the MEG solver.
+
+:func:`analyze` runs that split once per system; every solver and command
+reads its distances, classes, edge buckets and condensation from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Mapping
+from typing import Iterator, Literal, Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
 from .errors import ExactLimitExceeded
 from .meg import DEFAULT_EXACT_LIMIT, Digraph, meg_exact, meg_greedy
-from .redundancy import mres_no_zero_cycles
 
 RepresentativePolicy = Literal["smallest", "largest"]
 
@@ -96,6 +98,23 @@ class Condensation:
 
 
 @dataclass(frozen=True)
+class Analysis:
+    """Everything the decomposition derives from one system.
+
+    ``d`` is the system's minimum walk weight matrix, computed once; the
+    partition, edge buckets and condensation are read off it, and
+    ``removed_pairs`` holds the class-index pairs whose condensation edge is
+    redundant.
+    """
+
+    d: DistanceMatrix
+    partition: Partition
+    edges: EdgePartition
+    condensation: Condensation
+    removed_pairs: frozenset[tuple[int, int]]
+
+
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the maximum redundant edge set solver.
 
@@ -116,11 +135,28 @@ class MresResult:
 
     ``certified`` means every intra-class piece was solved exactly, so the
     set is a true maximum; otherwise it is maximal but possibly smaller
-    than optimal.
+    than optimal.  ``analysis`` is the decomposition it was assembled from.
     """
 
     edges: frozenset[Edge]
     certified: bool
+    analysis: Analysis = field(compare=False, repr=False)
+
+
+def _zero_cycle_pairs(d: DistanceMatrix) -> Iterator[Edge]:
+    """Pairs i < j that close a zero-weight walk: d_ij + d_ji = 0.
+
+    Lazy, so a caller that only asks whether one exists stops at the first.
+    """
+    for i in range(1, d.n + 1):
+        row = d.rows[i]
+        for j in range(i + 1, d.n + 1):
+            dij = row[j]
+            if dij is None:
+                continue
+            dji = d.rows[j][i]
+            if dji is not None and dij + dji == 0:
+                yield i, j
 
 
 def equivalence_classes(
@@ -141,15 +177,8 @@ def equivalence_classes(
             x = parent[x]
         return x
 
-    for i in range(1, d.n + 1):
-        row = d.rows[i]
-        for j in range(i + 1, d.n + 1):
-            dij = row[j]
-            if dij is None:
-                continue
-            dji = d.rows[j][i]
-            if dji is not None and dij + dji == 0:
-                parent[find(i)] = find(j)
+    for i, j in _zero_cycle_pairs(d):
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for v in range(1, d.n + 1):
         groups.setdefault(find(v), []).append(v)
@@ -222,14 +251,44 @@ def condensation(
     return Condensation(p.reps, edges)
 
 
-def condensation_redundant_pairs(c: Condensation) -> frozenset[tuple[int, int]]:
+def condensation_redundant_pairs(
+    c: Condensation, d: DistanceMatrix
+) -> frozenset[tuple[int, int]]:
     """Class-index pairs whose condensation edge is redundant.
 
-    The condensation has only strictly positive cycles, so the fast
-    criterion computes its unique maximum redundant edge set directly.
+    ``d`` must be the distance matrix of the graph the condensation came
+    from.  The condensation has only strictly positive cycles, so the fast
+    criterion gives its unique maximum redundant edge set: (a, b) goes when
+    another out-edge (a, k) has c_ak + d(k, b) <= c_ab.  Classes are rigid,
+    so the condensation's own minimum walk weights are d at the
+    representatives and need no second all-pairs run.
     """
-    removed = mres_no_zero_cycles(c.as_graph())
-    return frozenset((a - 1, b - 1) for a, b in removed)
+    index = {rep: k for k, rep in enumerate(c.reps)}
+    out: dict[int, list[tuple[int, Fraction]]] = {}
+    for (a, k), w in c.edges.items():
+        out.setdefault(a, []).append((k, w))
+    removed = set()
+    for (a, b), cab in c.edges.items():
+        for k, cak in out[a]:
+            if k == b:
+                continue
+            dkb = d.get(k, b)
+            if dkb is not None and cak + dkb <= cab:
+                removed.add((index[a], index[b]))
+                break
+    return frozenset(removed)
+
+
+def analyze(
+    g: PrecedenceGraph, representative: RepresentativePolicy = "smallest"
+) -> Analysis:
+    """Distances, classes, edge partition, condensation and its redundant
+    pairs of g, with one all-pairs distance computation."""
+    d = min_walk_weights(g)
+    p = equivalence_classes(d, representative=representative)
+    ep = partition_edges(g, d, p)
+    cond = condensation(g, d, p, ep)
+    return Analysis(d, p, ep, cond, condensation_redundant_pairs(cond, d))
 
 
 def _class_digraph(
@@ -254,15 +313,12 @@ def max_redundant_edge_set(
     intra-class solves the result is a certified maximum; greedy fallback
     (opt-in) degrades the certificate to maximal.
     """
-    d = min_walk_weights(g)
-    p = equivalence_classes(d, representative=cfg.representative)
-    ep = partition_edges(g, d, p)
-    cond = condensation(g, d, p, ep)
-    removed_pairs = condensation_redundant_pairs(cond)
+    analysis = analyze(g, cfg.representative)
+    p, ep = analysis.partition, analysis.edges
     out: set[Edge] = set()
     certified = True
     for pair, eij in ep.cross.items():
-        if pair in removed_pairs:
+        if pair in analysis.removed_pairs:
             out |= eij
         else:
             out |= eij - {ep.cross_rep[pair]}
@@ -285,4 +341,4 @@ def max_redundant_edge_set(
                 "maximal (uncertified) result"
             )
         out |= tight - {back[a] for a in kept}
-    return MresResult(frozenset(out), certified)
+    return MresResult(frozenset(out), certified, analysis)

@@ -10,29 +10,29 @@ polynomial while meeting the minimum possible constraint count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
+from .core import DistanceMatrix, Edge, PrecedenceGraph
 from .decomposition import (
+    Analysis,
     Condensation,
     Partition,
     RepresentativePolicy,
-    condensation,
-    condensation_redundant_pairs,
-    equivalence_classes,
-    partition_edges,
+    analyze,
 )
 
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """The reduced system, the node partition behind it, and how many
-    constraints the rewrite saved (input count minus output count)."""
+    """The reduced system, the node partition behind it, how many
+    constraints the rewrite saved (input count minus output count), and the
+    analysis of the input it was built from."""
 
     reduced: PrecedenceGraph
     partition: Partition
     removed_count: int
+    analysis: Analysis = field(compare=False, repr=False)
 
 
 def equivalent_reduction(
@@ -48,11 +48,8 @@ def equivalent_reduction(
     edge count is therefore sum of multi-class sizes plus surviving
     condensation edges, which is the minimum achievable.
     """
-    d = min_walk_weights(g)
-    p = equivalence_classes(d, representative=representative)
-    ep = partition_edges(g, d, p)
-    cond = condensation(g, d, p, ep)
-    removed_pairs = condensation_redundant_pairs(cond)
+    analysis = analyze(g, representative)
+    d, p, ep = analysis.d, analysis.partition, analysis.edges
     edges: dict[Edge, Fraction] = {}
     for members in p.classes:
         if len(members) < 2:
@@ -61,13 +58,13 @@ def equivalent_reduction(
         for q, i in enumerate(order):
             j = order[(q + 1) % len(order)]
             edges[(i, j)] = d.get(i, j)
-    for pair, eij in ep.cross.items():
-        if pair in removed_pairs:
+    for pair in ep.cross:
+        if pair in analysis.removed_pairs:
             continue
         s, t = ep.cross_rep[pair]
         edges[(s, t)] = g.edges[(s, t)]
     reduced = PrecedenceGraph(g.n, edges)
-    return ReductionResult(reduced, p, g.m - reduced.m)
+    return ReductionResult(reduced, p, g.m - reduced.m, analysis)
 
 
 def er_condensation(r: ReductionResult, d: DistanceMatrix) -> Condensation:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
+from .decomposition import _zero_cycle_pairs
 from .errors import NotASubset, ZeroWeightCycle
 
 
@@ -21,16 +22,7 @@ def has_zero_weight_cycle(d: DistanceMatrix) -> bool:
     Under feasibility no closed walk weighs less than zero, so the test is
     an exact detector for zero-weight cycles through at least two nodes.
     """
-    for i in range(1, d.n + 1):
-        row = d.rows[i]
-        for j in range(i + 1, d.n + 1):
-            dij = row[j]
-            if dij is None:
-                continue
-            dji = d.rows[j][i]
-            if dji is not None and dij + dji == 0:
-                return True
-    return False
+    return next(_zero_cycle_pairs(d), None) is not None
 
 
 def find_redundant_edges(g: PrecedenceGraph, d: DistanceMatrix) -> frozenset[Edge]:

@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-FIXTURE_DIR = REPO_ROOT / "fixtures"
+from shipped import FIXTURE_DIR
 
 
 @pytest.fixture

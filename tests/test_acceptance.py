@@ -26,7 +26,6 @@ from dcsimp import (
     equivalent_reduction,
     er_condensation,
     find_redundant_edges,
-    fixtures,
     is_redundant_edge_set,
     max_redundant_edge_set,
     min_walk_weights,
@@ -44,6 +43,7 @@ from oracles import (
     random_walk,
     transitive_reduction_dag,
 )
+from shipped import load_fixture
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def suite_feasible():
 def test_criterion_01_fixture_pipeline(criterion):
     with criterion(1, "fixture pipeline: classes, condensation, removal, reduction"):
         start = time.perf_counter()
-        g = fixtures.two_classes()
+        g = load_fixture("two_classes")
         d = min_walk_weights(g)
         p = equivalence_classes(d)
         assert [sorted(c) for c in p.classes] == [[1], [2, 3, 4, 5]]
@@ -94,7 +94,7 @@ def test_criterion_01_fixture_pipeline(criterion):
 
 def test_criterion_02_zero_cycle_guard(criterion):
     with criterion(2, "zero-weight cycle guard blocks the unsound fast criterion"):
-        g = fixtures.shortcut_trap()
+        g = load_fixture("shortcut_trap")
         d = min_walk_weights(g)
         with pytest.raises(ZeroWeightCycle):
             find_redundant_edges(g, d)
@@ -106,7 +106,7 @@ def test_criterion_02_zero_cycle_guard(criterion):
 
 def test_criterion_03_tied_maxima(criterion):
     with criterion(3, "both tied maximum sets found; their union is rejected"):
-        g = fixtures.tied_optima()
+        g = load_fixture("tied_optima")
         size, sets = brute_force_max_redundant(g)
         assert size == 1
         assert set(sets) == {frozenset({(1, 2)}), frozenset({(1, 3)})}
@@ -153,7 +153,7 @@ def test_criterion_07_reduction_size_and_condensation(criterion, suite_feasible)
             p = equivalence_classes(d)
             ep = partition_edges(g, d, p)
             cond = condensation(g, d, p, ep)
-            removed = condensation_redundant_pairs(cond)
+            removed = condensation_redundant_pairs(cond, d)
             r = equivalent_reduction(g)
             multi = sum(len(c) for c in p.classes if len(c) >= 2)
             assert r.reduced.m == multi + len(cond.edges) - len(removed)

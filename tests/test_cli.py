@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from dcsimp import fixtures
 from dcsimp.cli import main
+from dcsimp.core import min_walk_weights
 from dcsimp.fileformat import dumps, loads
+from shipped import NAMES, load_fixture
 
 
 @pytest.fixture
 def paths(fixture_dir):
-    return {name: str(fixture_dir / f"{name}.dcs") for name in fixtures.ALL}
+    return {name: str(fixture_dir / f"{name}.dcs") for name in NAMES}
 
 
 def test_info_summary(paths, capsys):
@@ -47,7 +50,7 @@ def test_redundant_zero_cycle_needs_oracle(paths, capsys):
 def test_simplify(paths, capsys):
     assert main(["simplify", paths["two_classes"]]) == 0
     captured = capsys.readouterr()
-    assert captured.out == dumps(fixtures.two_classes().without({(3, 2)}))
+    assert captured.out == dumps(load_fixture("two_classes").without({(3, 2)}))
     assert "removed 1, certified" in captured.err
 
 
@@ -96,7 +99,7 @@ def test_condense_largest_representative(paths, capsys):
 
 def test_check_not_equivalent(paths, capsys, tmp_path):
     weaker = tmp_path / "weaker.dcs"
-    weaker.write_text(dumps(fixtures.weight_sensitive().without({(1, 2)})))
+    weaker.write_text(dumps(load_fixture("weight_sensitive").without({(1, 2)})))
     assert main(["check", paths["weight_sensitive"], str(weaker)]) == 3
     out = capsys.readouterr().out
     assert "not equivalent" in out and "(1,2)" in out
@@ -133,3 +136,51 @@ def test_out_flag_writes_file(paths, tmp_path, capsys):
     assert main(["redundant", "--oracle", paths["two_classes"], "--out", str(out)]) == 0
     assert out.read_text() == "3 2\n"
     assert capsys.readouterr().out == ""
+
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "bogus",
+        "",
+        "check two_classes",
+        "reduce --exact-limit 3 two_classes",
+        "condense --allow-heuristic two_classes",
+    ],
+)
+def test_usage_error_exit_code(command, paths, capsys):
+    # exit 2 is reserved for infeasible input
+    assert main([paths.get(a, a) for a in command.split()]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, calls",
+    [
+        ("info two_classes", 1),
+        ("simplify two_classes", 1),
+        ("reduce two_classes", 1),
+        ("condense two_classes", 1),
+        ("condense --of-reduction two_classes", 1),
+        ("redundant weight_sensitive", 1),
+        ("check two_classes two_classes", 2),
+    ],
+)
+def test_distances_computed_once_per_input(command, calls, paths, monkeypatch, capsys):
+    seen = []
+
+    def counting(g):
+        seen.append(g)
+        return min_walk_weights(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dcsimp" and getattr(module, "min_walk_weights", None) is min_walk_weights:
+            monkeypatch.setattr(module, "min_walk_weights", counting)
+    assert main([paths.get(a, a) for a in command.split()]) == 0
+    assert len(seen) == calls

@@ -8,7 +8,6 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import fixtures
 from dcsimp.core import (
     PrecedenceGraph,
     Walk,
@@ -30,6 +29,7 @@ from dcsimp.errors import (
     SameNode,
     SelfLoopDropped,
 )
+from shipped import load_fixture
 
 
 class TestAsWeight:
@@ -73,7 +73,7 @@ class TestNormalize:
 
 class TestMinWalkWeights:
     def test_two_classes_distances(self):
-        d = min_walk_weights(fixtures.two_classes())
+        d = min_walk_weights(load_fixture("two_classes"))
         assert d.feasible
         # around the zero cycle both directions are pinned
         assert d.get(2, 3) == Fraction(-2)
@@ -85,7 +85,7 @@ class TestMinWalkWeights:
             assert d.get(i, i) == 0
 
     def test_shortcut_trap_distances(self):
-        d = min_walk_weights(fixtures.shortcut_trap())
+        d = min_walk_weights(load_fixture("shortcut_trap"))
         assert d.get(3, 2) == Fraction(7)
         assert d.get(1, 2) == Fraction(3)
         assert d.get(2, 1) is None
@@ -163,16 +163,16 @@ class TestMinWalkWeights:
 
 class TestImplies:
     def test_fixture_implications(self):
-        d = min_walk_weights(fixtures.two_classes())
+        d = min_walk_weights(load_fixture("two_classes"))
         assert implies(d, 3, 2, 2)
         assert not implies(d, 1, 2, 0)
-        trap = min_walk_weights(fixtures.shortcut_trap())
+        trap = min_walk_weights(load_fixture("shortcut_trap"))
         # the minimum weight 1 ~> 2 rides the zero cycle but still equals 3
         assert implies(trap, 1, 2, 3)
         assert not implies(trap, 2, 1, 100)
 
     def test_same_node_refused(self):
-        d = min_walk_weights(fixtures.two_classes())
+        d = min_walk_weights(load_fixture("two_classes"))
         with pytest.raises(SameNode):
             implies(d, 2, 2, 0)
 
@@ -189,13 +189,13 @@ class TestImplies:
 
 class TestWalkWeight:
     def test_fixture_walks(self):
-        g = fixtures.two_classes()
+        g = load_fixture("two_classes")
         assert walk_weight(g, Walk((3, 4, 2, 5, 3))) == 0
         assert walk_weight(g, Walk((2,))) == 0
         assert walk_weight(g, Walk((1, 2, 5))) == 0
 
     def test_not_a_walk(self):
-        g = fixtures.two_classes()
+        g = load_fixture("two_classes")
         with pytest.raises(NotAWalk):
             walk_weight(g, Walk((1, 5)))
         with pytest.raises(NotAWalk):
@@ -204,7 +204,7 @@ class TestWalkWeight:
 
 class TestDecomposeWalk:
     def test_fixture_decompositions(self):
-        g = fixtures.two_classes()
+        g = load_fixture("two_classes")
         d = decompose_walk(g, Walk((1, 2, 5, 3, 1, 2)))
         assert d.path == Walk((1, 2))
         assert d.cycles == (Walk((1, 2, 5, 3, 1)),)
@@ -218,7 +218,7 @@ class TestDecomposeWalk:
 
     def test_validates_walk(self):
         with pytest.raises(NotAWalk):
-            decompose_walk(fixtures.two_classes(), Walk((2, 1)))
+            decompose_walk(load_fixture("two_classes"), Walk((2, 1)))
 
     def test_conservation_on_random_walks(self):
         rng = Random(4242)

@@ -8,7 +8,6 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import fixtures
 from dcsimp.core import Walk, min_walk_weights, normalize, walk_weight
 from dcsimp.decomposition import (
     SolverConfig,
@@ -20,8 +19,9 @@ from dcsimp.decomposition import (
 )
 from dcsimp.errors import ExactLimitExceeded
 from dcsimp.meg import Digraph, reachability
-from dcsimp.redundancy import is_redundant_edge_set
+from dcsimp.redundancy import is_redundant_edge_set, mres_no_zero_cycles
 from dcsimp.verify import brute_force_max_redundant, systems_equivalent
+from shipped import load_fixture
 
 
 def _pipeline(g, representative="smallest"):
@@ -33,14 +33,14 @@ def _pipeline(g, representative="smallest"):
 
 class TestEquivalenceClasses:
     def test_two_classes_fixture(self):
-        d = min_walk_weights(fixtures.two_classes())
+        d = min_walk_weights(load_fixture("two_classes"))
         p = equivalence_classes(d)
         assert [sorted(c) for c in p.classes] == [[1], [2, 3, 4, 5]]
         assert p.reps == (1, 2)
         assert p.class_of[4] == 1 and p.class_of[1] == 0
 
     def test_shortcut_trap_fixture(self):
-        d = min_walk_weights(fixtures.shortcut_trap())
+        d = min_walk_weights(load_fixture("shortcut_trap"))
         p = equivalence_classes(d)
         assert [sorted(c) for c in p.classes] == [[1, 3], [2]]
 
@@ -50,7 +50,7 @@ class TestEquivalenceClasses:
             assert all(len(c) == 1 for c in p.classes)
 
     def test_largest_policy_flips_reps_only(self):
-        d = min_walk_weights(fixtures.two_classes())
+        d = min_walk_weights(load_fixture("two_classes"))
         small = equivalence_classes(d)
         large = equivalence_classes(d, representative="largest")
         assert small.classes == large.classes
@@ -83,7 +83,7 @@ class TestEquivalenceClasses:
 
 class TestPartitionEdges:
     def test_two_classes_fixture(self):
-        g = fixtures.two_classes()
+        g = load_fixture("two_classes")
         d, p, ep, _ = _pipeline(g)
         assert ep.intra[1] == {(2, 5), (5, 3), (3, 4), (4, 2), (3, 2)}
         assert ep.intra_slack[1] == {(3, 2)}
@@ -95,7 +95,7 @@ class TestPartitionEdges:
         assert ep.cross_rep_all == {(1, 2), (3, 1)}
 
     def test_tied_optima_has_two_cheapest_crossings(self):
-        g = fixtures.tied_optima()
+        g = load_fixture("tied_optima")
         d, p, ep, _ = _pipeline(g)
         assert ep.cross_min[(0, 1)] == {(1, 2), (1, 3)}
         assert ep.cross_rep[(0, 1)] == (1, 2)
@@ -140,14 +140,14 @@ class TestPartitionEdges:
 
 class TestCondensation:
     def test_two_classes_fixture(self):
-        g = fixtures.two_classes()
-        _, _, _, cond = _pipeline(g)
+        g = load_fixture("two_classes")
+        d, _, _, cond = _pipeline(g)
         assert cond.reps == (1, 2)
         assert cond.edges == {(1, 2): Fraction(1), (2, 1): Fraction(0)}
-        assert condensation_redundant_pairs(cond) == frozenset()
+        assert condensation_redundant_pairs(cond, d) == frozenset()
 
     def test_shortcut_trap_fixture(self):
-        _, _, _, cond = _pipeline(fixtures.shortcut_trap())
+        _, _, _, cond = _pipeline(load_fixture("shortcut_trap"))
         assert cond.reps == (1, 2)
         assert cond.edges == {(1, 2): Fraction(3)}
 
@@ -163,10 +163,16 @@ class TestCondensation:
         # must pass the fast criterion's precondition every time
         for g in oracles.feasible_suite(307, 60):
             _, _, _, cond = _pipeline(g)
-            condensation_redundant_pairs(cond)  # raises ZeroWeightCycle if wrong
             kg = cond.as_graph()
             mc = oracles.min_cycle_weight(kg)
             assert mc is None or mc > 0
+
+    def test_redundant_pairs_match_fast_criterion_on_condensation(self):
+        # the condensation's own distances, recomputed, are the reference
+        for g in oracles.feasible_suite(313, 60):
+            d, _, _, cond = _pipeline(g)
+            want = {(a - 1, b - 1) for a, b in mres_no_zero_cycles(cond.as_graph())}
+            assert condensation_redundant_pairs(cond, d) == want
 
     def test_weights_are_cheapest_crossings(self):
         for g in oracles.feasible_suite(308, 40):
@@ -179,11 +185,11 @@ class TestCondensation:
 
 class TestMaxRedundantEdgeSet:
     def test_fixture_solutions(self):
-        assert max_redundant_edge_set(fixtures.two_classes()).edges == {(3, 2)}
-        assert max_redundant_edge_set(fixtures.two_classes()).certified
-        assert max_redundant_edge_set(fixtures.tied_optima()).edges == {(1, 3)}
-        assert max_redundant_edge_set(fixtures.shortcut_trap()).edges == frozenset()
-        assert max_redundant_edge_set(fixtures.weight_sensitive()).edges == frozenset()
+        assert max_redundant_edge_set(load_fixture("two_classes")).edges == {(3, 2)}
+        assert max_redundant_edge_set(load_fixture("two_classes")).certified
+        assert max_redundant_edge_set(load_fixture("tied_optima")).edges == {(1, 3)}
+        assert max_redundant_edge_set(load_fixture("shortcut_trap")).edges == frozenset()
+        assert max_redundant_edge_set(load_fixture("weight_sensitive")).edges == frozenset()
 
     def test_output_is_redundant_and_equivalent(self):
         for g in oracles.feasible_suite(309, 60):
@@ -199,12 +205,12 @@ class TestMaxRedundantEdgeSet:
             assert len(res.edges) == size
 
     def test_exact_limit_raises_without_heuristic(self):
-        g = fixtures.two_classes()  # 4 tight intra-class edges
+        g = load_fixture("two_classes")  # 4 tight intra-class edges
         with pytest.raises(ExactLimitExceeded):
             max_redundant_edge_set(g, SolverConfig(exact_limit=3))
 
     def test_heuristic_fallback_flags_result(self):
-        g = fixtures.two_classes()
+        g = load_fixture("two_classes")
         res = max_redundant_edge_set(
             g, SolverConfig(exact_limit=3, allow_heuristic=True)
         )

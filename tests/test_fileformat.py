@@ -1,4 +1,4 @@
-"""Text format: parsing, canonical serialization, shipped fixture files."""
+"""Text format: parsing and canonical serialization."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import fixtures
 from dcsimp.errors import NegativeSelfLoop, ParseError, SelfLoopDropped
-from dcsimp.fileformat import dumps, load, loads
+from dcsimp.fileformat import dumps, loads
+from shipped import load_fixture
 
 
 def test_parses_comments_decimals_and_rationals():
@@ -63,7 +63,7 @@ def test_rejects_malformed_input(text):
 
 
 def test_serialization_is_canonical_and_round_trips():
-    g = fixtures.two_classes()
+    g = load_fixture("two_classes")
     text = dumps(g)
     lines = text.splitlines()
     assert lines[0] == "p dcs 5 7"
@@ -79,9 +79,3 @@ def test_round_trip_on_random_graphs():
         g = oracles.random_system(rng, max_n=6, max_m=12)
         assert loads(dumps(g)) == g
 
-
-def test_shipped_fixture_files_match_builders(fixture_dir):
-    for name, build in fixtures.ALL.items():
-        path = fixture_dir / f"{name}.dcs"
-        assert load(path) == build(), name
-        assert path.read_text(encoding="utf-8") == dumps(build()), name

@@ -6,7 +6,6 @@ from fractions import Fraction
 from random import Random
 
 import oracles
-from dcsimp import fixtures
 from dcsimp.core import Walk, min_walk_weights, normalize, walk_weight
 from dcsimp.decomposition import (
     Condensation,
@@ -17,6 +16,7 @@ from dcsimp.decomposition import (
 )
 from dcsimp.reduction import equivalent_reduction, er_condensation
 from dcsimp.verify import systems_equivalent
+from shipped import load_fixture
 
 
 def _cond_pipeline(g):
@@ -24,12 +24,12 @@ def _cond_pipeline(g):
     p = equivalence_classes(d)
     ep = partition_edges(g, d, p)
     cond = condensation(g, d, p, ep)
-    return d, p, ep, cond, condensation_redundant_pairs(cond)
+    return d, p, ep, cond, condensation_redundant_pairs(cond, d)
 
 
 class TestEquivalentReduction:
     def test_two_classes_fixture_exact_output(self):
-        rr = equivalent_reduction(fixtures.two_classes())
+        rr = equivalent_reduction(load_fixture("two_classes"))
         assert rr.reduced.edges == {
             (2, 3): Fraction(-2),
             (3, 4): Fraction(1),
@@ -42,7 +42,7 @@ class TestEquivalentReduction:
         assert [sorted(c) for c in rr.partition.classes] == [[1], [2, 3, 4, 5]]
 
     def test_nothing_to_do_when_weights_matter(self):
-        g = fixtures.weight_sensitive()
+        g = load_fixture("weight_sensitive")
         rr = equivalent_reduction(g)
         assert rr.reduced == g and rr.removed_count == 0
 
@@ -102,7 +102,7 @@ class TestEquivalentReduction:
 
 class TestErCondensation:
     def test_two_classes_fixture(self):
-        g = fixtures.two_classes()
+        g = load_fixture("two_classes")
         d = min_walk_weights(g)
         rr = equivalent_reduction(g)
         erc = er_condensation(rr, d)

@@ -9,7 +9,6 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import fixtures
 from dcsimp.core import min_walk_weights, normalize
 from dcsimp.errors import NotASubset, ZeroWeightCycle
 from dcsimp.redundancy import (
@@ -18,6 +17,7 @@ from dcsimp.redundancy import (
     is_redundant_edge_set,
     mres_no_zero_cycles,
 )
+from shipped import load_fixture
 
 
 def _oracle_is_redundant(g, r):
@@ -32,10 +32,10 @@ def _oracle_is_redundant(g, r):
 
 class TestHasZeroWeightCycle:
     def test_fixtures(self):
-        assert has_zero_weight_cycle(min_walk_weights(fixtures.two_classes()))
-        assert has_zero_weight_cycle(min_walk_weights(fixtures.shortcut_trap()))
-        assert has_zero_weight_cycle(min_walk_weights(fixtures.tied_optima()))
-        assert not has_zero_weight_cycle(min_walk_weights(fixtures.weight_sensitive()))
+        assert has_zero_weight_cycle(min_walk_weights(load_fixture("two_classes")))
+        assert has_zero_weight_cycle(min_walk_weights(load_fixture("shortcut_trap")))
+        assert has_zero_weight_cycle(min_walk_weights(load_fixture("tied_optima")))
+        assert not has_zero_weight_cycle(min_walk_weights(load_fixture("weight_sensitive")))
 
     def test_agrees_with_cycle_enumeration(self):
         for g in oracles.feasible_suite(210, 80):
@@ -51,11 +51,11 @@ class TestFindRedundantEdges:
         assert find_redundant_edges(g, d) == {(1, 2)}
 
     def test_nothing_redundant_when_weights_matter(self):
-        g = fixtures.weight_sensitive()
+        g = load_fixture("weight_sensitive")
         assert find_redundant_edges(g, min_walk_weights(g)) == frozenset()
 
     def test_refuses_zero_weight_cycles(self):
-        g = fixtures.shortcut_trap()
+        g = load_fixture("shortcut_trap")
         d = min_walk_weights(g)
         with pytest.raises(ZeroWeightCycle):
             find_redundant_edges(g, d)
@@ -67,7 +67,7 @@ class TestFindRedundantEdges:
 
 class TestIsRedundantEdgeSet:
     def test_fixture_sets(self):
-        g = fixtures.tied_optima()
+        g = load_fixture("tied_optima")
         assert is_redundant_edge_set(g, {(1, 2)})
         assert is_redundant_edge_set(g, {(1, 3)})
         assert not is_redundant_edge_set(g, {(1, 2), (1, 3)})
@@ -75,7 +75,7 @@ class TestIsRedundantEdgeSet:
 
     def test_not_a_subset(self):
         with pytest.raises(NotASubset):
-            is_redundant_edge_set(fixtures.tied_optima(), {(2, 1)})
+            is_redundant_edge_set(load_fixture("tied_optima"), {(2, 1)})
 
     def test_agrees_with_path_enumeration(self):
         rng = Random(61)
@@ -108,7 +108,7 @@ class TestMresNoZeroCycles:
         assert mres_no_zero_cycles(g) == frozenset()
         g = normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 2)])
         assert mres_no_zero_cycles(g) == {(1, 2)}
-        assert mres_no_zero_cycles(fixtures.weight_sensitive()) == frozenset()
+        assert mres_no_zero_cycles(load_fixture("weight_sensitive")) == frozenset()
 
     def test_union_of_redundant_sets_stays_redundant(self):
         # holds with strictly positive cycles (it fails on tied_optima above)

@@ -7,7 +7,6 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import fixtures
 from dcsimp.core import min_walk_weights, normalize
 from dcsimp.errors import InfeasibleSystem, LimitExceeded, NodeCountMismatch
 from dcsimp.redundancy import find_redundant_edges, is_redundant_edge_set
@@ -16,13 +15,14 @@ from dcsimp.verify import (
     brute_force_redundant_edges,
     systems_equivalent,
 )
+from shipped import load_fixture
 
 
 class TestSystemsEquivalent:
     def test_fixture_pairs(self):
-        g = fixtures.two_classes()
+        g = load_fixture("two_classes")
         assert systems_equivalent(g, g.without({(3, 2)})).equivalent
-        ws = fixtures.weight_sensitive()
+        ws = load_fixture("weight_sensitive")
         report = systems_equivalent(ws, ws.without({(1, 2)}))
         assert not report.equivalent
         assert report.witness == (((1, 2)), "a")
@@ -77,9 +77,9 @@ class TestSystemsEquivalent:
 
 class TestBruteForceRedundantEdges:
     def test_fixtures(self):
-        assert brute_force_redundant_edges(fixtures.shortcut_trap()) == frozenset()
-        assert brute_force_redundant_edges(fixtures.two_classes()) == {(3, 2)}
-        assert brute_force_redundant_edges(fixtures.tied_optima()) == {(1, 2), (1, 3)}
+        assert brute_force_redundant_edges(load_fixture("shortcut_trap")) == frozenset()
+        assert brute_force_redundant_edges(load_fixture("two_classes")) == {(3, 2)}
+        assert brute_force_redundant_edges(load_fixture("tied_optima")) == {(1, 2), (1, 3)}
 
     def test_matches_fast_criterion_without_zero_cycles(self):
         for g in oracles.positive_cycle_suite(503, 50):
@@ -89,7 +89,7 @@ class TestBruteForceRedundantEdges:
 
 class TestBruteForceMaxRedundant:
     def test_tied_optima_reports_both_sets(self):
-        size, sets = brute_force_max_redundant(fixtures.tied_optima())
+        size, sets = brute_force_max_redundant(load_fixture("tied_optima"))
         assert size == 1
         assert sorted(sets, key=sorted) == [
             frozenset({(1, 2)}),
@@ -97,13 +97,13 @@ class TestBruteForceMaxRedundant:
         ]
 
     def test_two_classes(self):
-        assert brute_force_max_redundant(fixtures.two_classes()) == (
+        assert brute_force_max_redundant(load_fixture("two_classes")) == (
             1,
             [frozenset({(3, 2)})],
         )
 
     def test_nothing_redundant_reports_empty_set(self):
-        assert brute_force_max_redundant(fixtures.weight_sensitive()) == (
+        assert brute_force_max_redundant(load_fixture("weight_sensitive")) == (
             0,
             [frozenset()],
         )
