@@ -10,8 +10,9 @@ Commands:
 * ``check A B``       are two systems equivalent?
 
 Results go to stdout (or ``--out FILE``); summaries and diagnostics go to
-stderr.  Exit codes: 0 success, 1 parse or usage error, 2 infeasible system,
-3 systems not equivalent, 4 exact limit exceeded without --allow-heuristic.
+stderr.  Exit codes: 0 success, 1 parse, usage or size error, 2 infeasible
+system, 3 systems not equivalent, 4 exact limit exceeded without
+--allow-heuristic.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _cmd_condense(args: argparse.Namespace) -> int:
     if args.of_reduction:
         rr = equivalent_reduction(g, representative=args.representative)
         analysis = rr.analysis
-        cond = er_condensation(rr, analysis.d)
+        cond = er_condensation(rr)
     else:
         analysis = analyze(g, args.representative)
         cond = analysis.condensation
@@ -243,6 +244,9 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_LIMIT
     except (DcsError, OSError) as exc:
         _note(f"error: {exc}")
+        return EXIT_PARSE
+    except MemoryError as exc:
+        _note(f"error: out of memory: {str(exc) or 'the input is too large'}")
         return EXIT_PARSE
 
 

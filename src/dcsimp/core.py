@@ -7,7 +7,11 @@ weighted digraph: one node per variable, one edge ``(i, j)`` of weight
 
 Weights are exact rationals (:class:`fractions.Fraction`).  Exactness is not
 a nicety here: the decomposition machinery keys on cycle weights being
-*exactly* zero, a question floating point cannot answer.
+*exactly* zero, a question floating point cannot answer.  Distances are
+therefore kept as integers: one Floyd-Warshall kernel runs on the weights
+rescaled by the lcm of their denominators, in int64 when they fit and in
+Python ints otherwise, and a Fraction is made only when a caller reads an
+entry through :meth:`DistanceMatrix.get`.
 
 Feasibility is a walk statement: the system has a solution precisely when no
 closed walk has negative weight, and then the tightest derivable bound on
@@ -36,16 +40,6 @@ from .errors import (
 
 Edge = tuple[int, int]
 WeightLike = Union[Fraction, int, str]
-
-# Floyd-Warshall dispatch: below this node count the plain-Python loops beat
-# the numpy setup cost.
-_NUMPY_MIN_NODES = 40
-# The int64 kernel is used only while (n + 1) * (max |scaled weight| + 1)
-# stays under this, which keeps every true walk weight far below the
-# unreachable sentinel and rules overflow out.
-_INT64_GUARD = 1 << 40
-_INF = 1 << 61
-_UNREACHABLE = 1 << 60
 
 
 def as_weight(value: WeightLike) -> Fraction:
@@ -158,25 +152,32 @@ class Walk:
         return len(self.nodes) > 1 and self.nodes[0] == self.nodes[-1]
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class DistanceMatrix:
-    """Minimum walk weights of a feasible system.
+    """Minimum walk weights of a feasible system, as scaled integers.
 
-    ``get(i, j)`` is the least weight over all walks ``i ~> j``, or ``None``
-    when no such walk exists.  Unreachability is an absent value by design;
-    a big sentinel number would leak into exact arithmetic.  ``rows`` is
-    1-indexed with a padding row/column 0.
+    Where ``reach[i, j]``, the least weight over all walks ``i ~> j`` is
+    exactly ``dist[i, j] / scale``; elsewhere no such walk exists and
+    ``dist`` holds a sentinel that is not a weight.  ``dist`` is int64 when
+    the weights fit and Python ints otherwise.  Both arrays are 1-indexed
+    with a padding row/column 0.  ``get`` is the one place a
+    :class:`~fractions.Fraction` is made, and it reports unreachability as
+    ``None``, so the sentinel never leaks into exact arithmetic.
     """
 
     n: int
     feasible: bool
-    rows: tuple[tuple[Fraction | None, ...], ...]
+    scale: int
+    dist: np.ndarray
+    reach: np.ndarray
 
     def get(self, i: int, j: int) -> Fraction | None:
-        return self.rows[i][j]
+        if not self.reach[i, j]:
+            return None
+        return Fraction(int(self.dist[i, j]), self.scale)
 
     def reachable(self, i: int, j: int) -> bool:
-        return self.rows[i][j] is not None
+        return bool(self.reach[i, j])
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n}, feasible={self.feasible})"
@@ -228,55 +229,42 @@ def _scaled_integer_edges(g: PrecedenceGraph) -> tuple[dict[Edge, int], int]:
     return {e: int(w * scale) for e, w in g.edges.items()}, scale
 
 
-def _fw_python(n: int, scaled: dict[Edge, int]) -> list[list[int | None]]:
-    """Floyd-Warshall on integer weights, None marking unreachable pairs."""
-    rows: list[list[int | None]] = [[None] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        rows[i][i] = 0
-    for (i, j), w in scaled.items():
-        cur = rows[i][j]
-        if cur is None or w < cur:
-            rows[i][j] = w
-    for k in range(1, n + 1):
-        rk = rows[k]
-        for i in range(1, n + 1):
-            dik = rows[i][k]
-            if dik is None:
-                continue
-            ri = rows[i]
-            for j in range(1, n + 1):
-                dkj = rk[j]
-                if dkj is None:
-                    continue
-                s = dik + dkj
-                cur = ri[j]
-                if cur is None or s < cur:
-                    ri[j] = s
-    return rows
+def _fw_numpy(n: int, scaled: dict[Edge, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Floyd-Warshall on integer weights: the matrix and its reach mask.
 
+    Row and column 0 are padding.  The unreachable sentinel ``inf`` is more
+    than twice the weight of any simple path: a sum that touches it may
+    fall below it but stays above ``inf // 2``, and every walk weight lies
+    below, so an entry is a walk weight exactly when it is under
+    ``inf // 2``.  The matrix is int64 when sums of two entries (at most
+    ``2 * inf``) fit; otherwise it holds Python ints, and each round then
+    updates only the rows that reach k and the columns k reaches, since
+    Python-int arithmetic costs per entry.
 
-def _fw_numpy(n: int, scaled: dict[Edge, int]) -> list[list[int | None]]:
-    """Same relaxation order as :func:`_fw_python`, vectorized over int64.
-
-    The sentinel never collides with real walk weights: callers guarantee
-    every true weight stays below ``_INT64_GUARD``, while any sum touching
-    the sentinel stays above ``_UNREACHABLE``.
+    The relaxation stops after the first round that leaves a negative
+    diagonal entry.  Up to that round no negative closed walk has entered
+    any entry, so none falls below ``-2 * (n - 1) * maxabs`` and int64
+    arithmetic cannot wrap.
     """
-    a = np.full((n + 1, n + 1), _INF, dtype=np.int64)
-    idx = np.arange(n + 1)
-    a[idx, idx] = 0
+    maxabs = max(map(abs, scaled.values()), default=0)
+    inf = 2 * (n + 1) * (maxabs + 1)
+    wide = inf >= 1 << 61
+    a = np.full((n + 1, n + 1), inf, dtype=object if wide else np.int64)
+    np.fill_diagonal(a, 0)
     for (i, j), w in scaled.items():
-        if w < a[i, j]:
-            a[i, j] = w
+        a[i, j] = w
+    half = inf // 2
     for k in range(1, n + 1):
-        np.minimum(a, a[:, k, None] + a[None, k, :], out=a)
-    rows: list[list[int | None]] = []
-    for i in range(n + 1):
-        rows.append([None if v >= _UNREACHABLE else int(v) for v in a[i]])
-    rows[0] = [None] * (n + 1)
-    for i in range(1, n + 1):
-        rows[i][0] = None
-    return rows
+        if wide:
+            rows = np.flatnonzero(a[:, k] < half)
+            cols = np.flatnonzero(a[k] < half)
+            block = np.ix_(rows, cols)
+            a[block] = np.minimum(a[block], np.add.outer(a[rows, k], a[k, cols]))
+        else:
+            np.minimum(a, np.add.outer(a[:, k], a[k]), out=a)
+        if (a.diagonal() < 0).any():
+            break
+    return a, a < half
 
 
 def _negative_cycle_witness(n: int, scaled: dict[Edge, int]) -> Walk:
@@ -321,32 +309,22 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     relaxation drives some diagonal entry below zero, i.e. a negative-weight
     closed walk exists and the system has no solution.
 
-    Weights are rescaled to integers internally; large graphs run on an
-    int64 numpy kernel, small or wide-magnitude ones on plain Python ints.
-    Both kernels produce identical output.
+    Weights are rescaled to integers by the lcm of their denominators and
+    the one kernel, :func:`_fw_numpy`, runs on int64 or on Python ints as
+    their size requires; either way the result is exact.
     """
     n = g.n
     scaled, scale = _scaled_integer_edges(g)
-    maxabs = max((abs(w) for w in scaled.values()), default=0)
-    if n >= _NUMPY_MIN_NODES and (maxabs + 1) * (n + 1) < _INT64_GUARD:
-        rows_int = _fw_numpy(n, scaled)
-    else:
-        rows_int = _fw_python(n, scaled)
-    for i in range(1, n + 1):
-        dii = rows_int[i][i]
-        if dii is not None and dii < 0:
-            witness = _negative_cycle_witness(n, scaled)
-            raise InfeasibleSystem(
-                "no solution: negative-weight closed walk "
-                f"{'-'.join(map(str, witness.nodes))} "
-                f"has weight {Fraction(walk_weight_over(scaled, witness), scale)}",
-                cycle=witness,
-            )
-    rows = tuple(
-        tuple(None if v is None else Fraction(v, scale) for v in row)
-        for row in rows_int
-    )
-    return DistanceMatrix(n, True, rows)
+    dist, reach = _fw_numpy(n, scaled)
+    if (dist.diagonal() < 0).any():
+        witness = _negative_cycle_witness(n, scaled)
+        raise InfeasibleSystem(
+            "no solution: negative-weight closed walk "
+            f"{'-'.join(map(str, witness.nodes))} "
+            f"has weight {Fraction(walk_weight_over(scaled, witness), scale)}",
+            cycle=witness,
+        )
+    return DistanceMatrix(n, True, scale, dist, reach)
 
 
 def walk_weight_over(scaled: Mapping[Edge, int], walk: Walk) -> int:

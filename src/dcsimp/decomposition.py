@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal, Mapping
+from typing import Literal, Mapping
+
+import numpy as np
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
 from .errors import ExactLimitExceeded
@@ -143,20 +145,13 @@ class MresResult:
     analysis: Analysis = field(compare=False, repr=False)
 
 
-def _zero_cycle_pairs(d: DistanceMatrix) -> Iterator[Edge]:
-    """Pairs i < j that close a zero-weight walk: d_ij + d_ji = 0.
-
-    Lazy, so a caller that only asks whether one exists stops at the first.
-    """
-    for i in range(1, d.n + 1):
-        row = d.rows[i]
-        for j in range(i + 1, d.n + 1):
-            dij = row[j]
-            if dij is None:
-                continue
-            dji = d.rows[j][i]
-            if dji is not None and dij + dji == 0:
-                yield i, j
+def _zero_cycle_matrix(d: DistanceMatrix) -> np.ndarray:
+    """Boolean matrix of the pairs i != j that close a zero-weight walk:
+    both directions reachable and d_ij + d_ji = 0."""
+    a = d.dist
+    z = d.reach & d.reach.T & (a + a.T == 0)
+    np.fill_diagonal(z, False)
+    return z
 
 
 def equivalence_classes(
@@ -165,34 +160,27 @@ def equivalence_classes(
     """Group nodes connected by zero-weight closed walks.
 
     i ~ j exactly when both directions are reachable and d_ij + d_ji = 0.
-    The relation is transitive (concatenating two zero-weight closed walks
-    through a shared node gives another), but the classes are built as
-    connected components anyway, which needs no such argument to be correct.
+    The relation is transitive: for i ~ j and j ~ k, k is reachable from i
+    and back, and d_ik + d_ki <= d_ij + d_jk + d_kj + d_ji = 0, while under
+    feasibility no closed walk weighs less than zero.  So the class of a
+    node is the node plus its row of the zero-cycle matrix, and scanning
+    nodes in ascending order meets each class first at its smallest member.
     """
-    parent = list(range(d.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in _zero_cycle_pairs(d):
-        parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
+    z = _zero_cycle_matrix(d)
+    class_of: dict[int, int] = {}
+    classes: list[frozenset[int]] = []
     for v in range(1, d.n + 1):
-        groups.setdefault(find(v), []).append(v)
-    classes = tuple(
-        frozenset(members) for members in sorted(groups.values(), key=min)
-    )
+        if v not in class_of:
+            members = frozenset([v, *np.flatnonzero(z[v]).tolist()])
+            class_of.update(dict.fromkeys(members, len(classes)))
+            classes.append(members)
     if representative == "smallest":
         reps = tuple(min(c) for c in classes)
     elif representative == "largest":
         reps = tuple(max(c) for c in classes)
     else:
         raise ValueError(f"unknown representative policy {representative!r}")
-    class_of = {v: k for k, c in enumerate(classes) for v in c}
-    return Partition(classes, reps, class_of)
+    return Partition(tuple(classes), reps, class_of)
 
 
 def partition_edges(
@@ -335,7 +323,7 @@ def max_redundant_edge_set(
             certified = False
         else:
             raise ExactLimitExceeded(
-                f"class {{{', '.join(map(str, sorted(members)))}}} has "
+                f"the {len(members)}-node class of node {min(members)} has "
                 f"{len(tight)} tight edges, over the exact limit of "
                 f"{cfg.exact_limit}; allow the heuristic to accept a "
                 "maximal (uncertified) result"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import DistanceMatrix, Edge, PrecedenceGraph
+from .core import Edge, PrecedenceGraph
 from .decomposition import (
     Analysis,
     Condensation,
@@ -67,15 +67,16 @@ def equivalent_reduction(
     return ReductionResult(reduced, p, g.m - reduced.m, analysis)
 
 
-def er_condensation(r: ReductionResult, d: DistanceMatrix) -> Condensation:
+def er_condensation(r: ReductionResult) -> Condensation:
     """Condense a reduction onto the class representatives.
 
-    ``d`` must be the distance matrix of the graph the reduction came from.
-    Each ordered class pair keeps at most one edge in the reduction, so the
-    collapse is direct; the result equals the condensation of the original
-    graph with its redundant edges deleted, node-, edge-, and weight-exact.
+    Distances come from the analysis the reduction was built from, so they
+    always belong to its input graph.  Each ordered class pair keeps at most
+    one edge in the reduction, so the collapse is direct; the result equals
+    the condensation of the original graph with its redundant edges
+    deleted, node-, edge-, and weight-exact.
     """
-    p = r.partition
+    p, d = r.partition, r.analysis.d
     edges: dict[tuple[int, int], Fraction] = {}
     for (u, v), w in r.reduced.edges.items():
         ci, cj = p.class_of[u], p.class_of[v]

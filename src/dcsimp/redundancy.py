@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
-from .decomposition import _zero_cycle_pairs
+from .decomposition import _zero_cycle_matrix
 from .errors import NotASubset, ZeroWeightCycle
 
 
@@ -22,7 +22,7 @@ def has_zero_weight_cycle(d: DistanceMatrix) -> bool:
     Under feasibility no closed walk weighs less than zero, so the test is
     an exact detector for zero-weight cycles through at least two nodes.
     """
-    return next(_zero_cycle_pairs(d), None) is not None
+    return bool(_zero_cycle_matrix(d).any())
 
 
 def find_redundant_edges(g: PrecedenceGraph, d: DistanceMatrix) -> frozenset[Edge]:

@@ -163,7 +163,7 @@ def test_criterion_07_reduction_size_and_condensation(criterion, suite_feasible)
                 for (a, b), w in cond.edges.items()
                 if (index[a], index[b]) not in removed
             }
-            assert er_condensation(r, d) == Condensation(cond.reps, survivors)
+            assert er_condensation(r) == Condensation(cond.reps, survivors)
 
 
 def test_criterion_08_zero_weight_specializations(criterion):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dcsimp import cli
 from dcsimp.cli import main
 from dcsimp.core import min_walk_weights
 from dcsimp.fileformat import dumps, loads
@@ -122,6 +123,35 @@ def test_infeasible_exit_code(tmp_path, capsys):
     bad.write_text("p dcs 2 2\ne 1 2 -1\ne 2 1 0\n")
     assert main(["info", str(bad)]) == 2
     assert "negative-weight closed walk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        [(i, j) for i in range(1, 7) for j in range(1, 7) if i != j],
+        # a 60-node zero cycle: listing its members alone would outgrow the line
+        [(i, i % 60 + 1) for i in range(1, 61)],
+    ],
+    ids=["complete-6", "cycle-60"],
+)
+def test_exact_limit_error_is_one_short_line(arcs, tmp_path, capsys):
+    f = tmp_path / "class.dcs"
+    n = max(i for i, _ in arcs)
+    f.write_text(f"p dcs {n} {len(arcs)}\n" + "".join(f"e {i} {j} 0\n" for i, j in arcs))
+    assert main(["info", str(f)]) == 4
+    err = capsys.readouterr().err
+    assert "exact limit" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_out_of_memory_is_one_error_line(paths, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "max_redundant_edge_set", exhausted)
+    assert main(["info", paths["two_classes"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 def test_self_loop_warning_reaches_stderr(tmp_path, capsys):

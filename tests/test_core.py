@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -12,7 +13,6 @@ from dcsimp.core import (
     PrecedenceGraph,
     Walk,
     _fw_numpy,
-    _fw_python,
     _scaled_integer_edges,
     as_weight,
     decompose_walk,
@@ -30,6 +30,13 @@ from dcsimp.errors import (
     SelfLoopDropped,
 )
 from shipped import load_fixture
+
+# P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64
+WIDE = Fraction(10**25 + 13, 3)
+
+
+def _scaled_copy(g: PrecedenceGraph, factor: Fraction) -> PrecedenceGraph:
+    return PrecedenceGraph(g.n, {e: w * factor for e, w in g.edges.items()})
 
 
 class TestAsWeight:
@@ -140,25 +147,57 @@ class TestMinWalkWeights:
                 assert min_walk_weights(g).feasible
         assert seen_infeasible > 10
 
-    def test_python_and_numpy_kernels_agree(self):
-        # on feasible graphs the kernels must produce identical matrices; on
-        # infeasible ones the relaxation orders differ mid-collapse, but both
-        # must flag a negative diagonal
+    def test_python_int_kernel_is_exact(self):
+        # scaling every weight by P / 3 (P prime near 1e25) pushes the kernel
+        # off int64 onto Python ints; distances must scale exactly, match the
+        # path oracle, and infeasibility must not change
         rng = Random(55)
-        for _ in range(60):
+        verdicts = set()
+        for _ in range(80):
             g = oracles.random_system(rng, max_n=6, max_m=14)
-            scaled, _ = _scaled_integer_edges(g)
-            py = _fw_python(g.n, scaled)
-            np_ = _fw_numpy(g.n, scaled)
+            wide = _scaled_copy(g, WIDE)
+            assert _fw_numpy(g.n, _scaled_integer_edges(g)[0])[0].dtype == np.int64
+            wide_dtype = _fw_numpy(g.n, _scaled_integer_edges(wide)[0])[0].dtype
+            assert wide_dtype == (object if any(g.edges.values()) else np.int64)
             mc = oracles.min_cycle_weight(g)
-            if mc is None or mc >= 0:
-                assert py == np_
-            else:
-                for rows in (py, np_):
-                    assert any(
-                        rows[i][i] is not None and rows[i][i] < 0
-                        for i in range(1, g.n + 1)
-                    )
+            feasible = mc is None or mc >= 0
+            verdicts.add(feasible)
+            if not feasible:
+                for h in (g, wide):
+                    with pytest.raises(InfeasibleSystem):
+                        min_walk_weights(h)
+                continue
+            d, dw = min_walk_weights(g), min_walk_weights(wide)
+            for u in range(1, g.n + 1):
+                for v in range(1, g.n + 1):
+                    duv = d.get(u, v)
+                    assert dw.get(u, v) == (None if duv is None else duv * WIDE)
+                    if u != v:
+                        assert dw.get(u, v) == oracles.min_simple_path_weight(wide, u, v)
+        assert verdicts == {True, False}
+
+    def test_weights_past_the_int64_limit_stay_exact(self):
+        # the sentinel 2 (n + 1) (maxabs + 1) is just above 2^62 here: as
+        # int64, a sum of two sentinels would wrap
+        big = 1 << 59
+        d = min_walk_weights(normalize(3, [(1, 2, big), (2, 3, -big)]))
+        assert d.get(1, 3) == 0 and d.get(1, 2) == big
+        assert d.get(2, 1) is None and d.get(3, 1) is None
+
+    def test_dense_negative_digraph_stops_before_overflow(self):
+        # every pair of the complete -1 digraph closes a negative cycle; the
+        # kernel must stop before compounding them past -2 (n - 1) maxabs
+        n = 100
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        dense = normalize(n, [(i, j, -1) for i, j in pairs])
+        for g in (dense, _scaled_copy(dense, WIDE)):
+            scaled, _ = _scaled_integer_edges(g)
+            maxabs = max(abs(w) for w in scaled.values())
+            a, _ = _fw_numpy(n, scaled)
+            assert a.min() >= -2 * (n - 1) * maxabs
+            with pytest.raises(InfeasibleSystem) as info:
+                min_walk_weights(g)
+            assert walk_weight(g, info.value.cycle) < 0
 
 
 class TestImplies:

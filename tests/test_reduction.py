@@ -103,23 +103,20 @@ class TestEquivalentReduction:
 class TestErCondensation:
     def test_two_classes_fixture(self):
         g = load_fixture("two_classes")
-        d = min_walk_weights(g)
         rr = equivalent_reduction(g)
-        erc = er_condensation(rr, d)
+        erc = er_condensation(rr)
         assert erc.reps == (1, 2)
         assert erc.edges == {(1, 2): Fraction(1), (2, 1): Fraction(0)}
 
     def test_single_class_collapses_to_one_bare_node(self):
         g = normalize(3, [(i, j, 0) for i in (1, 2, 3) for j in (1, 2, 3) if i != j])
-        d = min_walk_weights(g)
-        erc = er_condensation(equivalent_reduction(g), d)
+        erc = er_condensation(equivalent_reduction(g))
         assert erc.reps == (1,) and erc.edges == {}
 
     def test_all_singletons_matches_reduced_graph(self):
         for g in oracles.positive_cycle_suite(406, 20):
-            d = min_walk_weights(g)
             rr = equivalent_reduction(g)
-            erc = er_condensation(rr, d)
+            erc = er_condensation(rr)
             assert erc.reps == tuple(range(1, g.n + 1))
             assert dict(erc.edges) == dict(rr.reduced.edges)
 
@@ -132,4 +129,4 @@ class TestErCondensation:
                 for (a, b) in ep.cross
                 if (a, b) not in removed
             }
-            assert er_condensation(rr, d) == Condensation(p.reps, survivors)
+            assert er_condensation(rr) == Condensation(p.reps, survivors)
