@@ -250,18 +250,25 @@ def condensation_redundant_pairs(
     another out-edge (a, k) has c_ak + d(k, b) <= c_ab.  Classes are rigid,
     so the condensation's own minimum walk weights are d at the
     representatives and need no second all-pairs run.
+
+    The test runs on ``d``'s scaled integers: every condensation weight is
+    a sum of distances and one edge weight of that graph, so a multiple of
+    ``1/d.scale``, and ``c_ak·scale + d.dist[k, b] <= c_ab·scale`` where
+    ``d.reach[k, b]`` is the same comparison without a single Fraction.
     """
     index = {rep: k for k, rep in enumerate(c.reps)}
-    out: dict[int, list[tuple[int, Fraction]]] = {}
-    for (a, k), w in c.edges.items():
+    scaled = {
+        pair: w.numerator * (d.scale // w.denominator)
+        for pair, w in c.edges.items()
+    }
+    out: dict[int, list[tuple[int, int]]] = {}
+    for (a, k), w in scaled.items():
         out.setdefault(a, []).append((k, w))
+    dist, reach = d.dist, d.reach
     removed = set()
-    for (a, b), cab in c.edges.items():
+    for (a, b), cab in scaled.items():
         for k, cak in out[a]:
-            if k == b:
-                continue
-            dkb = d.get(k, b)
-            if dkb is not None and cak + dkb <= cab:
+            if k != b and reach[k, b] and cak + int(dist[k, b]) <= cab:
                 removed.add((index[a], index[b]))
                 break
     return frozenset(removed)

@@ -2,8 +2,20 @@
 
 Keep the fewest arcs that preserve every reachability i ~> j.  The
 intra-class subproblem of the decomposition reduces to exactly this.  The
-problem is NP-hard in general, so the exact solver is a bounded search and
-a greedy maximal fallback is provided.
+problem is NP-hard in general (Moyles & Thompson 1969), so the exact solver
+is a bounded search and a greedy maximal fallback is provided.
+
+Every solver works on successor bitsets: ``succ[i]`` is a Python int whose
+bit j is set when the arc (i, j) is present.  Dropping or restoring an arc
+flips one bit, and :func:`_reach` answers every reachability question by a
+breadth-first search whose next frontier is the union of the current
+frontier's successor sets, so no adjacency structure is rebuilt per query.
+
+The exact search cuts a branch with a degree-deficit bound: every node with
+an in-arc (out-arc) must keep one, and one arc covers one head and one
+tail, so a branch needs at least as many more arcs as the larger count of
+nodes still lacking a kept in-arc or out-arc.  It runs on an explicit
+stack, so deep searches do not depend on Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -36,31 +48,32 @@ class Digraph:
                 raise ValueError(f"self-loop ({i},{i}) not allowed")
 
 
-def _adjacency(arcs: Iterable[Arc]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
+def _successors(n: int, arcs: Iterable[Arc]) -> list[int]:
+    """Successor bitsets, indexed 0..n (entry 0 unused)."""
+    succ = [0] * (n + 1)
     for i, j in arcs:
-        adj.setdefault(i, []).append(j)
-    return adj
+        succ[i] |= 1 << j
+    return succ
 
 
-def _reaches(arcs: Iterable[Arc], src: int, dst: int) -> bool:
-    """Breadth-first search for a walk src ~> dst over the given arcs."""
-    adj = _adjacency(arcs)
-    if src == dst:
-        return True
-    seen = {src}
-    frontier = [src]
+def _reach(succ: list[int], src: int, stop: int = 0) -> int:
+    """Bitset of the nodes a walk from src reaches, src included.
+
+    The search ends early once it meets a bit of ``stop``; the result then
+    holds that bit but may miss other reachable nodes.
+    """
+    seen = frontier = 1 << src
     while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if v == dst:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return False
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= succ[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+        if seen & stop:
+            break
+    return seen
 
 
 def reachability(h: Digraph) -> list[list[bool]]:
@@ -68,23 +81,12 @@ def reachability(h: Digraph) -> list[list[bool]]:
 
     The diagonal is True (the degenerate walk).
     """
-    adj = _adjacency(h.arcs)
-    mat = [[False] * h.n for _ in range(h.n)]
+    succ = _successors(h.n, h.arcs)
+    rows = []
     for s in range(1, h.n + 1):
-        seen = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        row = mat[s - 1]
-        for t in seen:
-            row[t - 1] = True
-    return mat
+        seen = _reach(succ, s)
+        rows.append([bool(seen >> t & 1) for t in range(1, h.n + 1)])
+    return rows
 
 
 def same_reachability(h: Digraph, kept: Iterable[Arc]) -> bool:
@@ -96,10 +98,8 @@ def same_reachability(h: Digraph, kept: Iterable[Arc]) -> bool:
     kset = frozenset(kept)
     if not kset <= h.arcs:
         raise NotASubset(f"{sorted(kset - h.arcs)} are not arcs of the digraph")
-    for i, j in sorted(h.arcs - kset):
-        if not _reaches(kset, i, j):
-            return False
-    return True
+    succ = _successors(h.n, kset)
+    return all(_reach(succ, i, 1 << j) >> j & 1 for i, j in h.arcs - kset)
 
 
 def meg_greedy(h: Digraph) -> frozenset[Arc]:
@@ -110,47 +110,77 @@ def meg_greedy(h: Digraph) -> frozenset[Arc]:
     here, which avoids it.  The result is minimal (no single kept arc can
     still go) but not necessarily minimum.
     """
-    kept = set(h.arcs)
-    for i, j in sorted(h.arcs):
-        kept.remove((i, j))
-        if not _reaches(kept, i, j):
-            kept.add((i, j))
-    return frozenset(kept)
+    arcs = sorted(h.arcs)
+    succ = _successors(h.n, arcs)
+    for i, j in arcs:
+        succ[i] ^= 1 << j
+        if not _reach(succ, i, 1 << j) >> j & 1:
+            succ[i] |= 1 << j
+    return frozenset((i, j) for i, j in arcs if succ[i] >> j & 1)
 
 
 def meg_exact(h: Digraph, limit: int = DEFAULT_EXACT_LIMIT) -> frozenset[Arc]:
     """A minimum-cardinality arc subset preserving all reachabilities.
 
-    Branch and bound over drop/keep decisions per arc, seeded with the
-    greedy solution.  The drop branch is tried first and is pruned when the
-    arc has no replacement walk even with every undecided arc still present
-    (more deletions only make that worse); a branch dies once its kept arcs
-    already match the incumbent.
+    Branch and bound over drop/keep decisions per arc in lexicographic
+    order, seeded with the greedy solution.  The drop branch is tried first
+    and is pruned when the arc has no replacement walk through the kept and
+    undecided arcs (more deletions only make that worse).  Every leaf is a
+    solution, by the argument of :func:`meg_greedy`: each drop leaves a walk
+    that avoids the arcs dropped so far, so it reroutes any earlier
+    replacement walk that used the arc.
+
+    A branch is cut when ``kept + max(uncovered heads, uncovered tails)``
+    reaches the incumbent's size.  The bound holds on every digraph: a node
+    with an in-arc in h is reached from some other node, so any solution
+    keeps an in-arc into it, and likewise an out-arc out of every node with
+    one; each arc covers one head and one tail, so a branch needs at least
+    that many more arcs than it has kept.  Only subtrees without a strictly
+    smaller solution are cut, so the search meets the same improvements in
+    the same order as without the bound.  At the root this returns greedy
+    at once whenever greedy already meets the bound (a Hamiltonian cycle of
+    a strongly connected digraph, for instance).
+
+    The search runs on an explicit stack, so its depth (one level per arc)
+    is bounded by memory rather than by the interpreter's recursion limit.
+    The live arcs (kept or undecided) are one set of successor bitsets;
+    the drop branch clears a bit and an undo entry on the stack restores it
+    before the keep branch runs.
     """
     if len(h.arcs) > limit:
         raise LimitExceeded(
             f"{len(h.arcs)} arcs exceed the exact search limit of {limit}"
         )
     arcs = sorted(h.arcs)
-    best = sorted(meg_greedy(h))
-
-    def search(idx: int, kept: list[Arc], removed: set[Arc]) -> None:
-        nonlocal best
-        if len(kept) >= len(best):
-            return
-        if idx == len(arcs):
-            if same_reachability(h, kept):
-                best = list(kept)
-            return
-        a = arcs[idx]
-        live = [x for x in arcs if x != a and x not in removed]
-        if _reaches(live, a[0], a[1]):
-            removed.add(a)
-            search(idx + 1, kept, removed)
-            removed.discard(a)
-        kept.append(a)
-        search(idx + 1, kept, removed)
-        kept.pop()
-
-    search(0, [], set())
+    m = len(arcs)
+    best = meg_greedy(h)
+    live = _successors(h.n, arcs)
+    tails = heads = 0
+    for i, j in arcs:
+        tails |= 1 << i
+        heads |= 1 << j
+    # entries: (idx, kept, covered tails, covered heads) visits a node of
+    # the search tree; an arc (i, j) restores that dropped arc
+    stack: list[tuple[int, ...]] = [(0, 0, 0, 0)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 2:
+            i, j = entry
+            live[i] |= 1 << j
+            continue
+        idx, kept, t_cov, h_cov = entry
+        uncovered = max((tails & ~t_cov).bit_count(), (heads & ~h_cov).bit_count())
+        if kept + uncovered >= len(best):
+            continue
+        if idx == m:
+            best = [(i, j) for i, j in arcs if live[i] >> j & 1]
+            continue
+        i, j = arcs[idx]
+        stack.append((idx + 1, kept + 1, t_cov | 1 << i, h_cov | 1 << j))
+        live[i] ^= 1 << j
+        if _reach(live, i, 1 << j) >> j & 1:
+            stack.append((i, j))
+            stack.append((idx + 1, kept, t_cov, h_cov))
+        else:
+            live[i] |= 1 << j
     return frozenset(best)

@@ -122,6 +122,17 @@ def brute_meg_size(n: int, arcs: frozenset[Edge]) -> int:
     raise AssertionError("unreachable: the full arc set always qualifies")
 
 
+def lex_greedy_meg(n: int, arcs: frozenset[Edge]) -> frozenset[Edge]:
+    """Drop arcs in lexicographic order while the whole closure stays put."""
+    want = closure(n, arcs)
+    kept = set(arcs)
+    for a in sorted(arcs):
+        kept.remove(a)
+        if closure(n, kept) != want:
+            kept.add(a)
+    return frozenset(kept)
+
+
 def random_system(
     rng: Random,
     max_n: int = 5,

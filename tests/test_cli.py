@@ -144,6 +144,21 @@ def test_exact_limit_error_is_one_short_line(arcs, tmp_path, capsys):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+def test_deep_exact_search_is_certified(tmp_path, capsys):
+    # a 600-node zero path in both directions: all 1198 tight arcs are
+    # essential, and the exact search goes one level deeper per arc
+    n = 600
+    f = tmp_path / "path.dcs"
+    f.write_text(
+        f"p dcs {n} {2 * (n - 1)}\n"
+        + "".join(f"e {i} {i + 1} 0\ne {i + 1} {i} 0\n" for i in range(1, n))
+    )
+    assert main(["simplify", str(f), "--exact-limit", "2000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "removed 0, certified\n"
+    assert loads(captured.out) == loads(f.read_text())
+
+
 def test_out_of_memory_is_one_error_line(paths, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError()

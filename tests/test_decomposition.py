@@ -5,10 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 import oracles
-from dcsimp.core import Walk, min_walk_weights, normalize, walk_weight
+from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights, normalize, walk_weight
 from dcsimp.decomposition import (
     SolverConfig,
     condensation,
@@ -22,6 +23,9 @@ from dcsimp.meg import Digraph, reachability
 from dcsimp.redundancy import is_redundant_edge_set, mres_no_zero_cycles
 from dcsimp.verify import brute_force_max_redundant, systems_equivalent
 from shipped import load_fixture
+
+# P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64
+WIDE = Fraction(10**25 + 13, 3)
 
 
 def _pipeline(g, representative="smallest"):
@@ -168,11 +172,15 @@ class TestCondensation:
             assert mc is None or mc > 0
 
     def test_redundant_pairs_match_fast_criterion_on_condensation(self):
-        # the condensation's own distances, recomputed, are the reference
+        # the condensation's own distances, recomputed, are the reference;
+        # the copy with every weight times P / 3 runs on Python-int distances
         for g in oracles.feasible_suite(313, 60):
-            d, _, _, cond = _pipeline(g)
-            want = {(a - 1, b - 1) for a, b in mres_no_zero_cycles(cond.as_graph())}
-            assert condensation_redundant_pairs(cond, d) == want
+            wide = PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()})
+            for h in (g, wide):
+                d, _, _, cond = _pipeline(h)
+                assert d.dist.dtype == (object if h is wide and any(h.edges.values()) else np.int64)
+                want = {(a - 1, b - 1) for a, b in mres_no_zero_cycles(cond.as_graph())}
+                assert condensation_redundant_pairs(cond, d) == want
 
     def test_weights_are_cheapest_crossings(self):
         for g in oracles.feasible_suite(308, 40):

@@ -11,11 +11,27 @@ from dcsimp.errors import LimitExceeded, NotASubset
 from dcsimp.meg import Digraph, meg_exact, meg_greedy, reachability, same_reachability
 
 
-def _random_digraph(rng: Random, max_n: int = 5, max_m: int = 10) -> Digraph:
-    n = rng.randint(2, max_n)
+def _random_digraph(rng: Random, max_n: int = 7, max_m: int = 16) -> Digraph:
+    n = rng.randint(0, max_n)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    m = rng.randint(1, min(max_m, len(pairs)))
+    m = rng.randint(0, min(max_m, len(pairs)))
     return Digraph(n, frozenset(rng.sample(pairs, m)))
+
+
+# shapes random sampling rarely hits: no nodes, no arcs, isolated nodes,
+# classes joined one way only, a sink class fed by a chain
+_SHAPES = [
+    Digraph(0, frozenset()),
+    Digraph(4, frozenset()),
+    Digraph(5, frozenset({(1, 2), (2, 1), (4, 5)})),
+    Digraph(6, frozenset({(1, 2), (2, 3), (3, 1), (1, 3), (3, 4), (4, 5), (5, 6), (6, 4), (2, 5)})),
+    Digraph(7, frozenset({(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 4), (5, 6), (6, 5), (4, 6)})),
+]
+
+
+def _digraphs(seed: int, count: int) -> list[Digraph]:
+    rng = Random(seed)
+    return _SHAPES + [_random_digraph(rng) for _ in range(count)]
 
 
 class TestReachability:
@@ -97,9 +113,7 @@ class TestMegExact:
             meg_exact(h, limit=2)
 
     def test_matches_brute_force_size(self):
-        rng = Random(90)
-        for _ in range(40):
-            h = _random_digraph(rng)
+        for h in _digraphs(90, 80):
             kept = meg_exact(h)
             assert same_reachability(h, kept)
             assert len(kept) == oracles.brute_meg_size(h.n, h.arcs)
@@ -120,6 +134,13 @@ class TestMegExact:
             h = Digraph(n, frozenset(cycle | chords))
             assert len(meg_exact(h)) == n
 
+    def test_complete_six_node_digraph_keeps_six_arcs(self):
+        nodes = range(1, 7)
+        h = Digraph(6, frozenset((i, j) for i in nodes for j in nodes if i != j))
+        kept = meg_exact(h, limit=30)
+        assert len(kept) == 6
+        assert same_reachability(h, kept)
+
 
 class TestMegGreedy:
     def test_scans_lexicographically(self):
@@ -131,12 +152,14 @@ class TestMegGreedy:
         assert meg_greedy(h) == {(1, 2), (2, 3), (3, 4), (4, 1)}
 
     def test_never_beats_exact_and_always_valid(self):
-        rng = Random(92)
-        for _ in range(40):
-            h = _random_digraph(rng)
+        for h in _digraphs(92, 80):
             greedy = meg_greedy(h)
             assert same_reachability(h, greedy)
             assert len(greedy) >= len(meg_exact(h))
             # minimality: no kept arc can still be dropped
             for a in sorted(greedy):
                 assert not same_reachability(h, greedy - {a})
+
+    def test_matches_plain_lexicographic_greedy(self):
+        for h in _digraphs(93, 200):
+            assert meg_greedy(h) == oracles.lex_greedy_meg(h.n, h.arcs)
