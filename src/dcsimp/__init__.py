@@ -32,6 +32,7 @@ from .decomposition import (
     equivalence_classes,
     max_redundant_edge_set,
     partition_edges,
+    redundant_edges,
 )
 from .errors import (
     DcsError,
@@ -120,6 +121,7 @@ __all__ = [
     "normalize",
     "partition_edges",
     "reachability",
+    "redundant_edges",
     "same_reachability",
     "systems_equivalent",
     "walk_weight",

@@ -3,7 +3,7 @@
 Commands:
 
 * ``info FILE``       summary statistics of a system
-* ``redundant FILE``  list all redundant edges
+* ``redundant FILE``  list every edge the others imply, each judged alone
 * ``simplify FILE``   delete a maximum redundant edge set
 * ``reduce FILE``     synthesize the minimum equivalent system
 * ``condense FILE``   condensation of the system (or of its reduction)
@@ -22,19 +22,12 @@ import sys
 import warnings
 
 from . import fileformat
-from .core import PrecedenceGraph, min_walk_weights
-from .decomposition import SolverConfig, analyze, max_redundant_edge_set
-from .errors import (
-    DcsError,
-    ExactLimitExceeded,
-    InfeasibleSystem,
-    ParseError,
-    ZeroWeightCycle,
-)
+from .core import PrecedenceGraph
+from .decomposition import SolverConfig, analyze, max_redundant_edge_set, redundant_edges
+from .errors import DcsError, ExactLimitExceeded, InfeasibleSystem
 from .meg import DEFAULT_EXACT_LIMIT
-from .redundancy import find_redundant_edges
 from .reduction import equivalent_reduction, er_condensation
-from .verify import brute_force_redundant_edges, systems_equivalent
+from .verify import systems_equivalent
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -87,16 +80,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_redundant(args: argparse.Namespace) -> int:
-    g = _load(args.input)
-    try:
-        edges = find_redundant_edges(g, min_walk_weights(g))
-    except ZeroWeightCycle:
-        if not args.oracle:
-            raise ZeroWeightCycle(
-                "the system has a zero-weight cycle, where the fast criterion "
-                "is unsound; rerun with --oracle to check each edge by deletion"
-            ) from None
-        edges = brute_force_redundant_edges(g)
+    edges = redundant_edges(analyze(_load(args.input)))
     _emit(args, "".join(f"{i} {j}\n" for i, j in sorted(edges)))
     return EXIT_OK
 
@@ -195,13 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("input")
     common(p_info, representative=True, limit=True)
 
-    p_red = sub.add_parser("redundant", help="list all redundant edges")
+    p_red = sub.add_parser("redundant", help="list every edge the others imply")
     p_red.add_argument("input")
-    p_red.add_argument(
-        "--oracle",
-        action="store_true",
-        help="with zero-weight cycles, check each edge by deletion",
-    )
     common(p_red)
 
     p_simp = sub.add_parser("simplify", help="delete a maximum redundant edge set")
@@ -233,9 +212,6 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed command, mapping library errors to exit codes."""
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        _note(f"error: {exc}")
-        return EXIT_PARSE
     except InfeasibleSystem as exc:
         _note(f"error: {exc}")
         return EXIT_INFEASIBLE

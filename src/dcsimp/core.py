@@ -111,21 +111,11 @@ class PrecedenceGraph:
         """Out-edges of node i as (target, weight) pairs, sorted by target."""
         return self._out[i]
 
-    def weight(self, i: int, j: int) -> Fraction:
-        return self.edges[(i, j)]
-
     def without(self, remove: Iterable[Edge]) -> "PrecedenceGraph":
         """A copy with the given edges deleted; node set unchanged."""
         gone = set(remove)
         return PrecedenceGraph(
             self.n, {e: w for e, w in self.edges.items() if e not in gone}
-        )
-
-    def restricted_to(self, keep: Iterable[Edge]) -> "PrecedenceGraph":
-        """A copy containing only the given edges; node set unchanged."""
-        kept = set(keep)
-        return PrecedenceGraph(
-            self.n, {e: w for e, w in self.edges.items() if e in kept}
         )
 
 
@@ -175,6 +165,11 @@ class DistanceMatrix:
         if not self.reach[i, j]:
             return None
         return Fraction(int(self.dist[i, j]), self.scale)
+
+    def scaled(self, w: Fraction) -> int:
+        """``w * scale`` as an int, for w a multiple of ``1 / scale``: every
+        weight and minimum walk weight of the graph behind ``dist`` is one."""
+        return w.numerator * (self.scale // w.denominator)
 
     def reachable(self, i: int, j: int) -> bool:
         return bool(self.reach[i, j])
@@ -226,7 +221,7 @@ def normalize(
 def _scaled_integer_edges(g: PrecedenceGraph) -> tuple[dict[Edge, int], int]:
     """Rescale all weights to integers by the lcm of their denominators."""
     scale = lcm(*(w.denominator for w in g.edges.values())) if g.edges else 1
-    return {e: int(w * scale) for e, w in g.edges.items()}, scale
+    return {e: w.numerator * (scale // w.denominator) for e, w in g.edges.items()}, scale
 
 
 def _fw_numpy(n: int, scaled: dict[Edge, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -321,15 +316,10 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
         raise InfeasibleSystem(
             "no solution: negative-weight closed walk "
             f"{'-'.join(map(str, witness.nodes))} "
-            f"has weight {Fraction(walk_weight_over(scaled, witness), scale)}",
+            f"has weight {walk_weight(g, witness)}",
             cycle=witness,
         )
     return DistanceMatrix(n, True, scale, dist, reach)
-
-
-def walk_weight_over(scaled: Mapping[Edge, int], walk: Walk) -> int:
-    """Sum of integer edge weights along a walk (no validity checks)."""
-    return sum(scaled[step] for step in walk.steps)
 
 
 def _check_walk(g: PrecedenceGraph, walk: Walk) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
 from .errors import ExactLimitExceeded
-from .meg import DEFAULT_EXACT_LIMIT, Digraph, meg_exact, meg_greedy
+from .meg import DEFAULT_EXACT_LIMIT, Digraph, meg_exact, meg_greedy, redundant_arcs
 
 RepresentativePolicy = Literal["smallest", "largest"]
 
@@ -186,28 +186,34 @@ def equivalence_classes(
 def partition_edges(
     g: PrecedenceGraph, d: DistanceMatrix, p: Partition
 ) -> EdgePartition:
-    """Route every edge to its intra-class or cross-class bucket."""
+    """Route every edge to its intra-class or cross-class bucket.
+
+    ``d`` must be the distance matrix of ``g``: weights are compared on its
+    scaled integers, which are exact only for that graph's weights.
+    """
     k = len(p.classes)
+    dist = d.dist
     intra: list[set[Edge]] = [set() for _ in range(k)]
     slack: list[set[Edge]] = [set() for _ in range(k)]
-    cross: dict[tuple[int, int], set[Edge]] = {}
+    cross: dict[tuple[int, int], dict[Edge, int]] = {}
     for (i, j), w in g.edges.items():
+        scaled = d.scaled(w)
         ci, cj = p.class_of[i], p.class_of[j]
         if ci == cj:
             intra[ci].add((i, j))
-            if w > d.get(i, j):
+            if scaled > dist[i, j]:
                 slack[ci].add((i, j))
         else:
-            cross.setdefault((ci, cj), set()).add((i, j))
+            cross.setdefault((ci, cj), {})[(i, j)] = scaled
     cross_min: dict[tuple[int, int], frozenset[Edge]] = {}
     cross_rep: dict[tuple[int, int], Edge] = {}
     for (ci, cj), edges in cross.items():
         va, vb = p.reps[ci], p.reps[cj]
         best = None
         argmin: list[Edge] = []
-        for s, t in edges:
+        for (s, t), scaled in edges.items():
             # reps and endpoints share classes, so both distances exist
-            cost = d.get(va, s) + g.edges[(s, t)] + d.get(t, vb)
+            cost = int(dist[va, s]) + scaled + int(dist[t, vb])
             if best is None or cost < best:
                 best, argmin = cost, [(s, t)]
             elif cost == best:
@@ -231,11 +237,15 @@ def condensation(
 
     Every cycle of the result weighs strictly more than zero: a zero-weight
     closed walk through two representatives would have merged their classes.
+    ``d`` must be the distance matrix of ``g``: each weight is summed on its
+    scaled integers.
     """
+    dist = d.dist
     edges: dict[tuple[int, int], Fraction] = {}
     for (ci, cj), (s, t) in ep.cross_rep.items():
         va, vb = p.reps[ci], p.reps[cj]
-        edges[(va, vb)] = d.get(va, s) + g.edges[(s, t)] + d.get(t, vb)
+        cost = int(dist[va, s]) + d.scaled(g.edges[(s, t)]) + int(dist[t, vb])
+        edges[(va, vb)] = Fraction(cost, d.scale)
     return Condensation(p.reps, edges)
 
 
@@ -257,10 +267,7 @@ def condensation_redundant_pairs(
     ``d.reach[k, b]`` is the same comparison without a single Fraction.
     """
     index = {rep: k for k, rep in enumerate(c.reps)}
-    scaled = {
-        pair: w.numerator * (d.scale // w.denominator)
-        for pair, w in c.edges.items()
-    }
+    scaled = {pair: d.scaled(w) for pair, w in c.edges.items()}
     out: dict[int, list[tuple[int, int]]] = {}
     for (a, k), w in scaled.items():
         out.setdefault(a, []).append((k, w))
@@ -286,14 +293,23 @@ def analyze(
     return Analysis(d, p, ep, cond, condensation_redundant_pairs(cond, d))
 
 
-def _class_digraph(
-    members: frozenset[int], arcs: frozenset[Edge]
-) -> tuple[Digraph, dict[Edge, Edge]]:
-    """Relabel one class onto nodes 1..m for the MEG solver."""
-    order = sorted(members)
-    local = {v: q + 1 for q, v in enumerate(order)}
-    back = {(local[s], local[t]): (s, t) for s, t in arcs}
-    return Digraph(len(order), frozenset(back)), back
+def redundant_edges(a: Analysis) -> frozenset[Edge]:
+    """Every edge that the other edges imply, each judged alone: together
+    they need not be removable (tied_optima's (1, 2) and (1, 3)).
+
+    These are the slack intra-class edges; the tight arcs (s, t) whose head
+    stays reachable over the other tight arcs (between class members, the
+    walks of weight d_st are the walks over tight arcs); and the cross edges
+    but the sole cheapest crossing of a pair whose condensation edge stays.
+    """
+    ep = a.edges
+    tight = Digraph(a.d.n, frozenset().union(*ep.intra_tight))
+    out = set(redundant_arcs(tight)).union(*ep.intra_slack)
+    for pair, edges in ep.cross.items():
+        cheapest = ep.cross_min[pair]
+        sole = len(cheapest) == 1 and pair not in a.removed_pairs
+        out |= edges - cheapest if sole else edges
+    return frozenset(out)
 
 
 def max_redundant_edge_set(
@@ -322,7 +338,7 @@ def max_redundant_edge_set(
         tight = ep.intra_tight[k]
         if not tight:
             continue
-        h, back = _class_digraph(members, tight)
+        h = Digraph(g.n, tight)
         if len(tight) <= cfg.exact_limit:
             kept = meg_exact(h, cfg.exact_limit)
         elif cfg.allow_heuristic:
@@ -335,5 +351,5 @@ def max_redundant_edge_set(
                 f"{cfg.exact_limit}; allow the heuristic to accept a "
                 "maximal (uncertified) result"
             )
-        out |= tight - {back[a] for a in kept}
+        out |= tight - kept
     return MresResult(frozenset(out), certified, analysis)

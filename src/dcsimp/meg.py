@@ -119,6 +119,19 @@ def meg_greedy(h: Digraph) -> frozenset[Arc]:
     return frozenset((i, j) for i, j in arcs if succ[i] >> j & 1)
 
 
+def redundant_arcs(h: Digraph) -> frozenset[Arc]:
+    """Arcs (i, j) whose head j stays reachable from i over the other arcs,
+    each tested alone (:func:`meg_greedy` tests them in drop order)."""
+    succ = _successors(h.n, h.arcs)
+    out = []
+    for i, j in h.arcs:
+        succ[i] ^= 1 << j
+        if _reach(succ, i, 1 << j) >> j & 1:
+            out.append((i, j))
+        succ[i] |= 1 << j
+    return frozenset(out)
+
+
 def meg_exact(h: Digraph, limit: int = DEFAULT_EXACT_LIMIT) -> frozenset[Arc]:
     """A minimum-cardinality arc subset preserving all reachabilities.
 

@@ -2,9 +2,9 @@
 
 Two systems are equivalent when they admit exactly the same solutions, i.e.
 each one's constraints are all implied by the other.  The brute-force
-routines below exist to certify the clever solvers on desk-sized inputs;
-they enumerate rather than decompose, sharing only the distance primitive
-and the definitional set check, never solver logic.
+routines below are test references only, certifying the solvers on
+desk-sized inputs: they enumerate rather than decompose, sharing only the
+distance primitive and the definitional set check, never solver logic.
 """
 
 from __future__ import annotations

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
 from dcsimp import cli
-from dcsimp.cli import main
+from dcsimp.cli import build_parser, main
 from dcsimp.core import min_walk_weights
 from dcsimp.fileformat import dumps, loads
 from shipped import NAMES, load_fixture
@@ -40,12 +43,12 @@ def test_redundant_without_zero_cycle(paths, capsys, tmp_path):
     assert capsys.readouterr().out == "1 2\n"
 
 
-def test_redundant_zero_cycle_needs_oracle(paths, capsys):
-    assert main(["redundant", paths["two_classes"]]) == 1
-    captured = capsys.readouterr()
-    assert "zero-weight cycle" in captured.err
-    assert main(["redundant", "--oracle", paths["two_classes"]]) == 0
+def test_redundant_with_zero_cycles(paths, capsys):
+    assert main(["redundant", paths["two_classes"]]) == 0
     assert capsys.readouterr().out == "3 2\n"
+    # each of the two edges can go alone, but not both (criterion 3)
+    assert main(["redundant", paths["tied_optima"]]) == 0
+    assert capsys.readouterr().out == "1 2\n1 3\n"
 
 
 def test_simplify(paths, capsys):
@@ -178,7 +181,7 @@ def test_self_loop_warning_reaches_stderr(tmp_path, capsys):
 
 def test_out_flag_writes_file(paths, tmp_path, capsys):
     out = tmp_path / "result.txt"
-    assert main(["redundant", "--oracle", paths["two_classes"], "--out", str(out)]) == 0
+    assert main(["redundant", paths["two_classes"], "--out", str(out)]) == 0
     assert out.read_text() == "3 2\n"
     assert capsys.readouterr().out == ""
 
@@ -192,6 +195,7 @@ def test_out_flag_writes_file(paths, tmp_path, capsys):
         "check two_classes",
         "reduce --exact-limit 3 two_classes",
         "condense --allow-heuristic two_classes",
+        "redundant --oracle two_classes",
     ],
 )
 def test_usage_error_exit_code(command, paths, capsys):
@@ -214,6 +218,7 @@ def test_help_exits_zero(capsys):
         ("condense two_classes", 1),
         ("condense --of-reduction two_classes", 1),
         ("redundant weight_sensitive", 1),
+        ("redundant two_classes", 1),
         ("check two_classes two_classes", 2),
     ],
 )
@@ -229,3 +234,25 @@ def test_distances_computed_once_per_input(command, calls, paths, monkeypatch, c
             monkeypatch.setattr(module, "min_walk_weights", counting)
     assert main([paths.get(a, a) for a in command.split()]) == 0
     assert len(seen) == calls
+
+
+def test_readme_common_flags_match_parser():
+    # each "Common flags" bullet names a flag and the commands that take it,
+    # as "`--flag ...` (`cmd`, ...)" or "`cmd --flag`"; --out is on every command
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("Common flags:", 1)[1].split("```", 1)[0]
+    documented = {}
+    for bullet in section.split("\n- ")[1:]:
+        bullet = " ".join(bullet.split())
+        m = re.match(r"`(?:(\w+) )?(--[\w-]+)[^`]*`(?: \(([^)]*)\))?", bullet)
+        assert m, bullet
+        cmd, flag, listed = m.groups()
+        documented[flag] = {cmd} if cmd else set(re.findall(r"`(\w+)`", listed))
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {}
+    for cmd, p in sub.choices.items():
+        assert "--out" in p._option_string_actions
+        for flag in p._option_string_actions:
+            if flag not in ("-h", "--help", "--out"):
+                accepted.setdefault(flag, set()).add(cmd)
+    assert documented == accepted

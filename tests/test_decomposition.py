@@ -12,17 +12,27 @@ import oracles
 from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights, normalize, walk_weight
 from dcsimp.decomposition import (
     SolverConfig,
+    analyze,
     condensation,
     condensation_redundant_pairs,
     equivalence_classes,
     max_redundant_edge_set,
     partition_edges,
+    redundant_edges,
 )
 from dcsimp.errors import ExactLimitExceeded
 from dcsimp.meg import Digraph, reachability
-from dcsimp.redundancy import is_redundant_edge_set, mres_no_zero_cycles
-from dcsimp.verify import brute_force_max_redundant, systems_equivalent
-from shipped import load_fixture
+from dcsimp.redundancy import (
+    find_redundant_edges,
+    is_redundant_edge_set,
+    mres_no_zero_cycles,
+)
+from dcsimp.verify import (
+    brute_force_max_redundant,
+    brute_force_redundant_edges,
+    systems_equivalent,
+)
+from shipped import NAMES, load_fixture
 
 # P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64
 WIDE = Fraction(10**25 + 13, 3)
@@ -247,3 +257,33 @@ class TestMaxRedundantEdgeSet:
             p0 = equivalence_classes(min_walk_weights(g))
             p1 = equivalence_classes(min_walk_weights(g.without(res.edges)))
             assert p0.classes == p1.classes
+
+
+class TestRedundantEdges:
+    def test_fixtures_match_brute_force(self):
+        for name in NAMES:
+            g = load_fixture(name)
+            assert redundant_edges(analyze(g)) == brute_force_redundant_edges(g)
+
+    def test_feasible_suite_matches_brute_force(self):
+        for g in oracles.feasible_suite(314, 80):
+            assert redundant_edges(analyze(g)) == brute_force_redundant_edges(g)
+
+    def test_many_tight_arcs_match_brute_force(self):
+        # zero-slack share 0.8 leaves large classes full of tight arcs; every
+        # fourth system also runs scaled by P / 3, on the Python-int matrix
+        rng = Random(315)
+        for q in range(100):
+            g = oracles.random_potential_system(
+                rng, rng.randint(6, 7), rng.randint(2, 25), zero_slack_share=0.8
+            )
+            want = brute_force_redundant_edges(g)
+            assert redundant_edges(analyze(g)) == want
+            if q % 4 == 0 and any(g.edges.values()):
+                a = analyze(PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()}))
+                assert a.d.dist.dtype == object
+                assert redundant_edges(a) == want
+
+    def test_positive_cycles_match_fast_criterion(self):
+        for g in oracles.positive_cycle_suite(316, 60):
+            assert redundant_edges(analyze(g)) == find_redundant_edges(g, min_walk_weights(g))
