@@ -10,9 +10,11 @@ Commands:
 * ``check A B``       are two systems equivalent?
 
 Results go to stdout (or ``--out FILE``); summaries and diagnostics go to
-stderr.  Exit codes: 0 success, 1 parse, usage or size error, 2 infeasible
-system, 3 systems not equivalent, 4 exact limit exceeded without
---allow-heuristic.
+stderr.  Exit codes: 0 success, 1 parse, usage or size error (the
+class-to-class distance matrix would not fit in physical memory, or memory
+ran out), 2 infeasible system, 3 systems not equivalent, 4 exact limit
+exceeded without --allow-heuristic (``info`` still prints every line that
+needs no exact solve first).
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ import warnings
 
 from . import fileformat
 from .core import PrecedenceGraph
-from .decomposition import SolverConfig, analyze, max_redundant_edge_set, redundant_edges
+from .decomposition import (
+    Analysis,
+    SolverConfig,
+    analyze,
+    max_redundant_edge_set,
+    redundant_edges,
+)
 from .errors import DcsError, ExactLimitExceeded, InfeasibleSystem
 from .meg import DEFAULT_EXACT_LIMIT
 from .reduction import equivalent_reduction, er_condensation
@@ -57,13 +65,11 @@ def _load(path: str) -> PrecedenceGraph:
     return g
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
-    g = _load(args.input)
-    cfg = SolverConfig(args.exact_limit, args.allow_heuristic, args.representative)
-    res = max_redundant_edge_set(g, cfg)
-    p, ep = res.analysis.partition, res.analysis.edges
+def _summary(g: PrecedenceGraph, a: Analysis) -> list[str]:
+    """The ``info`` lines that need no MEG solve."""
+    p, ep = a.partition, a.edges
     zero_cycle = any(len(c) > 1 for c in p.classes)
-    lines = [
+    return [
         f"nodes: {g.n}",
         f"constraints: {g.m}",
         "feasible: yes",
@@ -71,7 +77,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"classes: {len(p.classes)}",
         f"class sizes: {' '.join(str(len(c)) for c in p.classes)}",
         f"slack intra-class edges: {sum(len(s) for s in ep.intra_slack)}",
-        f"condensation edges: {len(res.analysis.condensation.edges)}",
+        f"condensation edges: {len(a.condensation.edges)}",
+    ]
+
+
+def _cmd_info(args: argparse.Namespace) -> int:
+    g = _load(args.input)
+    cfg = SolverConfig(args.exact_limit, args.allow_heuristic, args.representative)
+    try:
+        res = max_redundant_edge_set(g, cfg)
+    except ExactLimitExceeded as exc:
+        _emit(args, "\n".join(_summary(g, exc.analysis)) + "\n")
+        raise
+    lines = _summary(g, res.analysis) + [
         f"removable edges (max): {len(res.edges)}",
         f"certified maximum: {'yes' if res.certified else 'no'}",
     ]

@@ -8,10 +8,13 @@ weighted digraph: one node per variable, one edge ``(i, j)`` of weight
 Weights are exact rationals (:class:`fractions.Fraction`).  Exactness is not
 a nicety here: the decomposition machinery keys on cycle weights being
 *exactly* zero, a question floating point cannot answer.  Distances are
-therefore kept as integers: one Floyd-Warshall kernel runs on the weights
-rescaled by the lcm of their denominators, in int64 when they fit and in
-Python ints otherwise, and a Fraction is made only when a caller reads an
-entry through :meth:`DistanceMatrix.get`.
+therefore kept as integers, on the weights rescaled by the lcm of their
+denominators, and a Fraction is made only when a caller reads an entry
+through :meth:`DistanceMatrix.get`.  They are stored factored: a potential
+from one Bellman-Ford pass makes every reduced cost non-negative, the arcs
+of reduced cost zero split the nodes into the zero-cycle classes, and the
+Floyd-Warshall kernel runs only on the condensation, one node per class,
+in int64 when its costs fit and in Python ints otherwise.
 
 Feasibility is a walk statement: the system has a solution precisely when no
 closed walk has negative weight, and then the tightest derivable bound on
@@ -20,6 +23,7 @@ closed walk has negative weight, and then the tightest derivable bound on
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +34,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .errors import (
+    DcsError,
     IndexOutOfRange,
     InfeasibleSystem,
     NegativeSelfLoop,
@@ -144,35 +149,56 @@ class Walk:
 
 @dataclass(frozen=True, repr=False, eq=False)
 class DistanceMatrix:
-    """Minimum walk weights of a feasible system, as scaled integers.
+    """Minimum walk weights of a feasible system, factored through its
+    zero-cycle classes.
 
-    Where ``reach[i, j]``, the least weight over all walks ``i ~> j`` is
-    exactly ``dist[i, j] / scale``; elsewhere no such walk exists and
-    ``dist`` holds a sentinel that is not a weight.  ``dist`` is int64 when
-    the weights fit and Python ints otherwise.  Both arrays are 1-indexed
-    with a padding row/column 0.  ``get`` is the one place a
-    :class:`~fractions.Fraction` is made, and it reports unreachability as
-    ``None``, so the sentinel never leaks into exact arithmetic.
+    ``potential`` is a solution of the scaled system (``potential[0]`` is
+    padding): every reduced cost ``c_ij·scale + potential[i] - potential[j]``
+    is non-negative.  ``classes`` are the strongly connected components of
+    the arcs of reduced cost zero, ordered by smallest member, with sorted
+    members; ``class_of[v]`` is the index of v's class (``class_of[0]`` is
+    padding).  ``class_dist`` and ``class_reach`` are K x K, for K classes:
+    where ``class_reach[a, b]``, ``class_dist[a, b]`` is the least reduced
+    cost of a walk from class a to class b; elsewhere no such walk exists
+    and ``class_dist`` holds a sentinel that is not a weight.  It is int64
+    when the reduced costs fit and Python ints otherwise.
+
+    Inside a class every walk costs at least zero and the class's zero arcs
+    connect it, so for i in class a and j in class b the least weight over
+    all walks ``i ~> j`` is exactly
+    ``(potential[j] - potential[i] + class_dist[a, b]) / scale``.  ``get``
+    is the one place a :class:`~fractions.Fraction` is made, and it reports
+    unreachability as ``None``, so the sentinel never leaks into exact
+    arithmetic.
     """
 
     n: int
     feasible: bool
     scale: int
-    dist: np.ndarray
-    reach: np.ndarray
+    potential: tuple[int, ...]
+    class_of: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+    class_dist: np.ndarray
+    class_reach: np.ndarray
 
     def get(self, i: int, j: int) -> Fraction | None:
-        if not self.reach[i, j]:
+        a, b = self.class_of[i], self.class_of[j]
+        if not self.class_reach[a, b]:
             return None
-        return Fraction(int(self.dist[i, j]), self.scale)
+        p = self.potential
+        return Fraction(p[j] - p[i] + int(self.class_dist[a, b]), self.scale)
 
     def scaled(self, w: Fraction) -> int:
         """``w * scale`` as an int, for w a multiple of ``1 / scale``: every
-        weight and minimum walk weight of the graph behind ``dist`` is one."""
+        weight and minimum walk weight of the graph measured is one."""
         return w.numerator * (self.scale // w.denominator)
 
+    def reduced(self, i: int, j: int, w: Fraction) -> int:
+        """The reduced cost of a weight-w constraint (i, j), scaled."""
+        return self.scaled(w) + self.potential[i] - self.potential[j]
+
     def reachable(self, i: int, j: int) -> bool:
-        return bool(self.reach[i, j])
+        return bool(self.class_reach[self.class_of[i], self.class_of[j]])
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n}, feasible={self.feasible})"
@@ -240,11 +266,22 @@ def _fw_numpy(n: int, scaled: dict[Edge, int]) -> tuple[np.ndarray, np.ndarray]:
     diagonal entry.  Up to that round no negative closed walk has entered
     any entry, so none falls below ``-2 * (n - 1) * maxabs`` and int64
     arithmetic cannot wrap.
+
+    Raises :class:`DcsError` before allocating when the matrix alone would
+    not fit in the machine's physical memory.
     """
     maxabs = max(map(abs, scaled.values()), default=0)
     inf = 2 * (n + 1) * (maxabs + 1)
     wide = inf >= 1 << 61
-    a = np.full((n + 1, n + 1), inf, dtype=object if wide else np.int64)
+    dtype = np.dtype(object if wide else np.int64)
+    need = (n + 1) ** 2 * dtype.itemsize
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DcsError(
+            f"the {n + 1} x {n + 1} distance matrix needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+    a = np.full((n + 1, n + 1), inf, dtype=dtype)
     np.fill_diagonal(a, 0)
     for (i, j), w in scaled.items():
         a[i, j] = w
@@ -262,12 +299,17 @@ def _fw_numpy(n: int, scaled: dict[Edge, int]) -> tuple[np.ndarray, np.ndarray]:
     return a, a < half
 
 
-def _negative_cycle_witness(n: int, scaled: dict[Edge, int]) -> Walk:
-    """Extract one negative-weight closed walk via Bellman-Ford predecessors.
+def _bellman_ford(n: int, scaled: dict[Edge, int]) -> tuple[list[int], Walk | None]:
+    """A potential of the scaled system, or a negative closed walk.
 
-    Only called when a negative cycle is known to exist.  Starting every
-    node at distance 0 plays the role of a virtual source, so any negative
-    cycle keeps relaxing through round n.
+    Every node starts at distance 0, which plays the role of a virtual
+    source, and the edges are relaxed in sorted order, each round reusing
+    the values the round already lowered.  A round that lowers nothing
+    leaves a potential: ``dist[i] + w >= dist[j]`` for every edge.  A
+    shortest path from the source has at most n - 1 real edges, so a
+    feasible system settles within n rounds; a node still lowered in round
+    n leads back, through the predecessors, onto a negative cycle, which is
+    the witness.
     """
     dist = [0] * (n + 1)
     pred = [0] * (n + 1)
@@ -283,7 +325,7 @@ def _negative_cycle_witness(n: int, scaled: dict[Edge, int]) -> Walk:
         if not touched:
             break
     if not touched:
-        raise AssertionError("caller promised a negative cycle")
+        return dist, None
     x = touched
     for _ in range(n):
         x = pred[x]
@@ -294,32 +336,128 @@ def _negative_cycle_witness(n: int, scaled: dict[Edge, int]) -> Walk:
         cur = pred[cur]
     cycle.append(x)
     cycle.reverse()
-    return Walk(tuple(cycle))
+    return dist, Walk(tuple(cycle))
+
+
+def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
+    """Strongly connected components of the arcs on nodes 1..n (Tarjan 1972),
+    as a class index per node (``[0]`` is padding) and the class count.
+
+    Classes are numbered by smallest member.  The depth-first search keeps
+    its own stack of (node, next successor position), so it needs no
+    recursion.  A node is on Tarjan's stack exactly while it has a visit
+    number and no class yet.  A root without arcs is its own class at once,
+    so a system of isolated nodes costs one pass.
+    """
+    succ: dict[int, list[int]] = {}
+    for i, j in arcs:
+        succ.setdefault(i, []).append(j)
+    comp = [-1] * (n + 1)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    count = 0
+    for root in range(1, n + 1):
+        if comp[root] >= 0:
+            continue
+        if root not in succ:
+            comp[root] = count
+            count += 1
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            v, pos = work[-1]
+            out = succ.get(v, ())
+            while pos < len(out):
+                w = out[pos]
+                pos += 1
+                if comp[w] >= 0:
+                    continue
+                if w in index:
+                    low[v] = min(low[v], index[w])
+                else:
+                    work[-1] = (v, pos)
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, 0))
+                    break
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    # renumber by smallest member
+    order = [-1] * count
+    k = 0
+    for v in range(1, n + 1):
+        c = comp[v]
+        if order[c] < 0:
+            order[c] = k
+            k += 1
+        comp[v] = order[c]
+    return comp, count
 
 
 def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
-    """All-pairs minimum walk weights by Floyd-Warshall.
+    """All-pairs minimum walk weights, factored through the zero-cycle classes.
 
-    Raises :class:`InfeasibleSystem` (carrying a witness cycle) when the
-    relaxation drives some diagonal entry below zero, i.e. a negative-weight
-    closed walk exists and the system has no solution.
+    Raises :class:`InfeasibleSystem` (carrying a witness cycle) when a
+    negative-weight closed walk exists and the system has no solution.
 
-    Weights are rescaled to integers by the lcm of their denominators and
-    the one kernel, :func:`_fw_numpy`, runs on int64 or on Python ints as
-    their size requires; either way the result is exact.
+    Weights are rescaled to integers by the lcm of their denominators.  One
+    Bellman-Ford pass gives a potential (or the witness), and with it every
+    reduced cost is non-negative (Johnson 1977).  The arcs of reduced cost
+    zero form the zero-weight closed walks, so their strongly connected
+    components are the classes, and inside a class every minimum walk
+    weight is a difference of potentials.  Only the condensation, one node
+    per class and one arc per class pair at its least crossing reduced
+    cost, goes to the Floyd-Warshall kernel :func:`_fw_numpy`, in int64 or
+    Python ints as the costs require; either way the result is exact.
     """
     n = g.n
     scaled, scale = _scaled_integer_edges(g)
-    dist, reach = _fw_numpy(n, scaled)
-    if (dist.diagonal() < 0).any():
-        witness = _negative_cycle_witness(n, scaled)
+    potential, witness = _bellman_ford(n, scaled)
+    if witness is not None:
         raise InfeasibleSystem(
             "no solution: negative-weight closed walk "
             f"{'-'.join(map(str, witness.nodes))} "
             f"has weight {walk_weight(g, witness)}",
             cycle=witness,
         )
-    return DistanceMatrix(n, True, scale, dist, reach)
+    zero = [(i, j) for (i, j), w in scaled.items() if w + potential[i] == potential[j]]
+    class_of, k = _components(n, zero)
+    crossing: dict[Edge, int] = {}
+    for (i, j), w in scaled.items():
+        a, b = class_of[i], class_of[j]
+        if a != b:
+            r = w + potential[i] - potential[j]
+            pair = (a + 1, b + 1)
+            if r < crossing.get(pair, r + 1):
+                crossing[pair] = r
+    dist, reach = _fw_numpy(k, crossing)
+    classes: list[list[int]] = [[] for _ in range(k)]
+    for v in range(1, n + 1):
+        classes[class_of[v]].append(v)
+    return DistanceMatrix(
+        n,
+        True,
+        scale,
+        tuple(potential),
+        tuple(class_of),
+        tuple(map(tuple, classes)),
+        dist[1:, 1:],
+        reach[1:, 1:],
+    )
 
 
 def _check_walk(g: PrecedenceGraph, walk: Walk) -> None:

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Mapping
 
-import numpy as np
-
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
 from .errors import ExactLimitExceeded
 from .meg import DEFAULT_EXACT_LIMIT, Digraph, meg_exact, meg_greedy, redundant_arcs
@@ -103,7 +101,8 @@ class Condensation:
 class Analysis:
     """Everything the decomposition derives from one system.
 
-    ``d`` is the system's minimum walk weight matrix, computed once; the
+    ``d`` holds the system's minimum walk weights (a potential, the
+    zero-cycle classes and the class-to-class matrix), computed once; the
     partition, edge buckets and condensation are read off it, and
     ``removed_pairs`` holds the class-index pairs whose condensation edge is
     redundant.
@@ -145,42 +144,25 @@ class MresResult:
     analysis: Analysis = field(compare=False, repr=False)
 
 
-def _zero_cycle_matrix(d: DistanceMatrix) -> np.ndarray:
-    """Boolean matrix of the pairs i != j that close a zero-weight walk:
-    both directions reachable and d_ij + d_ji = 0."""
-    a = d.dist
-    z = d.reach & d.reach.T & (a + a.T == 0)
-    np.fill_diagonal(z, False)
-    return z
-
-
 def equivalence_classes(
     d: DistanceMatrix, *, representative: RepresentativePolicy = "smallest"
 ) -> Partition:
     """Group nodes connected by zero-weight closed walks.
 
-    i ~ j exactly when both directions are reachable and d_ij + d_ji = 0.
-    The relation is transitive: for i ~ j and j ~ k, k is reachable from i
-    and back, and d_ik + d_ki <= d_ij + d_jk + d_kj + d_ji = 0, while under
-    feasibility no closed walk weighs less than zero.  So the class of a
-    node is the node plus its row of the zero-cycle matrix, and scanning
-    nodes in ascending order meets each class first at its smallest member.
+    These are the classes ``d`` already holds: a closed walk weighs the sum
+    of its reduced costs, which are all non-negative, so it weighs zero
+    exactly when every arc on it has reduced cost zero, and the classes are
+    the strongly connected components of those arcs.
     """
-    z = _zero_cycle_matrix(d)
-    class_of: dict[int, int] = {}
-    classes: list[frozenset[int]] = []
-    for v in range(1, d.n + 1):
-        if v not in class_of:
-            members = frozenset([v, *np.flatnonzero(z[v]).tolist()])
-            class_of.update(dict.fromkeys(members, len(classes)))
-            classes.append(members)
+    classes = tuple(frozenset(c) for c in d.classes)
+    class_of = dict(zip(range(1, d.n + 1), d.class_of[1:]))
     if representative == "smallest":
-        reps = tuple(min(c) for c in classes)
+        reps = tuple(c[0] for c in d.classes)
     elif representative == "largest":
-        reps = tuple(max(c) for c in classes)
+        reps = tuple(c[-1] for c in d.classes)
     else:
         raise ValueError(f"unknown representative policy {representative!r}")
-    return Partition(tuple(classes), reps, class_of)
+    return Partition(classes, reps, class_of)
 
 
 def partition_edges(
@@ -188,38 +170,33 @@ def partition_edges(
 ) -> EdgePartition:
     """Route every edge to its intra-class or cross-class bucket.
 
-    ``d`` must be the distance matrix of ``g``: weights are compared on its
-    scaled integers, which are exact only for that graph's weights.
+    ``d`` must be the distance matrix of ``g``: each edge is judged by its
+    reduced cost r, exact only for that graph's weights.  Inside a class the
+    minimum walk weight is a difference of potentials, so an edge is slack
+    exactly when r > 0.  A crossing (s, t) of a class pair costs
+    d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by the pair, so
+    the cheapest crossings are those of least r.
     """
     k = len(p.classes)
-    dist = d.dist
     intra: list[set[Edge]] = [set() for _ in range(k)]
     slack: list[set[Edge]] = [set() for _ in range(k)]
     cross: dict[tuple[int, int], dict[Edge, int]] = {}
     for (i, j), w in g.edges.items():
-        scaled = d.scaled(w)
+        r = d.reduced(i, j, w)
         ci, cj = p.class_of[i], p.class_of[j]
         if ci == cj:
             intra[ci].add((i, j))
-            if scaled > dist[i, j]:
+            if r > 0:
                 slack[ci].add((i, j))
         else:
-            cross.setdefault((ci, cj), {})[(i, j)] = scaled
+            cross.setdefault((ci, cj), {})[(i, j)] = r
     cross_min: dict[tuple[int, int], frozenset[Edge]] = {}
     cross_rep: dict[tuple[int, int], Edge] = {}
-    for (ci, cj), edges in cross.items():
-        va, vb = p.reps[ci], p.reps[cj]
-        best = None
-        argmin: list[Edge] = []
-        for (s, t), scaled in edges.items():
-            # reps and endpoints share classes, so both distances exist
-            cost = int(dist[va, s]) + scaled + int(dist[t, vb])
-            if best is None or cost < best:
-                best, argmin = cost, [(s, t)]
-            elif cost == best:
-                argmin.append((s, t))
-        cross_min[(ci, cj)] = frozenset(argmin)
-        cross_rep[(ci, cj)] = min(argmin)
+    for pair, edges in cross.items():
+        least = min(edges.values())
+        argmin = [e for e, r in edges.items() if r == least]
+        cross_min[pair] = frozenset(argmin)
+        cross_rep[pair] = min(argmin)
     return EdgePartition(
         intra=tuple(frozenset(s) for s in intra),
         intra_slack=tuple(frozenset(s) for s in slack),
@@ -237,14 +214,15 @@ def condensation(
 
     Every cycle of the result weighs strictly more than zero: a zero-weight
     closed walk through two representatives would have merged their classes.
-    ``d`` must be the distance matrix of ``g``: each weight is summed on its
-    scaled integers.
+    ``d`` must be the distance matrix of ``g``: the weight of the pair's
+    representing edge (s, t) is r_st + potential[rep_b] - potential[rep_a],
+    scaled.
     """
-    dist = d.dist
+    pot = d.potential
     edges: dict[tuple[int, int], Fraction] = {}
     for (ci, cj), (s, t) in ep.cross_rep.items():
         va, vb = p.reps[ci], p.reps[cj]
-        cost = int(dist[va, s]) + d.scaled(g.edges[(s, t)]) + int(dist[t, vb])
+        cost = d.reduced(s, t, g.edges[(s, t)]) + pot[vb] - pot[va]
         edges[(va, vb)] = Fraction(cost, d.scale)
     return Condensation(p.reps, edges)
 
@@ -261,22 +239,21 @@ def condensation_redundant_pairs(
     so the condensation's own minimum walk weights are d at the
     representatives and need no second all-pairs run.
 
-    The test runs on ``d``'s scaled integers: every condensation weight is
-    a sum of distances and one edge weight of that graph, so a multiple of
-    ``1/d.scale``, and ``c_ak·scale + d.dist[k, b] <= c_ab·scale`` where
-    ``d.reach[k, b]`` is the same comparison without a single Fraction.
+    The test runs on reduced costs, where the potentials of a, k and b
+    cancel: r_ak + D[k, b] <= r_ab, with D the class-to-class matrix of
+    ``d`` (``d.class_reach[k, b]`` required), all scaled integers.
     """
     index = {rep: k for k, rep in enumerate(c.reps)}
-    scaled = {pair: d.scaled(w) for pair, w in c.edges.items()}
+    reduced = {(index[a], index[b]): d.reduced(a, b, w) for (a, b), w in c.edges.items()}
     out: dict[int, list[tuple[int, int]]] = {}
-    for (a, k), w in scaled.items():
-        out.setdefault(a, []).append((k, w))
-    dist, reach = d.dist, d.reach
+    for (a, k), r in reduced.items():
+        out.setdefault(a, []).append((k, r))
+    dist, reach = d.class_dist, d.class_reach
     removed = set()
-    for (a, b), cab in scaled.items():
-        for k, cak in out[a]:
-            if k != b and reach[k, b] and cak + int(dist[k, b]) <= cab:
-                removed.add((index[a], index[b]))
+    for (a, b), rab in reduced.items():
+        for k, rak in out[a]:
+            if k != b and reach[k, b] and rak + int(dist[k, b]) <= rab:
+                removed.add((a, b))
                 break
     return frozenset(removed)
 
@@ -285,7 +262,7 @@ def analyze(
     g: PrecedenceGraph, representative: RepresentativePolicy = "smallest"
 ) -> Analysis:
     """Distances, classes, edge partition, condensation and its redundant
-    pairs of g, with one all-pairs distance computation."""
+    pairs of g, with one distance computation."""
     d = min_walk_weights(g)
     p = equivalence_classes(d, representative=representative)
     ep = partition_edges(g, d, p)
@@ -349,7 +326,8 @@ def max_redundant_edge_set(
                 f"the {len(members)}-node class of node {min(members)} has "
                 f"{len(tight)} tight edges, over the exact limit of "
                 f"{cfg.exact_limit}; allow the heuristic to accept a "
-                "maximal (uncertified) result"
+                "maximal (uncertified) result",
+                analysis=analysis,
             )
         out |= tight - kept
     return MresResult(frozenset(out), certified, analysis)

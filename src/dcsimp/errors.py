@@ -56,7 +56,15 @@ class LimitExceeded(DcsError):
 
 
 class ExactLimitExceeded(LimitExceeded):
-    """An exact intra-class solve was refused and no fallback was allowed."""
+    """An exact intra-class solve was refused and no fallback was allowed.
+
+    When available, ``analysis`` carries the decomposition the refused solve
+    came from, so a caller can still report what needed no solve.
+    """
+
+    def __init__(self, message: str, analysis=None):
+        super().__init__(message)
+        self.analysis = analysis
 
 
 class SelfLoopDropped(UserWarning):

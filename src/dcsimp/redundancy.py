@@ -12,17 +12,17 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
-from .decomposition import _zero_cycle_matrix
 from .errors import NotASubset, ZeroWeightCycle
 
 
 def has_zero_weight_cycle(d: DistanceMatrix) -> bool:
-    """True when some pair i != j closes a zero-weight walk: d_ij + d_ji = 0.
+    """True when some zero-cycle class of ``d`` has two or more members.
 
-    Under feasibility no closed walk weighs less than zero, so the test is
-    an exact detector for zero-weight cycles through at least two nodes.
+    Under feasibility no closed walk weighs less than zero, and a zero-weight
+    cycle (self-loops are excluded) joins at least two nodes into one class,
+    so the test is an exact detector.
     """
-    return bool(_zero_cycle_matrix(d).any())
+    return any(len(c) > 1 for c in d.classes)
 
 
 def find_redundant_edges(g: PrecedenceGraph, d: DistanceMatrix) -> frozenset[Edge]:

@@ -1,8 +1,10 @@
 """Independent brute-force oracles and random-input builders for the tests.
 
-Everything here enumerates: simple paths, simple cycles, arc subsets.  Only
-the graph containers are imported from the package; no solver module is,
-so agreement between an oracle and a solver is a real check.
+Everything here enumerates (simple paths, simple cycles, arc subsets) or
+runs the dense Floyd-Warshall kernel over every node.  Only the graph
+containers and that kernel are imported from the package; the solver runs
+the kernel on the condensation alone and no solver module is imported, so
+agreement between an oracle and a solver is a real check.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from dcsimp.core import Edge, PrecedenceGraph, Walk, normalize
+from dcsimp.core import (
+    Edge,
+    PrecedenceGraph,
+    Walk,
+    _fw_numpy,
+    _scaled_integer_edges,
+    normalize,
+)
 
 
 def _out_neighbors(g: PrecedenceGraph) -> dict[int, list[tuple[int, Fraction]]]:
@@ -45,6 +54,24 @@ def min_simple_path_weight(g: PrecedenceGraph, u: int, v: int) -> Fraction | Non
 
     walk(u, {u}, Fraction(0))
     return best[0]
+
+
+def dense_min_walk_weights(
+    g: PrecedenceGraph,
+) -> dict[Edge, Fraction | None] | None:
+    """Minimum walk weight of every ordered pair (i, j), i == j included, by
+    Floyd-Warshall over all n nodes; None for an unreachable pair, and None
+    in place of the whole table when a closed walk weighs less than zero."""
+    scaled, scale = _scaled_integer_edges(g)
+    a, reach = _fw_numpy(g.n, scaled)
+    if (a.diagonal() < 0).any():
+        return None
+    nodes = range(1, g.n + 1)
+    return {
+        (i, j): Fraction(int(a[i, j]), scale) if reach[i, j] else None
+        for i in nodes
+        for j in nodes
+    }
 
 
 def simple_cycle_weights(g: PrecedenceGraph) -> list[Fraction]:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -145,6 +147,59 @@ def test_exact_limit_error_is_one_short_line(arcs, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exact limit" in err
     assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_info_over_the_exact_limit_prints_the_summary_first(tmp_path, capsys):
+    f = tmp_path / "complete.dcs"
+    arcs = [(i, j) for i in range(1, 7) for j in range(1, 7) if i != j]
+    f.write_text(f"p dcs 6 {len(arcs)}\n" + "".join(f"e {i} {j} 0\n" for i, j in arcs))
+    assert main(["info", str(f)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "nodes: 6\n"
+        "constraints: 30\n"
+        "feasible: yes\n"
+        "zero-weight cycle: yes\n"
+        "classes: 1\n"
+        "class sizes: 6\n"
+        "slack intra-class edges: 0\n"
+        "condensation edges: 0\n"
+    )
+    assert captured.err.startswith("error: the 6-node class") and captured.err.count("\n") == 1
+
+
+def test_matrix_over_physical_memory_is_one_error_line(tmp_path, capsys):
+    # a million classes would need an 8 TB class-to-class matrix
+    f = tmp_path / "wide.dcs"
+    f.write_text("p dcs 1000000 0\n")
+    assert main(["info", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the 1000001 x 1000001 distance matrix needs 8000016000008 bytes")
+    assert captured.err.count("\n") == 1
+
+
+def test_giant_class_reduce_and_check_stay_fast(tmp_path):
+    # one zero-cycle class of 3000 nodes: a tight ring plus chords of slack
+    # 0-10.  Floyd-Warshall over every node would take about a minute here;
+    # on the condensation it has a handful of nodes
+    rng = Random(3000)
+    n = 3000
+    x = [0] + [rng.randint(-50, 50) for _ in range(n)]
+    edges = {(i, i % n + 1): 0 for i in range(1, n + 1)}
+    while len(edges) < 10 * n:
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        if i != j and (i, j) not in edges:
+            edges[(i, j)] = rng.randint(0, 10)
+    f, reduced = tmp_path / "ring.dcs", tmp_path / "reduced.dcs"
+    f.write_text(
+        f"p dcs {n} {len(edges)}\n"
+        + "".join(f"e {i} {j} {x[i] - x[j] + s}\n" for (i, j), s in sorted(edges.items()))
+    )
+    start = time.perf_counter()
+    assert main(["reduce", str(f), "--out", str(reduced)]) == 0
+    assert main(["check", str(f), str(reduced)]) == 0
+    assert time.perf_counter() - start < 10.0
 
 
 def test_deep_exact_search_is_certified(tmp_path, capsys):

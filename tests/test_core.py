@@ -200,6 +200,80 @@ class TestMinWalkWeights:
             assert walk_weight(g, info.value.cycle) < 0
 
 
+class TestAgainstDenseKernel:
+    """The factored distances against Floyd-Warshall over every node."""
+
+    @staticmethod
+    def _assert_matches_dense(g: PrecedenceGraph) -> None:
+        want = oracles.dense_min_walk_weights(g)
+        d = min_walk_weights(g)
+        for (i, j), w in want.items():
+            assert d.get(i, j) == w
+            assert d.reachable(i, j) == (w is not None)
+        nodes = range(1, g.n + 1)
+        rings = {
+            frozenset(
+                j
+                for j in nodes
+                if want[(i, j)] is not None
+                and want[(j, i)] is not None
+                and want[(i, j)] + want[(j, i)] == 0
+            )
+            for i in nodes
+        }
+        assert set(map(frozenset, d.classes)) == rings
+        assert [c[0] for c in d.classes] == sorted(c[0] for c in d.classes)
+
+    def test_random_potential_systems(self):
+        # zero-slack share 0: no classes; 0.9: a few large ones.  m below n
+        # leaves isolated nodes; copies with every weight times P / 3 run on
+        # Python ints
+        rng = Random(906)
+        for share in (0, 0.5, 0.9):
+            for _ in range(4):
+                n = rng.randint(20, 120)
+                g = oracles.random_potential_system(rng, n, rng.randint(n // 2, 6 * n), share)
+                self._assert_matches_dense(g)
+                if n <= 60:
+                    self._assert_matches_dense(_scaled_copy(g, WIDE))
+
+    def test_degenerate_systems(self):
+        for g in (
+            normalize(0, []),
+            normalize(7, []),
+            normalize(6, [(1, 2, 1), (2, 1, -1), (4, 5, 3)]),
+            normalize(4, [(2, 3, "1/3"), (3, 2, "-1/3"), (3, 4, "1/7")]),
+        ):
+            self._assert_matches_dense(g)
+            self._assert_matches_dense(_scaled_copy(g, WIDE))
+
+    def test_infeasible_systems_raise_with_a_negative_witness(self):
+        rng = Random(907)
+        infeasible = []
+        while len(infeasible) < 30:
+            g = oracles.random_system(rng, max_n=7, max_m=18)
+            if oracles.dense_min_walk_weights(g) is None:
+                infeasible.append(g)
+        # medium systems made infeasible by one edge closing a negative cycle
+        for _ in range(6):
+            g = oracles.random_potential_system(rng, rng.randint(20, 80), 400, 0.5)
+            d = min_walk_weights(g)
+            i, j = next(
+                (i, j) for i in range(1, g.n + 1) for j in range(1, g.n + 1)
+                if i != j and d.get(i, j) is not None and (j, i) not in g.edges
+            )
+            bad = dict(g.edges)
+            bad[(j, i)] = -d.get(i, j) - Fraction(1, 5)
+            infeasible.append(PrecedenceGraph(g.n, bad))
+        for g in infeasible:
+            for h in (g, _scaled_copy(g, WIDE)):
+                assert oracles.dense_min_walk_weights(h) is None
+                with pytest.raises(InfeasibleSystem) as info:
+                    min_walk_weights(h)
+                cycle = info.value.cycle
+                assert cycle.closed and walk_weight(h, cycle) < 0
+
+
 class TestImplies:
     def test_fixture_implications(self):
         d = min_walk_weights(load_fixture("two_classes"))

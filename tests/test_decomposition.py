@@ -184,13 +184,19 @@ class TestCondensation:
     def test_redundant_pairs_match_fast_criterion_on_condensation(self):
         # the condensation's own distances, recomputed, are the reference;
         # the copy with every weight times P / 3 runs on Python-int distances
+        # whenever a condensation arc has a nonzero reduced cost
+        python_int_runs = 0
         for g in oracles.feasible_suite(313, 60):
             wide = PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()})
             for h in (g, wide):
                 d, _, _, cond = _pipeline(h)
-                assert d.dist.dtype == (object if h is wide and any(h.edges.values()) else np.int64)
+                costly = any(d.reduced(a, b, w) for (a, b), w in cond.edges.items())
+                python_ints = h is wide and costly
+                assert d.class_dist.dtype == (object if python_ints else np.int64)
+                python_int_runs += python_ints
                 want = {(a - 1, b - 1) for a, b in mres_no_zero_cycles(cond.as_graph())}
                 assert condensation_redundant_pairs(cond, d) == want
+        assert python_int_runs >= 40
 
     def test_weights_are_cheapest_crossings(self):
         for g in oracles.feasible_suite(308, 40):
@@ -273,6 +279,7 @@ class TestRedundantEdges:
         # zero-slack share 0.8 leaves large classes full of tight arcs; every
         # fourth system also runs scaled by P / 3, on the Python-int matrix
         rng = Random(315)
+        python_int_runs = 0
         for q in range(100):
             g = oracles.random_potential_system(
                 rng, rng.randint(6, 7), rng.randint(2, 25), zero_slack_share=0.8
@@ -281,8 +288,12 @@ class TestRedundantEdges:
             assert redundant_edges(analyze(g)) == want
             if q % 4 == 0 and any(g.edges.values()):
                 a = analyze(PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()}))
-                assert a.d.dist.dtype == object
+                d = a.d
+                costly = any(d.reduced(u, v, w) for (u, v), w in a.condensation.edges.items())
+                assert d.class_dist.dtype == (object if costly else np.int64)
+                python_int_runs += costly
                 assert redundant_edges(a) == want
+        assert python_int_runs >= 10
 
     def test_positive_cycles_match_fast_criterion(self):
         for g in oracles.positive_cycle_suite(316, 60):
