@@ -24,12 +24,9 @@ from .decomposition import (
     Condensation,
     EdgePartition,
     MresResult,
-    Partition,
-    SolverConfig,
     analyze,
     condensation,
     condensation_redundant_pairs,
-    equivalence_classes,
     max_redundant_edge_set,
     partition_edges,
     redundant_edges,
@@ -57,7 +54,7 @@ from .redundancy import (
     is_redundant_edge_set,
     mres_no_zero_cycles,
 )
-from .reduction import ReductionResult, equivalent_reduction, er_condensation
+from .reduction import ReductionResult, equivalent_reduction
 from .verify import (
     EquivalenceReport,
     brute_force_max_redundant,
@@ -86,12 +83,10 @@ __all__ = [
     "NotASubset",
     "NotAWalk",
     "ParseError",
-    "Partition",
     "PrecedenceGraph",
     "ReductionResult",
     "SameNode",
     "SelfLoopDropped",
-    "SolverConfig",
     "Walk",
     "WalkDecomposition",
     "ZeroWeightCycle",
@@ -104,9 +99,7 @@ __all__ = [
     "decompose_walk",
     "dump",
     "dumps",
-    "equivalence_classes",
     "equivalent_reduction",
-    "er_condensation",
     "find_redundant_edges",
     "has_zero_weight_cycle",
     "implies",

@@ -6,15 +6,17 @@ Commands:
 * ``redundant FILE``  list every edge the others imply, each judged alone
 * ``simplify FILE``   delete a maximum redundant edge set
 * ``reduce FILE``     synthesize the minimum equivalent system
-* ``condense FILE``   condensation of the system (or of its reduction)
+* ``condense FILE``   condensation of the system (or of its reduction), one
+                      node per class, represented by its smallest member
 * ``check A B``       are two systems equivalent?
 
 Results go to stdout (or ``--out FILE``); summaries and diagnostics go to
-stderr.  Exit codes: 0 success, 1 parse, usage or size error (the
-class-to-class distance matrix would not fit in physical memory, or memory
-ran out), 2 infeasible system, 3 systems not equivalent, 4 exact limit
-exceeded without --allow-heuristic (``info`` still prints every line that
-needs no exact solve first).
+stderr.  Weights are written exactly, however many digits they need.  Exit
+codes: 0 success, 1 parse, usage or size error (the distance kernel on the
+class-to-class matrix would not fit in physical memory, or memory ran out),
+2 infeasible system, 3 systems not equivalent, 4 exact limit or exact
+search budget exceeded without --allow-heuristic (``info`` still prints
+every line that needs no exact solve first).
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from . import fileformat
 from .core import PrecedenceGraph
 from .decomposition import (
     Analysis,
-    SolverConfig,
+    Condensation,
     analyze,
     max_redundant_edge_set,
     redundant_edges,
 )
 from .errors import DcsError, ExactLimitExceeded, InfeasibleSystem
 from .meg import DEFAULT_EXACT_LIMIT
-from .reduction import equivalent_reduction, er_condensation
+from .reduction import equivalent_reduction
 from .verify import systems_equivalent
 
 EXIT_OK = 0
@@ -67,25 +69,26 @@ def _load(path: str) -> PrecedenceGraph:
 
 def _summary(g: PrecedenceGraph, a: Analysis) -> list[str]:
     """The ``info`` lines that need no MEG solve."""
-    p, ep = a.partition, a.edges
-    zero_cycle = any(len(c) > 1 for c in p.classes)
+    classes = a.d.classes
+    zero_cycle = any(len(c) > 1 for c in classes)
     return [
         f"nodes: {g.n}",
         f"constraints: {g.m}",
         "feasible: yes",
         f"zero-weight cycle: {'yes' if zero_cycle else 'no'}",
-        f"classes: {len(p.classes)}",
-        f"class sizes: {' '.join(str(len(c)) for c in p.classes)}",
-        f"slack intra-class edges: {sum(len(s) for s in ep.intra_slack)}",
+        f"classes: {len(classes)}",
+        f"class sizes: {' '.join(str(len(c)) for c in classes)}",
+        f"slack intra-class edges: {sum(len(s) for s in a.edges.intra_slack)}",
         f"condensation edges: {len(a.condensation.edges)}",
     ]
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
     g = _load(args.input)
-    cfg = SolverConfig(args.exact_limit, args.allow_heuristic, args.representative)
     try:
-        res = max_redundant_edge_set(g, cfg)
+        res = max_redundant_edge_set(
+            g, exact_limit=args.exact_limit, allow_heuristic=args.allow_heuristic
+        )
     except ExactLimitExceeded as exc:
         _emit(args, "\n".join(_summary(g, exc.analysis)) + "\n")
         raise
@@ -105,8 +108,9 @@ def _cmd_redundant(args: argparse.Namespace) -> int:
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
     g = _load(args.input)
-    cfg = SolverConfig(args.exact_limit, args.allow_heuristic, args.representative)
-    res = max_redundant_edge_set(g, cfg)
+    res = max_redundant_edge_set(
+        g, exact_limit=args.exact_limit, allow_heuristic=args.allow_heuristic
+    )
     _emit(args, fileformat.dumps(g.without(res.edges)))
     grade = "certified" if res.certified else "maximal (not certified)"
     _note(f"removed {len(res.edges)}, {grade}")
@@ -115,24 +119,23 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load(args.input)
-    rr = equivalent_reduction(g, representative=args.representative)
+    rr = equivalent_reduction(g)
     _emit(args, fileformat.dumps(rr.reduced))
     _note(f"reduced to {rr.reduced.m} constraints ({rr.removed_count} fewer)")
     return EXIT_OK
 
 
 def _cmd_condense(args: argparse.Namespace) -> int:
-    g = _load(args.input)
+    a = analyze(_load(args.input))
+    cond = a.condensation
     if args.of_reduction:
-        rr = equivalent_reduction(g, representative=args.representative)
-        analysis = rr.analysis
-        cond = er_condensation(rr)
-    else:
-        analysis = analyze(g, args.representative)
-        cond = analysis.condensation
+        # the reduction keeps exactly the condensation edges that stay
+        reps = cond.reps
+        gone = {(reps[x], reps[y]) for x, y in a.removed_pairs}
+        cond = Condensation(reps, {e: w for e, w in cond.edges.items() if e not in gone})
     _emit(args, fileformat.dumps(cond.as_graph()))
-    for k, (rep, members) in enumerate(zip(cond.reps, analysis.partition.classes), 1):
-        _note(f"class {k}: rep {rep}, nodes {' '.join(map(str, sorted(members)))}")
+    for k, members in enumerate(a.d.classes, 1):
+        _note(f"class {k}: rep {members[0]}, nodes {' '.join(map(str, members))}")
     return EXIT_OK
 
 
@@ -168,9 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(
-        p: argparse.ArgumentParser, representative: bool = False, limit: bool = False
-    ) -> None:
+    def common(p: argparse.ArgumentParser, limit: bool = False) -> None:
         p.add_argument("--out", metavar="FILE", help="write results here instead of stdout")
         if limit:
             p.add_argument(
@@ -185,17 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="fall back to a greedy (maximal, uncertified) solve over the limit",
             )
-        if representative:
-            p.add_argument(
-                "--representative",
-                choices=["smallest", "largest"],
-                default="smallest",
-                help="class representative policy (default %(default)s)",
-            )
 
     p_info = sub.add_parser("info", help="summary statistics")
     p_info.add_argument("input")
-    common(p_info, representative=True, limit=True)
+    common(p_info, limit=True)
 
     p_red = sub.add_parser("redundant", help="list every edge the others imply")
     p_red.add_argument("input")
@@ -203,20 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_simp = sub.add_parser("simplify", help="delete a maximum redundant edge set")
     p_simp.add_argument("input")
-    common(p_simp, representative=True, limit=True)
+    common(p_simp, limit=True)
 
     p_reduce = sub.add_parser("reduce", help="synthesize the minimum equivalent system")
     p_reduce.add_argument("input")
-    common(p_reduce, representative=True)
+    common(p_reduce)
 
-    p_cond = sub.add_parser("condense", help="condense classes onto representatives")
+    p_cond = sub.add_parser("condense", help="condense each class onto its smallest member")
     p_cond.add_argument("input")
     p_cond.add_argument(
         "--of-reduction",
         action="store_true",
         help="condense the equivalent reduction instead of the input",
     )
-    common(p_cond, representative=True)
+    common(p_cond)
 
     p_check = sub.add_parser("check", help="are two systems equivalent?")
     p_check.add_argument("input_a")

@@ -24,8 +24,11 @@ closed walk has negative weight, and then the tightest derivable bound on
 from __future__ import annotations
 
 import os
+import re
+import sys
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -46,13 +49,35 @@ from .errors import (
 Edge = tuple[int, int]
 WeightLike = Union[Fraction, int, str]
 
+# [+-]digits[.digits] or [+-]digits/digits with a nonzero denominator, and
+# nothing else: no exponent, which lets ten bytes ask for millions of digits
+_WEIGHT = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
+
+
+def _int(digits: str) -> int:
+    """``int(digits)``, also past Python's limit on decimal digits."""
+    try:
+        return int(digits)
+    except ValueError:  # over the limit, which Decimal does not have
+        return int(Decimal(digits))
+
+
+def weight_text(w: Fraction) -> str:
+    """``w`` as ``p`` or ``p/q``, also past Python's limit on decimal digits."""
+    try:
+        return str(w)
+    except ValueError:  # over the limit, which Decimal does not have
+        text = str(Decimal(w.numerator))
+        return text if w.denominator == 1 else f"{text}/{Decimal(w.denominator)}"
+
 
 def as_weight(value: WeightLike) -> Fraction:
     """Coerce an int, Fraction, or decimal/rational string to an exact weight.
 
-    Floats are rejected on purpose: a binary float rarely equals the decimal
-    the caller had in mind, and the error would surface much later as a
-    misclassified zero-weight cycle.
+    Strings are ``[+-]digits[.digits]`` or ``[+-]digits/digits``.  Floats are
+    rejected on purpose: a binary float rarely equals the decimal the caller
+    had in mind, and the error would surface much later as a misclassified
+    zero-weight cycle.
     """
     if isinstance(value, Fraction):
         return value
@@ -61,10 +86,13 @@ def as_weight(value: WeightLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational constant: {value!r}") from exc
+        m = _WEIGHT.fullmatch(value)
+        if m is None:
+            raise ValueError(f"not a rational constant: {value!r}")
+        whole, frac, den = m.groups("")
+        if den:
+            return Fraction(_int(whole), _int(den))
+        return Fraction(_int(whole + frac), 10 ** len(frac))
     if isinstance(value, float):
         raise TypeError(
             f"refusing float weight {value!r}; pass a string or Fraction instead"
@@ -157,11 +185,13 @@ class DistanceMatrix:
     is non-negative.  ``classes`` are the strongly connected components of
     the arcs of reduced cost zero, ordered by smallest member, with sorted
     members; ``class_of[v]`` is the index of v's class (``class_of[0]`` is
-    padding).  ``class_dist`` and ``class_reach`` are K x K, for K classes:
-    where ``class_reach[a, b]``, ``class_dist[a, b]`` is the least reduced
-    cost of a walk from class a to class b; elsewhere no such walk exists
-    and ``class_dist`` holds a sentinel that is not a weight.  It is int64
-    when the reduced costs fit and Python ints otherwise.
+    padding).  ``class_arcs`` is the condensation: for each ordered pair
+    (a, b) of class indices that some edge crosses, the least reduced cost
+    of such a crossing.  ``class_dist`` and ``class_reach`` are K x K, for
+    K classes: where ``class_reach[a, b]``, ``class_dist[a, b]`` is the
+    least reduced cost of a walk from class a to class b; elsewhere no such
+    walk exists and ``class_dist`` holds a sentinel that is not a weight.
+    It is int64 when the reduced costs fit and Python ints otherwise.
 
     Inside a class every walk costs at least zero and the class's zero arcs
     connect it, so for i in class a and j in class b the least weight over
@@ -178,6 +208,7 @@ class DistanceMatrix:
     potential: tuple[int, ...]
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
+    class_arcs: Mapping[tuple[int, int], int]
     class_dist: np.ndarray
     class_reach: np.ndarray
 
@@ -230,10 +261,10 @@ def normalize(
         if i == j:
             if w < 0:
                 raise NegativeSelfLoop(
-                    f"constraint x_{i} - x_{i} <= {w} is unsatisfiable"
+                    f"constraint x_{i} - x_{i} <= {weight_text(w)} is unsatisfiable"
                 )
             warnings.warn(
-                f"dropping vacuous self-loop ({i},{i}) of weight {w}",
+                f"dropping vacuous self-loop ({i},{i}) of weight {weight_text(w)}",
                 SelfLoopDropped,
                 stacklevel=2,
             )
@@ -267,14 +298,17 @@ def _fw_numpy(n: int, scaled: dict[Edge, int]) -> tuple[np.ndarray, np.ndarray]:
     any entry, so none falls below ``-2 * (n - 1) * maxabs`` and int64
     arithmetic cannot wrap.
 
-    Raises :class:`DcsError` before allocating when the matrix alone would
-    not fit in the machine's physical memory.
+    Raises :class:`DcsError` before allocating when the kernel would not
+    fit in the machine's physical memory: the matrix, one round's
+    ``np.add.outer`` temporary of the same shape, and the boolean reach
+    mask, where each entry of a Python-int matrix also holds an int object.
     """
     maxabs = max(map(abs, scaled.values()), default=0)
     inf = 2 * (n + 1) * (maxabs + 1)
     wide = inf >= 1 << 61
     dtype = np.dtype(object if wide else np.int64)
-    need = (n + 1) ** 2 * dtype.itemsize
+    cell = dtype.itemsize + (sys.getsizeof(inf) if wide else 0)
+    need = (n + 1) ** 2 * (2 * cell + 1)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise DcsError(
@@ -421,8 +455,9 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     components are the classes, and inside a class every minimum walk
     weight is a difference of potentials.  Only the condensation, one node
     per class and one arc per class pair at its least crossing reduced
-    cost, goes to the Floyd-Warshall kernel :func:`_fw_numpy`, in int64 or
-    Python ints as the costs require; either way the result is exact.
+    cost (kept as ``class_arcs``), goes to the Floyd-Warshall kernel
+    :func:`_fw_numpy`, in int64 or Python ints as the costs require; either
+    way the result is exact.
     """
     n = g.n
     scaled, scale = _scaled_integer_edges(g)
@@ -431,20 +466,19 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
         raise InfeasibleSystem(
             "no solution: negative-weight closed walk "
             f"{'-'.join(map(str, witness.nodes))} "
-            f"has weight {walk_weight(g, witness)}",
+            f"has weight {weight_text(walk_weight(g, witness))}",
             cycle=witness,
         )
     zero = [(i, j) for (i, j), w in scaled.items() if w + potential[i] == potential[j]]
     class_of, k = _components(n, zero)
-    crossing: dict[Edge, int] = {}
+    crossing: dict[tuple[int, int], int] = {}
     for (i, j), w in scaled.items():
         a, b = class_of[i], class_of[j]
         if a != b:
             r = w + potential[i] - potential[j]
-            pair = (a + 1, b + 1)
-            if r < crossing.get(pair, r + 1):
-                crossing[pair] = r
-    dist, reach = _fw_numpy(k, crossing)
+            if r < crossing.get((a, b), r + 1):
+                crossing[(a, b)] = r
+    dist, reach = _fw_numpy(k, {(a + 1, b + 1): r for (a, b), r in crossing.items()})
     classes: list[list[int]] = [[] for _ in range(k)]
     for v in range(1, n + 1):
         classes[class_of[v]].append(v)
@@ -455,6 +489,7 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
         tuple(potential),
         tuple(class_of),
         tuple(map(tuple, classes)),
+        crossing,
         dist[1:, 1:],
         reach[1:, 1:],
     )

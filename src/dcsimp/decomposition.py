@@ -24,66 +24,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Mapping
+from typing import Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
-from .errors import ExactLimitExceeded
+from .errors import ExactLimitExceeded, LimitExceeded
 from .meg import DEFAULT_EXACT_LIMIT, Digraph, meg_exact, meg_greedy, redundant_arcs
-
-RepresentativePolicy = Literal["smallest", "largest"]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Node classes of the zero-closed-walk relation.
-
-    Classes are ordered by smallest member, so their indices do not depend
-    on the representative policy.  ``class_of`` maps node -> class index.
-    """
-
-    classes: tuple[frozenset[int], ...]
-    reps: tuple[int, ...]
-    class_of: Mapping[int, int]
 
 
 @dataclass(frozen=True)
 class EdgePartition:
-    """Edges routed by the node partition.
+    """Edges routed by the zero-cycle classes.
 
-    ``intra[k]`` holds the edges inside class k, split into ``intra_slack[k]``
-    (weight strictly above the minimum walk weight; always removable) and
-    ``intra_tight[k]`` (weight equal to it).  ``cross[(a, b)]`` holds the
-    edges from class a to class b, keyed only for nonempty pairs;
-    ``cross_min[(a, b)]`` is the subset realizing the cheapest
-    rep-to-rep crossing, and ``cross_rep[(a, b)]`` its lexicographically
-    smallest member, the pair's representing edge.
+    The edges inside class k split into ``intra_slack[k]`` (weight strictly
+    above the minimum walk weight; always removable) and ``intra_tight[k]``
+    (weight equal to it).  ``cross[(a, b)]`` holds the edges from class a to
+    class b, keyed only for nonempty pairs; ``cross_min[(a, b)]`` is the
+    subset realizing the cheapest crossing, and ``cross_rep[(a, b)]`` its
+    lexicographically smallest member, the pair's representing edge.
     """
 
-    intra: tuple[frozenset[Edge], ...]
     intra_slack: tuple[frozenset[Edge], ...]
     intra_tight: tuple[frozenset[Edge], ...]
     cross: Mapping[tuple[int, int], frozenset[Edge]]
     cross_min: Mapping[tuple[int, int], frozenset[Edge]]
     cross_rep: Mapping[tuple[int, int], Edge]
 
-    @property
-    def cross_all(self) -> frozenset[Edge]:
-        return frozenset(e for es in self.cross.values() for e in es)
-
-    @property
-    def cross_min_all(self) -> frozenset[Edge]:
-        return frozenset(e for es in self.cross_min.values() for e in es)
-
-    @property
-    def cross_rep_all(self) -> frozenset[Edge]:
-        return frozenset(self.cross_rep.values())
-
 
 @dataclass(frozen=True)
 class Condensation:
-    """One node per class (its representative); one edge per nonempty
-    ordered class pair, weighted by the pair's cheapest rep-to-rep crossing:
-    d(rep_a, s) + c_st + d(t, rep_b) at the representing edge (s, t)."""
+    """One node per class, its representative (smallest member); one edge
+    per nonempty ordered class pair, weighted by the pair's cheapest
+    rep-to-rep crossing: d(rep_a, s) + c_st + d(t, rep_b) at the cheapest
+    crossing (s, t)."""
 
     reps: tuple[int, ...]
     edges: Mapping[tuple[int, int], Fraction]
@@ -102,32 +74,16 @@ class Analysis:
     """Everything the decomposition derives from one system.
 
     ``d`` holds the system's minimum walk weights (a potential, the
-    zero-cycle classes and the class-to-class matrix), computed once; the
-    partition, edge buckets and condensation are read off it, and
-    ``removed_pairs`` holds the class-index pairs whose condensation edge is
-    redundant.
+    zero-cycle classes, the condensation's arcs and the class-to-class
+    matrix), computed once; the edge buckets and the condensation are read
+    off it, and ``removed_pairs`` holds the class-index pairs whose
+    condensation edge is redundant.
     """
 
     d: DistanceMatrix
-    partition: Partition
     edges: EdgePartition
     condensation: Condensation
     removed_pairs: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the maximum redundant edge set solver.
-
-    ``exact_limit`` bounds the arcs per intra-class exact MEG solve; above
-    it the solve either falls back to greedy (``allow_heuristic``) or raises.
-    The representative policy only matters for exercising independence
-    properties; results are equivalent either way.
-    """
-
-    exact_limit: int = DEFAULT_EXACT_LIMIT
-    allow_heuristic: bool = False
-    representative: RepresentativePolicy = "smallest"
 
 
 @dataclass(frozen=True)
@@ -144,30 +100,7 @@ class MresResult:
     analysis: Analysis = field(compare=False, repr=False)
 
 
-def equivalence_classes(
-    d: DistanceMatrix, *, representative: RepresentativePolicy = "smallest"
-) -> Partition:
-    """Group nodes connected by zero-weight closed walks.
-
-    These are the classes ``d`` already holds: a closed walk weighs the sum
-    of its reduced costs, which are all non-negative, so it weighs zero
-    exactly when every arc on it has reduced cost zero, and the classes are
-    the strongly connected components of those arcs.
-    """
-    classes = tuple(frozenset(c) for c in d.classes)
-    class_of = dict(zip(range(1, d.n + 1), d.class_of[1:]))
-    if representative == "smallest":
-        reps = tuple(c[0] for c in d.classes)
-    elif representative == "largest":
-        reps = tuple(c[-1] for c in d.classes)
-    else:
-        raise ValueError(f"unknown representative policy {representative!r}")
-    return Partition(classes, reps, class_of)
-
-
-def partition_edges(
-    g: PrecedenceGraph, d: DistanceMatrix, p: Partition
-) -> EdgePartition:
+def partition_edges(g: PrecedenceGraph, d: DistanceMatrix) -> EdgePartition:
     """Route every edge to its intra-class or cross-class bucket.
 
     ``d`` must be the distance matrix of ``g``: each edge is judged by its
@@ -175,82 +108,71 @@ def partition_edges(
     minimum walk weight is a difference of potentials, so an edge is slack
     exactly when r > 0.  A crossing (s, t) of a class pair costs
     d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by the pair, so
-    the cheapest crossings are those of least r.
+    the cheapest crossings are those whose r is the pair's
+    ``d.class_arcs`` entry.
     """
-    k = len(p.classes)
-    intra: list[set[Edge]] = [set() for _ in range(k)]
+    k = len(d.classes)
     slack: list[set[Edge]] = [set() for _ in range(k)]
-    cross: dict[tuple[int, int], dict[Edge, int]] = {}
+    tight: list[set[Edge]] = [set() for _ in range(k)]
+    cross: dict[tuple[int, int], set[Edge]] = {}
+    cheapest: dict[tuple[int, int], set[Edge]] = {}
     for (i, j), w in g.edges.items():
         r = d.reduced(i, j, w)
-        ci, cj = p.class_of[i], p.class_of[j]
-        if ci == cj:
-            intra[ci].add((i, j))
-            if r > 0:
-                slack[ci].add((i, j))
+        a, b = d.class_of[i], d.class_of[j]
+        if a == b:
+            (slack if r > 0 else tight)[a].add((i, j))
         else:
-            cross.setdefault((ci, cj), {})[(i, j)] = r
-    cross_min: dict[tuple[int, int], frozenset[Edge]] = {}
-    cross_rep: dict[tuple[int, int], Edge] = {}
-    for pair, edges in cross.items():
-        least = min(edges.values())
-        argmin = [e for e, r in edges.items() if r == least]
-        cross_min[pair] = frozenset(argmin)
-        cross_rep[pair] = min(argmin)
+            cross.setdefault((a, b), set()).add((i, j))
+            if r == d.class_arcs[(a, b)]:
+                cheapest.setdefault((a, b), set()).add((i, j))
     return EdgePartition(
-        intra=tuple(frozenset(s) for s in intra),
-        intra_slack=tuple(frozenset(s) for s in slack),
-        intra_tight=tuple(frozenset(a - b) for a, b in zip(intra, slack)),
+        intra_slack=tuple(map(frozenset, slack)),
+        intra_tight=tuple(map(frozenset, tight)),
         cross={pair: frozenset(es) for pair, es in cross.items()},
-        cross_min=cross_min,
-        cross_rep=cross_rep,
+        cross_min={pair: frozenset(es) for pair, es in cheapest.items()},
+        cross_rep={pair: min(es) for pair, es in cheapest.items()},
     )
 
 
-def condensation(
-    g: PrecedenceGraph, d: DistanceMatrix, p: Partition, ep: EdgePartition
-) -> Condensation:
-    """Collapse each class onto its representative.
+def condensation(d: DistanceMatrix) -> Condensation:
+    """Collapse each class onto its smallest member.
 
     Every cycle of the result weighs strictly more than zero: a zero-weight
-    closed walk through two representatives would have merged their classes.
-    ``d`` must be the distance matrix of ``g``: the weight of the pair's
-    representing edge (s, t) is r_st + potential[rep_b] - potential[rep_a],
-    scaled.
+    closed walk through two representatives would have merged their
+    classes.  The weight of pair (a, b) is its ``d.class_arcs`` cost
+    r + potential[rep_b] - potential[rep_a], unscaled.  Another member as
+    representative would shift every weight by a potential, which changes
+    no cycle weight and no redundant pair.
     """
+    reps = tuple(c[0] for c in d.classes)
     pot = d.potential
-    edges: dict[tuple[int, int], Fraction] = {}
-    for (ci, cj), (s, t) in ep.cross_rep.items():
-        va, vb = p.reps[ci], p.reps[cj]
-        cost = d.reduced(s, t, g.edges[(s, t)]) + pot[vb] - pot[va]
-        edges[(va, vb)] = Fraction(cost, d.scale)
-    return Condensation(p.reps, edges)
+    edges = {
+        (reps[a], reps[b]): Fraction(r + pot[reps[b]] - pot[reps[a]], d.scale)
+        for (a, b), r in d.class_arcs.items()
+    }
+    return Condensation(reps, edges)
 
 
-def condensation_redundant_pairs(
-    c: Condensation, d: DistanceMatrix
-) -> frozenset[tuple[int, int]]:
+def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]]:
     """Class-index pairs whose condensation edge is redundant.
 
-    ``d`` must be the distance matrix of the graph the condensation came
-    from.  The condensation has only strictly positive cycles, so the fast
+    The condensation has only strictly positive cycles, so the fast
     criterion gives its unique maximum redundant edge set: (a, b) goes when
     another out-edge (a, k) has c_ak + d(k, b) <= c_ab.  Classes are rigid,
-    so the condensation's own minimum walk weights are d at the
-    representatives and need no second all-pairs run.
+    so the condensation's own minimum walk weights are those of ``d`` and
+    need no second all-pairs run.
 
     The test runs on reduced costs, where the potentials of a, k and b
-    cancel: r_ak + D[k, b] <= r_ab, with D the class-to-class matrix of
-    ``d`` (``d.class_reach[k, b]`` required), all scaled integers.
+    cancel: r_ak + D[k, b] <= r_ab, with r the ``d.class_arcs`` costs and
+    D the class-to-class matrix (``d.class_reach[k, b]`` required), all
+    scaled integers.
     """
-    index = {rep: k for k, rep in enumerate(c.reps)}
-    reduced = {(index[a], index[b]): d.reduced(a, b, w) for (a, b), w in c.edges.items()}
     out: dict[int, list[tuple[int, int]]] = {}
-    for (a, k), r in reduced.items():
+    for (a, k), r in d.class_arcs.items():
         out.setdefault(a, []).append((k, r))
     dist, reach = d.class_dist, d.class_reach
     removed = set()
-    for (a, b), rab in reduced.items():
+    for (a, b), rab in d.class_arcs.items():
         for k, rak in out[a]:
             if k != b and reach[k, b] and rak + int(dist[k, b]) <= rab:
                 removed.add((a, b))
@@ -258,16 +180,13 @@ def condensation_redundant_pairs(
     return frozenset(removed)
 
 
-def analyze(
-    g: PrecedenceGraph, representative: RepresentativePolicy = "smallest"
-) -> Analysis:
-    """Distances, classes, edge partition, condensation and its redundant
-    pairs of g, with one distance computation."""
+def analyze(g: PrecedenceGraph) -> Analysis:
+    """Distances, edge partition, condensation and its redundant pairs of
+    g, with one distance computation."""
     d = min_walk_weights(g)
-    p = equivalence_classes(d, representative=representative)
-    ep = partition_edges(g, d, p)
-    cond = condensation(g, d, p, ep)
-    return Analysis(d, p, ep, cond, condensation_redundant_pairs(cond, d))
+    return Analysis(
+        d, partition_edges(g, d), condensation(d), condensation_redundant_pairs(d)
+    )
 
 
 def redundant_edges(a: Analysis) -> frozenset[Edge]:
@@ -290,19 +209,25 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
 
 
 def max_redundant_edge_set(
-    g: PrecedenceGraph, cfg: SolverConfig = SolverConfig()
+    g: PrecedenceGraph,
+    *,
+    exact_limit: int = DEFAULT_EXACT_LIMIT,
+    allow_heuristic: bool = False,
 ) -> MresResult:
     """A maximum redundant edge set of an arbitrary feasible system.
 
     Assembled per the decomposition (see module docstring): all slack
     intra-class edges, all non-representing cross edges, the representing
     edges of pairs found redundant on the condensation, and per class the
-    complement of a minimum equivalent graph of its tight edges.  With exact
-    intra-class solves the result is a certified maximum; greedy fallback
-    (opt-in) degrades the certificate to maximal.
+    complement of a minimum equivalent graph of its tight edges.  A class
+    with more than ``exact_limit`` tight edges, or whose exact search
+    visits more than :data:`~dcsimp.meg.SEARCH_BUDGET` nodes, raises
+    :class:`ExactLimitExceeded` unless ``allow_heuristic``, which solves it
+    greedily instead.  With every class solved exactly the result is a
+    certified maximum; the greedy fallback degrades it to maximal.
     """
-    analysis = analyze(g, cfg.representative)
-    p, ep = analysis.partition, analysis.edges
+    analysis = analyze(g)
+    ep = analysis.edges
     out: set[Edge] = set()
     certified = True
     for pair, eij in ep.cross.items():
@@ -310,24 +235,27 @@ def max_redundant_edge_set(
             out |= eij
         else:
             out |= eij - {ep.cross_rep[pair]}
-    for k, members in enumerate(p.classes):
+    for k, members in enumerate(analysis.d.classes):
         out |= ep.intra_slack[k]
         tight = ep.intra_tight[k]
         if not tight:
             continue
         h = Digraph(g.n, tight)
-        if len(tight) <= cfg.exact_limit:
-            kept = meg_exact(h, cfg.exact_limit)
-        elif cfg.allow_heuristic:
-            kept = meg_greedy(h)
-            certified = False
+        if len(tight) > exact_limit:
+            over = f"over the exact limit of {exact_limit}"
         else:
+            try:
+                out |= tight - meg_exact(h, exact_limit)
+                continue
+            except LimitExceeded as exc:
+                over = f"and {exc}"
+        if not allow_heuristic:
             raise ExactLimitExceeded(
-                f"the {len(members)}-node class of node {min(members)} has "
-                f"{len(tight)} tight edges, over the exact limit of "
-                f"{cfg.exact_limit}; allow the heuristic to accept a "
-                "maximal (uncertified) result",
+                f"the {len(members)}-node class of node {members[0]} has "
+                f"{len(tight)} tight edges, {over}; allow the heuristic to "
+                "accept a maximal (uncertified) result",
                 analysis=analysis,
             )
-        out |= tight - kept
+        out |= tight - meg_greedy(h)
+        certified = False
     return MresResult(frozenset(out), certified, analysis)

@@ -7,17 +7,18 @@ One system per file::
     e <i> <j> <c>
 
 with exactly m constraint lines, 1-based node ids, and weights written as
-decimals (``-2``, ``0.5``) or rationals (``-3/2``).  Serialization is
-canonical: header first, edges sorted by ``(i, j)``, each weight rendered as
-an integer when whole and ``p/q`` otherwise.  Parsing a canonical file and
-serializing it again reproduces the bytes exactly.
+decimals (``-2``, ``0.5``) or rationals (``-3/2``): digits with an optional
+sign, and either a fraction part or a nonzero denominator, of any length.
+Serialization is canonical: header first, edges sorted by ``(i, j)``, each
+weight rendered as an integer when whole and ``p/q`` otherwise.  Parsing a
+canonical file and serializing it again reproduces the bytes exactly.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .core import PrecedenceGraph, as_weight, normalize
+from .core import PrecedenceGraph, as_weight, normalize, weight_text
 from .errors import IndexOutOfRange, ParseError
 
 
@@ -67,7 +68,7 @@ def dumps(g: PrecedenceGraph) -> str:
     """Canonical text for a graph (see module docstring)."""
     lines = [f"p dcs {g.n} {g.m}"]
     for (i, j), w in sorted(g.edges.items()):
-        lines.append(f"e {i} {j} {w}")
+        lines.append(f"e {i} {j} {weight_text(w)}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,9 @@ The exact search cuts a branch with a degree-deficit bound: every node with
 an in-arc (out-arc) must keep one, and one arc covers one head and one
 tail, so a branch needs at least as many more arcs as the larger count of
 nodes still lacking a kept in-arc or out-arc.  It runs on an explicit
-stack, so deep searches do not depend on Python's recursion limit.
+stack, so deep searches do not depend on Python's recursion limit, and
+it gives up after :data:`SEARCH_BUDGET` search nodes, so no input keeps it
+running for hours.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .errors import LimitExceeded, NotASubset
 Arc = tuple[int, int]
 
 DEFAULT_EXACT_LIMIT = 20
+# Search nodes meg_exact may visit before it gives up.  The benchmark's
+# planted classes (18 tight arcs each) need at most a few hundred; the
+# whole budget takes about 4 s on a 1,454-arc class on a 2-vCPU Xeon.
+SEARCH_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,9 @@ def meg_exact(h: Digraph, limit: int = DEFAULT_EXACT_LIMIT) -> frozenset[Arc]:
     is bounded by memory rather than by the interpreter's recursion limit.
     The live arcs (kept or undecided) are one set of successor bitsets;
     the drop branch clears a bit and an undo entry on the stack restores it
-    before the keep branch runs.
+    before the keep branch runs.  Raises :class:`LimitExceeded` when h has
+    more than ``limit`` arcs, or when the search would visit more than
+    :data:`SEARCH_BUDGET` nodes.
     """
     if len(h.arcs) > limit:
         raise LimitExceeded(
@@ -175,12 +183,18 @@ def meg_exact(h: Digraph, limit: int = DEFAULT_EXACT_LIMIT) -> frozenset[Arc]:
     # entries: (idx, kept, covered tails, covered heads) visits a node of
     # the search tree; an arc (i, j) restores that dropped arc
     stack: list[tuple[int, ...]] = [(0, 0, 0, 0)]
+    visits = 0
     while stack:
         entry = stack.pop()
         if len(entry) == 2:
             i, j = entry
             live[i] |= 1 << j
             continue
+        visits += 1
+        if visits > SEARCH_BUDGET:
+            raise LimitExceeded(
+                f"the exact search passed its budget of {SEARCH_BUDGET} nodes"
+            )
         idx, kept, t_cov, h_cov = entry
         uncovered = max((tails & ~t_cov).bit_count(), (heads & ~h_cov).bit_count())
         if kept + uncovered >= len(best):

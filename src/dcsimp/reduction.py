@@ -14,30 +14,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Edge, PrecedenceGraph
-from .decomposition import (
-    Analysis,
-    Condensation,
-    Partition,
-    RepresentativePolicy,
-    analyze,
-)
+from .decomposition import Analysis, analyze
 
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """The reduced system, the node partition behind it, how many
-    constraints the rewrite saved (input count minus output count), and the
-    analysis of the input it was built from."""
+    """The reduced system, how many constraints the rewrite saved (input
+    count minus output count), and the analysis of the input it was built
+    from, whose ``d.classes`` are the classes behind it."""
 
     reduced: PrecedenceGraph
-    partition: Partition
     removed_count: int
     analysis: Analysis = field(compare=False, repr=False)
 
 
-def equivalent_reduction(
-    g: PrecedenceGraph, *, representative: RepresentativePolicy = "smallest"
-) -> ReductionResult:
+def equivalent_reduction(g: PrecedenceGraph) -> ReductionResult:
     """Synthesize a minimum-cardinality system equivalent to g.
 
     Per class with at least two nodes, a cycle through the members in
@@ -48,15 +39,14 @@ def equivalent_reduction(
     edge count is therefore sum of multi-class sizes plus surviving
     condensation edges, which is the minimum achievable.
     """
-    analysis = analyze(g, representative)
-    d, p, ep = analysis.d, analysis.partition, analysis.edges
+    analysis = analyze(g)
+    d, ep = analysis.d, analysis.edges
     edges: dict[Edge, Fraction] = {}
-    for members in p.classes:
+    for members in d.classes:
         if len(members) < 2:
             continue
-        order = sorted(members)
-        for q, i in enumerate(order):
-            j = order[(q + 1) % len(order)]
+        for q, i in enumerate(members):
+            j = members[(q + 1) % len(members)]
             edges[(i, j)] = d.get(i, j)
     for pair in ep.cross:
         if pair in analysis.removed_pairs:
@@ -64,24 +54,4 @@ def equivalent_reduction(
         s, t = ep.cross_rep[pair]
         edges[(s, t)] = g.edges[(s, t)]
     reduced = PrecedenceGraph(g.n, edges)
-    return ReductionResult(reduced, p, g.m - reduced.m, analysis)
-
-
-def er_condensation(r: ReductionResult) -> Condensation:
-    """Condense a reduction onto the class representatives.
-
-    Distances come from the analysis the reduction was built from, so they
-    always belong to its input graph.  Each ordered class pair keeps at most
-    one edge in the reduction, so the collapse is direct; the result equals
-    the condensation of the original graph with its redundant edges
-    deleted, node-, edge-, and weight-exact.
-    """
-    p, d = r.partition, r.analysis.d
-    edges: dict[tuple[int, int], Fraction] = {}
-    for (u, v), w in r.reduced.edges.items():
-        ci, cj = p.class_of[u], p.class_of[v]
-        if ci == cj:
-            continue
-        va, vb = p.reps[ci], p.reps[cj]
-        edges[(va, vb)] = d.get(va, u) + w + d.get(v, vb)
-    return Condensation(p.reps, edges)
+    return ReductionResult(reduced, g.m - reduced.m, analysis)

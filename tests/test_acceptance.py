@@ -16,21 +16,17 @@ import pytest
 
 from dcsimp import (
     Condensation,
-    SolverConfig,
+    PrecedenceGraph,
     ZeroWeightCycle,
+    analyze,
     brute_force_max_redundant,
-    condensation,
-    condensation_redundant_pairs,
     decompose_walk,
-    equivalence_classes,
     equivalent_reduction,
-    er_condensation,
     find_redundant_edges,
     is_redundant_edge_set,
     max_redundant_edge_set,
     min_walk_weights,
     normalize,
-    partition_edges,
     systems_equivalent,
     walk_weight,
 )
@@ -76,12 +72,9 @@ def test_criterion_01_fixture_pipeline(criterion):
     with criterion(1, "fixture pipeline: classes, condensation, removal, reduction"):
         start = time.perf_counter()
         g = load_fixture("two_classes")
-        d = min_walk_weights(g)
-        p = equivalence_classes(d)
-        assert [sorted(c) for c in p.classes] == [[1], [2, 3, 4, 5]]
-        ep = partition_edges(g, d, p)
-        cond = condensation(g, d, p, ep)
-        assert cond.edges == {(1, 2): 1, (2, 1): 0}
+        a = analyze(g)
+        assert a.d.classes == ((1,), (2, 3, 4, 5))
+        assert a.condensation.edges == {(1, 2): 1, (2, 1): 0}
         res = max_redundant_edge_set(g)
         assert res.edges == {(3, 2)} and res.certified
         r = equivalent_reduction(g)
@@ -149,21 +142,18 @@ def test_criterion_06_equivalence_preserved(criterion, suite_positive, suite_fea
 def test_criterion_07_reduction_size_and_condensation(criterion, suite_feasible):
     with criterion(7, "reduction edge-count formula and condensation agreement"):
         for g in suite_feasible:
-            d = min_walk_weights(g)
-            p = equivalence_classes(d)
-            ep = partition_edges(g, d, p)
-            cond = condensation(g, d, p, ep)
-            removed = condensation_redundant_pairs(cond, d)
+            a = analyze(g)
+            cond, removed = a.condensation, a.removed_pairs
             r = equivalent_reduction(g)
-            multi = sum(len(c) for c in p.classes if len(c) >= 2)
+            multi = sum(len(c) for c in a.d.classes if len(c) >= 2)
             assert r.reduced.m == multi + len(cond.edges) - len(removed)
             index = {rep: k for k, rep in enumerate(cond.reps)}
             survivors = {
-                (a, b): w
-                for (a, b), w in cond.edges.items()
-                if (index[a], index[b]) not in removed
+                (u, v): w
+                for (u, v), w in cond.edges.items()
+                if (index[u], index[v]) not in removed
             }
-            assert er_condensation(r) == Condensation(cond.reps, survivors)
+            assert analyze(r.reduced).condensation == Condensation(cond.reps, survivors)
 
 
 def test_criterion_08_zero_weight_specializations(criterion):
@@ -201,25 +191,23 @@ def test_criterion_08_zero_weight_specializations(criterion):
 
 
 def test_criterion_09_representative_independence(criterion, suite_feasible):
-    with criterion(9, "representative policy does not change the results"):
+    with criterion(9, "results do not depend on the class representative"):
+        # weight each class pair at a random member per class; the fast
+        # criterion on that condensation must drop the analysis's pairs
+        rng = Random(61)
         for g in suite_feasible:
-            a = max_redundant_edge_set(g, SolverConfig())
-            b = max_redundant_edge_set(g, SolverConfig(representative="largest"))
-            assert len(a.edges) == len(b.edges)
-            d = min_walk_weights(g)
-            ps = equivalence_classes(d)
-            pl = equivalence_classes(d, representative="largest")
-            eps = partition_edges(g, d, ps)
-            epl = partition_edges(g, d, pl)
-            assert eps.cross_min == epl.cross_min
-            for pair, edges in eps.cross.items():
-                assert len(a.edges & edges) == len(b.edges & edges)
-            for k in range(len(ps.classes)):
-                assert len(a.edges & eps.intra[k]) == len(b.edges & eps.intra[k])
-            ra = equivalent_reduction(g)
-            rb = equivalent_reduction(g, representative="largest")
-            assert ra.reduced.m == rb.reduced.m
-            assert systems_equivalent(ra.reduced, rb.reduced).equivalent
+            a = analyze(g)
+            d = a.d
+            pick = [rng.choice(c) for c in d.classes]
+            weights = {}
+            for (s, t), c in g.edges.items():
+                x, y = d.class_of[s], d.class_of[t]
+                if x != y:
+                    w = d.get(pick[x], s) + c + d.get(t, pick[y])
+                    weights[(x + 1, y + 1)] = min(w, weights.get((x + 1, y + 1), w))
+            kg = PrecedenceGraph(len(d.classes), weights)
+            found = find_redundant_edges(kg, min_walk_weights(kg))
+            assert {(x - 1, y - 1) for x, y in found} == a.removed_pairs
 
 
 def test_criterion_10_walk_decomposition(criterion):

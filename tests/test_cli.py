@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,9 +13,11 @@ from random import Random
 
 import pytest
 
-from dcsimp import cli
+import oracles
+from dcsimp import cli, meg
 from dcsimp.cli import build_parser, main
 from dcsimp.core import min_walk_weights
+from dcsimp.decomposition import analyze
 from dcsimp.fileformat import dumps, loads
 from shipped import NAMES, load_fixture
 
@@ -89,18 +93,19 @@ def test_condense(paths, capsys):
     assert "class 2: rep 2, nodes 2 3 4 5" in captured.err
 
 
-def test_condense_of_reduction(paths, capsys):
+def test_condense_of_reduction(paths, capsys, tmp_path):
     assert main(["condense", "--of-reduction", paths["two_classes"]]) == 0
     assert capsys.readouterr().out == "p dcs 2 2\ne 1 2 1\ne 2 1 0\n"
-
-
-def test_condense_largest_representative(paths, capsys):
-    # Weights shift by the rep-to-rep offset inside the class; the cycle
-    # weight 1 + 0 == 0 + 1 is what stays invariant.
-    assert main(["condense", "--representative", "largest", paths["two_classes"]]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "p dcs 2 2\ne 1 2 0\ne 2 1 1\n"
-    assert "class 2: rep 5, nodes 2 3 4 5" in captured.err
+    # the detour drops the condensation edge (1, 2); the reduction's own
+    # condensation agrees
+    f = tmp_path / "detour.dcs"
+    f.write_text("p dcs 3 3\ne 1 2 5\ne 1 3 2\ne 3 2 2\n")
+    assert main(["condense", "--of-reduction", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert out == "p dcs 3 2\ne 1 3 2\ne 3 2 2\n"
+    reduced = tmp_path / "reduced.dcs"
+    assert main(["reduce", str(f), "--out", str(reduced)]) == 0
+    assert out == dumps(analyze(loads(reduced.read_text())).condensation.as_graph())
 
 
 def test_check_not_equivalent(paths, capsys, tmp_path):
@@ -116,6 +121,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("p dcs 2 1\ne 1 2\n")
     assert main(["info", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+    # an exponent would ask for five million digits
+    bad.write_text("p dcs 2 1\ne 1 2 1e5000000\n")
+    assert main(["simplify", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: line 2: not a rational constant: '1e5000000'\n"
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -169,13 +178,14 @@ def test_info_over_the_exact_limit_prints_the_summary_first(tmp_path, capsys):
 
 
 def test_matrix_over_physical_memory_is_one_error_line(tmp_path, capsys):
-    # a million classes would need an 8 TB class-to-class matrix
+    # a million classes would need an 8 TB class-to-class matrix, and as
+    # much again for a round's temporary, plus a 1 TB reach mask
     f = tmp_path / "wide.dcs"
     f.write_text("p dcs 1000000 0\n")
     assert main(["info", str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the 1000001 x 1000001 distance matrix needs 8000016000008 bytes")
+    assert captured.err.startswith("error: the 1000001 x 1000001 distance matrix needs 17000034000017 bytes")
     assert captured.err.count("\n") == 1
 
 
@@ -217,6 +227,81 @@ def test_deep_exact_search_is_certified(tmp_path, capsys):
     assert loads(captured.out) == loads(f.read_text())
 
 
+def test_exact_search_over_its_budget(tmp_path, monkeypatch, capsys):
+    # a 5-node zero class: the exact search visits 17 nodes to keep 5 arcs,
+    # where greedy keeps 6
+    arcs = [(1, 2), (1, 4), (2, 1), (2, 3), (2, 4), (3, 4), (4, 3), (4, 5), (5, 1)]
+    f = tmp_path / "class.dcs"
+    f.write_text(f"p dcs 5 {len(arcs)}\n" + "".join(f"e {i} {j} 0\n" for i, j in arcs))
+    assert main(["simplify", str(f)]) == 0
+    assert capsys.readouterr().err == "removed 4, certified\n"
+    monkeypatch.setattr(meg, "SEARCH_BUDGET", 5)
+    assert main(["simplify", str(f)]) == 4
+    assert capsys.readouterr().err == (
+        "error: the 5-node class of node 1 has 9 tight edges, and the exact "
+        "search passed its budget of 5 nodes; allow the heuristic to accept "
+        "a maximal (uncertified) result\n"
+    )
+    assert main(["simplify", str(f), "--allow-heuristic"]) == 0
+    assert capsys.readouterr().err.startswith("removed 3, maximal (not certified)")
+
+
+def test_long_computed_weights_round_trip(tmp_path, capsys):
+    # a zero-cycle chain over 1201 nodes with weights -1/p and 1/p for the
+    # 1200 primes p from 10007: each input weight is short, but the weight
+    # that closes the reduced cycle, the sum of all 1/p, has some 5000
+    # digits above and below the line, past Python's 4300-digit limit.  The
+    # negative weights point up the chain, the order in which Bellman-Ford
+    # relaxes, so the potential settles in two rounds, not 1200
+    primes = []
+    k = 10007
+    while len(primes) < 1200:
+        if all(k % q for q in range(2, int(k**0.5) + 1)):
+            primes.append(k)
+        k += 1
+    f, reduced = tmp_path / "chain.dcs", tmp_path / "reduced.dcs"
+    f.write_text(
+        f"p dcs {len(primes) + 1} {2 * len(primes)}\n"
+        + "".join(f"e {i} {i + 1} -1/{p}\ne {i + 1} {i} 1/{p}\n" for i, p in enumerate(primes, 1))
+    )
+    assert main(["reduce", str(f), "--out", str(reduced)]) == 0
+    assert max(len(line) for line in reduced.read_text().splitlines()) > 2 * 4300
+    assert main(["check", str(f), str(reduced)]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+
+
+def test_same_output_under_every_hash_seed(paths, tmp_path):
+    # every command, each in its own process, under two string-hash seeds
+    g = oracles.random_potential_system(Random(60), 60, 600)
+    generated = tmp_path / "generated.dcs"
+    generated.write_text(dumps(g))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    for name, inp in (("two_classes", paths["two_classes"]), ("generated", str(generated))):
+        reduced = tmp_path / f"{name}.reduced.dcs"
+        assert main(["reduce", inp, "--out", str(reduced)]) == 0
+        for command in (
+            ["info", inp, "--allow-heuristic"],
+            ["redundant", inp],
+            ["simplify", inp, "--allow-heuristic"],
+            ["reduce", inp],
+            ["condense", inp],
+            ["condense", "--of-reduction", inp],
+            ["check", inp, str(reduced)],
+        ):
+            runs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "dcsimp.cli", *command],
+                    env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                )
+                for seed in ("0", "1")
+            ]
+            (out0, err0), (out1, err1) = (run.communicate(timeout=60) for run in runs)
+            assert [run.returncode for run in runs] == [0, 0], (command, err0, err1)
+            assert out0 == out1 and err0 == err1, command
+
+
 def test_out_of_memory_is_one_error_line(paths, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError()
@@ -251,6 +336,7 @@ def test_out_flag_writes_file(paths, tmp_path, capsys):
         "reduce --exact-limit 3 two_classes",
         "condense --allow-heuristic two_classes",
         "redundant --oracle two_classes",
+        "simplify --representative largest two_classes",
     ],
 )
 def test_usage_error_exit_code(command, paths, capsys):

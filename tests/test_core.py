@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from random import Random
 
@@ -22,6 +23,7 @@ from dcsimp.core import (
     walk_weight,
 )
 from dcsimp.errors import (
+    DcsError,
     IndexOutOfRange,
     InfeasibleSystem,
     NegativeSelfLoop,
@@ -53,6 +55,9 @@ class TestAsWeight:
             as_weight("abc")
         with pytest.raises(ValueError):
             as_weight("1/0")
+        for text in ("1e5", "1E-3", "1_0", "0x10", "inf", "nan", " 1", "2.", "1/2/3"):
+            with pytest.raises(ValueError):
+                as_weight(text)
 
 
 class TestNormalize:
@@ -183,6 +188,20 @@ class TestMinWalkWeights:
         d = min_walk_weights(normalize(3, [(1, 2, big), (2, 3, -big)]))
         assert d.get(1, 3) == 0 and d.get(1, 2) == big
         assert d.get(2, 1) is None and d.get(3, 1) is None
+
+    def test_size_guard_counts_the_whole_kernel(self, monkeypatch):
+        # 100 x 100 entries: the matrix alone fits in the memory given, but
+        # not with a round's np.add.outer temporary and the reach mask, nor
+        # on Python ints with an int object per entry
+        for w, have in ((1, 100_000), (1 << 70, 500_000)):
+            assert 100 * 100 * 8 < have
+            memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+            monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+            with pytest.raises(DcsError, match="distance matrix needs"):
+                _fw_numpy(99, {(1, 2): w})
+            memory["SC_PHYS_PAGES"] = 10**7
+            a, reach = _fw_numpy(99, {(1, 2): w})
+            assert a[1, 2] == w and reach[1, 2] and not reach[2, 1]
 
     def test_dense_negative_digraph_stops_before_overflow(self):
         # every pair of the complete -1 digraph closes a negative cycle; the

@@ -11,11 +11,9 @@ import pytest
 import oracles
 from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights, normalize, walk_weight
 from dcsimp.decomposition import (
-    SolverConfig,
     analyze,
     condensation,
     condensation_redundant_pairs,
-    equivalence_classes,
     max_redundant_edge_set,
     partition_edges,
     redundant_edges,
@@ -38,37 +36,24 @@ from shipped import NAMES, load_fixture
 WIDE = Fraction(10**25 + 13, 3)
 
 
-def _pipeline(g, representative="smallest"):
+def _pipeline(g):
     d = min_walk_weights(g)
-    p = equivalence_classes(d, representative=representative)
-    ep = partition_edges(g, d, p)
-    return d, p, ep, condensation(g, d, p, ep)
+    return d, partition_edges(g, d), condensation(d)
 
 
 class TestEquivalenceClasses:
     def test_two_classes_fixture(self):
         d = min_walk_weights(load_fixture("two_classes"))
-        p = equivalence_classes(d)
-        assert [sorted(c) for c in p.classes] == [[1], [2, 3, 4, 5]]
-        assert p.reps == (1, 2)
-        assert p.class_of[4] == 1 and p.class_of[1] == 0
+        assert d.classes == ((1,), (2, 3, 4, 5))
+        assert d.class_of[4] == 1 and d.class_of[1] == 0
 
     def test_shortcut_trap_fixture(self):
         d = min_walk_weights(load_fixture("shortcut_trap"))
-        p = equivalence_classes(d)
-        assert [sorted(c) for c in p.classes] == [[1, 3], [2]]
+        assert d.classes == ((1, 3), (2,))
 
     def test_positive_cycles_mean_singletons(self):
         for g in oracles.positive_cycle_suite(301, 30):
-            p = equivalence_classes(min_walk_weights(g))
-            assert all(len(c) == 1 for c in p.classes)
-
-    def test_largest_policy_flips_reps_only(self):
-        d = min_walk_weights(load_fixture("two_classes"))
-        small = equivalence_classes(d)
-        large = equivalence_classes(d, representative="largest")
-        assert small.classes == large.classes
-        assert large.reps == (1, 5)
+            assert all(len(c) == 1 for c in min_walk_weights(g).classes)
 
     def test_classes_agree_with_zero_cycle_membership(self):
         # the pair relation d_ij + d_ji = 0 is already transitive, so taking
@@ -77,12 +62,11 @@ class TestEquivalenceClasses:
         for _ in range(40):
             g = oracles.random_potential_system(rng, rng.randint(2, 6), rng.randint(2, 12))
             d = min_walk_weights(g)
-            p = equivalence_classes(d)
             together = {
                 (i, j)
                 for i in range(1, g.n + 1)
                 for j in range(1, g.n + 1)
-                if i != j and p.class_of[i] == p.class_of[j]
+                if i != j and d.class_of[i] == d.class_of[j]
             }
             assert together == {
                 (i, j)
@@ -98,26 +82,23 @@ class TestEquivalenceClasses:
 class TestPartitionEdges:
     def test_two_classes_fixture(self):
         g = load_fixture("two_classes")
-        d, p, ep, _ = _pipeline(g)
-        assert ep.intra[1] == {(2, 5), (5, 3), (3, 4), (4, 2), (3, 2)}
-        assert ep.intra_slack[1] == {(3, 2)}
-        assert ep.intra_tight[1] == {(2, 5), (5, 3), (3, 4), (4, 2)}
+        d, ep, _ = _pipeline(g)
+        assert ep.intra_slack == (frozenset(), {(3, 2)})
+        assert ep.intra_tight == (frozenset(), {(2, 5), (5, 3), (3, 4), (4, 2)})
         assert ep.cross == {(0, 1): frozenset({(1, 2)}), (1, 0): frozenset({(3, 1)})}
+        assert ep.cross_min == ep.cross
         assert ep.cross_rep == {(0, 1): (1, 2), (1, 0): (3, 1)}
-        assert ep.cross_all == {(1, 2), (3, 1)}
-        assert ep.cross_min_all == {(1, 2), (3, 1)}
-        assert ep.cross_rep_all == {(1, 2), (3, 1)}
 
     def test_tied_optima_has_two_cheapest_crossings(self):
         g = load_fixture("tied_optima")
-        d, p, ep, _ = _pipeline(g)
+        d, ep, _ = _pipeline(g)
         assert ep.cross_min[(0, 1)] == {(1, 2), (1, 3)}
         assert ep.cross_rep[(0, 1)] == (1, 2)
 
     def test_slack_never_below_distance(self):
         for g in oracles.feasible_suite(303, 50):
-            d, p, ep, _ = _pipeline(g)
-            for k, members in enumerate(p.classes):
+            d, ep, _ = _pipeline(g)
+            for k in range(len(d.classes)):
                 for i, j in ep.intra_tight[k]:
                     assert g.edges[(i, j)] == d.get(i, j)
                 for i, j in ep.intra_slack[k]:
@@ -126,9 +107,8 @@ class TestPartitionEdges:
     def test_pinned_distances_inside_classes(self):
         # d_ij = -d_ji and d_ij = d_is + d_sj for class members
         for g in oracles.feasible_suite(304, 50):
-            d, p, ep, _ = _pipeline(g)
-            for members in p.classes:
-                nodes = sorted(members)
+            d = min_walk_weights(g)
+            for nodes in d.classes:
                 for i in nodes:
                     for j in nodes:
                         if i == j:
@@ -139,11 +119,10 @@ class TestPartitionEdges:
 
     def test_tight_subgraph_strongly_connected(self):
         for g in oracles.feasible_suite(305, 50):
-            d, p, ep, _ = _pipeline(g)
-            for k, members in enumerate(p.classes):
-                if len(members) < 2:
+            d, ep, _ = _pipeline(g)
+            for k, order in enumerate(d.classes):
+                if len(order) < 2:
                     continue
-                order = sorted(members)
                 local = {v: q + 1 for q, v in enumerate(order)}
                 h = Digraph(
                     len(order),
@@ -155,19 +134,19 @@ class TestPartitionEdges:
 class TestCondensation:
     def test_two_classes_fixture(self):
         g = load_fixture("two_classes")
-        d, _, _, cond = _pipeline(g)
+        d, _, cond = _pipeline(g)
         assert cond.reps == (1, 2)
         assert cond.edges == {(1, 2): Fraction(1), (2, 1): Fraction(0)}
-        assert condensation_redundant_pairs(cond, d) == frozenset()
+        assert condensation_redundant_pairs(d) == frozenset()
 
     def test_shortcut_trap_fixture(self):
-        _, _, _, cond = _pipeline(load_fixture("shortcut_trap"))
+        _, _, cond = _pipeline(load_fixture("shortcut_trap"))
         assert cond.reps == (1, 2)
         assert cond.edges == {(1, 2): Fraction(3)}
 
     def test_all_singletons_is_isomorphic_to_input(self):
         for g in oracles.positive_cycle_suite(306, 20):
-            _, p, _, cond = _pipeline(g)
+            _, _, cond = _pipeline(g)
             assert cond.reps == tuple(range(1, g.n + 1))
             assert dict(cond.edges) == dict(g.edges)
             assert cond.as_graph() == g
@@ -176,7 +155,7 @@ class TestCondensation:
         # zero-weight walks never straddle classes, so the condensed system
         # must pass the fast criterion's precondition every time
         for g in oracles.feasible_suite(307, 60):
-            _, _, _, cond = _pipeline(g)
+            _, _, cond = _pipeline(g)
             kg = cond.as_graph()
             mc = oracles.min_cycle_weight(kg)
             assert mc is None or mc > 0
@@ -189,20 +168,19 @@ class TestCondensation:
         for g in oracles.feasible_suite(313, 60):
             wide = PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()})
             for h in (g, wide):
-                d, _, _, cond = _pipeline(h)
-                costly = any(d.reduced(a, b, w) for (a, b), w in cond.edges.items())
-                python_ints = h is wide and costly
+                d, _, cond = _pipeline(h)
+                python_ints = h is wide and any(d.class_arcs.values())
                 assert d.class_dist.dtype == (object if python_ints else np.int64)
                 python_int_runs += python_ints
                 want = {(a - 1, b - 1) for a, b in mres_no_zero_cycles(cond.as_graph())}
-                assert condensation_redundant_pairs(cond, d) == want
+                assert condensation_redundant_pairs(d) == want
         assert python_int_runs >= 40
 
     def test_weights_are_cheapest_crossings(self):
         for g in oracles.feasible_suite(308, 40):
-            d, p, ep, cond = _pipeline(g)
+            d, ep, cond = _pipeline(g)
             for (ci, cj), edges in ep.cross.items():
-                va, vb = p.reps[ci], p.reps[cj]
+                va, vb = cond.reps[ci], cond.reps[cj]
                 want = min(d.get(va, s) + g.edges[(s, t)] + d.get(t, vb) for s, t in edges)
                 assert cond.edges[(va, vb)] == want
 
@@ -231,38 +209,22 @@ class TestMaxRedundantEdgeSet:
     def test_exact_limit_raises_without_heuristic(self):
         g = load_fixture("two_classes")  # 4 tight intra-class edges
         with pytest.raises(ExactLimitExceeded):
-            max_redundant_edge_set(g, SolverConfig(exact_limit=3))
+            max_redundant_edge_set(g, exact_limit=3)
 
     def test_heuristic_fallback_flags_result(self):
         g = load_fixture("two_classes")
-        res = max_redundant_edge_set(
-            g, SolverConfig(exact_limit=3, allow_heuristic=True)
-        )
+        res = max_redundant_edge_set(g, exact_limit=3, allow_heuristic=True)
         assert not res.certified
         assert res.edges == {(3, 2)}  # greedy finds the optimum here
         assert is_redundant_edge_set(g, res.edges)
-
-    def test_representative_policy_independence(self):
-        for g in oracles.feasible_suite(311, 60):
-            small = max_redundant_edge_set(g)
-            large = max_redundant_edge_set(g, SolverConfig(representative="largest"))
-            assert len(small.edges) == len(large.edges)
-            d = min_walk_weights(g)
-            ps = equivalence_classes(d)
-            pl = equivalence_classes(d, representative="largest")
-            eps = partition_edges(g, d, ps)
-            epl = partition_edges(g, d, pl)
-            assert eps.cross_min == epl.cross_min
-            for pair, edges in eps.cross.items():
-                assert len(small.edges & edges) == len(large.edges & edges)
 
     def test_class_preservation(self):
         # removing the set keeps the node partition intact
         for g in oracles.feasible_suite(312, 40):
             res = max_redundant_edge_set(g)
-            p0 = equivalence_classes(min_walk_weights(g))
-            p1 = equivalence_classes(min_walk_weights(g.without(res.edges)))
-            assert p0.classes == p1.classes
+            d0 = min_walk_weights(g)
+            d1 = min_walk_weights(g.without(res.edges))
+            assert d0.classes == d1.classes
 
 
 class TestRedundantEdges:
@@ -288,9 +250,8 @@ class TestRedundantEdges:
             assert redundant_edges(analyze(g)) == want
             if q % 4 == 0 and any(g.edges.values()):
                 a = analyze(PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()}))
-                d = a.d
-                costly = any(d.reduced(u, v, w) for (u, v), w in a.condensation.edges.items())
-                assert d.class_dist.dtype == (object if costly else np.int64)
+                costly = any(a.d.class_arcs.values())
+                assert a.d.class_dist.dtype == (object if costly else np.int64)
                 python_int_runs += costly
                 assert redundant_edges(a) == want
         assert python_int_runs >= 10

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 import oracles
+from dcsimp.core import PrecedenceGraph
 from dcsimp.errors import NegativeSelfLoop, ParseError, SelfLoopDropped
 from dcsimp.fileformat import dumps, loads
 from shipped import load_fixture
@@ -55,6 +56,10 @@ def test_negative_self_loop_surfaces_as_infeasible():
         "p dcs 2 1\nq 1 2 3\n",           # unknown line type
         "p dcs 2 1\ne 1 3 0\n",           # node out of range
         "p dcs -1 0\n",                   # negative size
+        "p dcs 2 1\ne 1 2 1e5000000\n",   # exponent: millions of digits
+        "p dcs 2 1\ne 1 2 1_000\n",       # digit separator
+        "p dcs 2 1\ne 1 2 .5\n",          # no integer part
+        "p dcs 2 1\ne 1 2 1/-2\n",        # signed denominator
     ],
 )
 def test_rejects_malformed_input(text):
@@ -79,3 +84,12 @@ def test_round_trip_on_random_graphs():
         g = oracles.random_system(rng, max_n=6, max_m=12)
         assert loads(dumps(g)) == g
 
+
+def test_weights_past_the_digit_limit_round_trip():
+    # Python refuses int <-> str conversions past 4300 digits by default
+    w = Fraction(7**6000, 11**5000)
+    g = PrecedenceGraph(2, {(1, 2): w, (2, 1): -w})
+    text = dumps(g)
+    assert len(text) > 10_000
+    assert loads(text) == g
+    assert dumps(loads(text)) == text

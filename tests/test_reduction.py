@@ -1,4 +1,4 @@
-"""Equivalent reduction and its condensation."""
+"""Equivalent reduction and its condensation (the ER condensation)."""
 
 from __future__ import annotations
 
@@ -6,25 +6,16 @@ from fractions import Fraction
 from random import Random
 
 import oracles
-from dcsimp.core import Walk, min_walk_weights, normalize, walk_weight
-from dcsimp.decomposition import (
-    Condensation,
-    condensation,
-    condensation_redundant_pairs,
-    equivalence_classes,
-    partition_edges,
-)
-from dcsimp.reduction import equivalent_reduction, er_condensation
+from dcsimp.core import Walk, normalize, walk_weight
+from dcsimp.decomposition import Condensation, analyze
+from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import systems_equivalent
 from shipped import load_fixture
 
 
-def _cond_pipeline(g):
-    d = min_walk_weights(g)
-    p = equivalence_classes(d)
-    ep = partition_edges(g, d, p)
-    cond = condensation(g, d, p, ep)
-    return d, p, ep, cond, condensation_redundant_pairs(cond, d)
+def _er_condensation(rr):
+    """The condensation of the reduced system."""
+    return analyze(rr.reduced).condensation
 
 
 class TestEquivalentReduction:
@@ -39,7 +30,7 @@ class TestEquivalentReduction:
             (3, 1): Fraction(2),
         }
         assert rr.removed_count == 1
-        assert [sorted(c) for c in rr.partition.classes] == [[1], [2, 3, 4, 5]]
+        assert rr.analysis.d.classes == ((1,), (2, 3, 4, 5))
 
     def test_nothing_to_do_when_weights_matter(self):
         g = load_fixture("weight_sensitive")
@@ -59,11 +50,10 @@ class TestEquivalentReduction:
     def test_intra_class_cycles_weigh_zero(self):
         for g in oracles.feasible_suite(401, 60):
             rr = equivalent_reduction(g)
-            for members in rr.partition.classes:
-                if len(members) < 2:
+            for order in rr.analysis.d.classes:
+                if len(order) < 2:
                     continue
-                order = sorted(members)
-                cycle = Walk(tuple(order) + (order[0],))
+                cycle = Walk(order + (order[0],))
                 assert walk_weight(rr.reduced, cycle) == 0
 
     def test_preserves_equivalence_both_ways(self):
@@ -73,10 +63,10 @@ class TestEquivalentReduction:
 
     def test_edge_count_formula(self):
         for g in oracles.feasible_suite(403, 60):
-            d, p, ep, cond, removed = _cond_pipeline(g)
             rr = equivalent_reduction(g)
-            want = sum(len(c) for c in p.classes if len(c) >= 2)
-            want += len(cond.edges) - len(removed)
+            a = rr.analysis
+            want = sum(len(c) for c in a.d.classes if len(c) >= 2)
+            want += len(a.condensation.edges) - len(a.removed_pairs)
             assert rr.reduced.m == want
             assert rr.removed_count == g.m - rr.reduced.m
 
@@ -92,41 +82,36 @@ class TestEquivalentReduction:
             assert set(rr.reduced.edges) == oracles.transitive_reduction_dag(n, arcs)
             assert all(w == 0 for w in rr.reduced.edges.values())
 
-    def test_representative_policy_yields_equivalent_output(self):
-        for g in oracles.feasible_suite(405, 40):
-            small = equivalent_reduction(g)
-            large = equivalent_reduction(g, representative="largest")
-            assert small.reduced.m == large.reduced.m
-            assert systems_equivalent(small.reduced, large.reduced).equivalent
 
 
 class TestErCondensation:
     def test_two_classes_fixture(self):
         g = load_fixture("two_classes")
         rr = equivalent_reduction(g)
-        erc = er_condensation(rr)
+        erc = _er_condensation(rr)
         assert erc.reps == (1, 2)
         assert erc.edges == {(1, 2): Fraction(1), (2, 1): Fraction(0)}
 
     def test_single_class_collapses_to_one_bare_node(self):
         g = normalize(3, [(i, j, 0) for i in (1, 2, 3) for j in (1, 2, 3) if i != j])
-        erc = er_condensation(equivalent_reduction(g))
+        erc = _er_condensation(equivalent_reduction(g))
         assert erc.reps == (1,) and erc.edges == {}
 
     def test_all_singletons_matches_reduced_graph(self):
         for g in oracles.positive_cycle_suite(406, 20):
             rr = equivalent_reduction(g)
-            erc = er_condensation(rr)
+            erc = _er_condensation(rr)
             assert erc.reps == tuple(range(1, g.n + 1))
             assert dict(erc.edges) == dict(rr.reduced.edges)
 
     def test_equals_condensation_minus_redundant_pairs(self):
         for g in oracles.feasible_suite(407, 60):
-            d, p, ep, cond, removed = _cond_pipeline(g)
             rr = equivalent_reduction(g)
+            a = rr.analysis
+            reps, cond = a.condensation.reps, a.condensation
             survivors = {
-                (p.reps[a], p.reps[b]): cond.edges[(p.reps[a], p.reps[b])]
-                for (a, b) in ep.cross
-                if (a, b) not in removed
+                (reps[x], reps[y]): cond.edges[(reps[x], reps[y])]
+                for (x, y) in a.edges.cross
+                if (x, y) not in a.removed_pairs
             }
-            assert er_condensation(rr) == Condensation(p.reps, survivors)
+            assert _er_condensation(rr) == Condensation(reps, survivors)
