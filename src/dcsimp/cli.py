@@ -12,11 +12,10 @@ Commands:
 
 Results go to stdout (or ``--out FILE``); summaries and diagnostics go to
 stderr.  Weights are written exactly, however many digits they need.  Exit
-codes: 0 success, 1 parse, usage or size error (the distance kernel on the
-class-to-class matrix would not fit in physical memory, or memory ran out),
-2 infeasible system, 3 systems not equivalent, 4 exact limit or exact
-search budget exceeded without --allow-heuristic (``info`` still prints
-every line that needs no exact solve first).
+codes: 0 success, 1 parse or usage error (or memory ran out), 2 infeasible
+system, 3 systems not equivalent, 4 exact limit or exact search budget
+exceeded without --allow-heuristic (``info`` still prints every line that
+needs no exact solve first).
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ def _summary(g: PrecedenceGraph, a: Analysis) -> list[str]:
         f"zero-weight cycle: {'yes' if zero_cycle else 'no'}",
         f"classes: {len(classes)}",
         f"class sizes: {' '.join(str(len(c)) for c in classes)}",
-        f"slack intra-class edges: {sum(len(s) for s in a.edges.intra_slack)}",
+        f"slack intra-class edges: {sum(map(len, a.edges.intra_slack.values()))}",
         f"condensation edges: {len(a.condensation.edges)}",
     ]
 

@@ -8,13 +8,13 @@ weighted digraph: one node per variable, one edge ``(i, j)`` of weight
 Weights are exact rationals (:class:`fractions.Fraction`).  Exactness is not
 a nicety here: the decomposition machinery keys on cycle weights being
 *exactly* zero, a question floating point cannot answer.  Distances are
-therefore kept as integers, on the weights rescaled by the lcm of their
-denominators, and a Fraction is made only when a caller reads an entry
-through :meth:`DistanceMatrix.get`.  They are stored factored: a potential
-from one Bellman-Ford pass makes every reduced cost non-negative, the arcs
-of reduced cost zero split the nodes into the zero-cycle classes, and the
-Floyd-Warshall kernel runs only on the condensation, one node per class,
-in int64 when its costs fit and in Python ints otherwise.
+therefore kept as Python integers, on the weights rescaled by the lcm of
+their denominators, and a Fraction is made only when a caller reads an
+entry through :meth:`DistanceMatrix.get`.  They are stored factored: a
+potential from one Bellman-Ford pass makes every reduced cost
+non-negative, the arcs of reduced cost zero split the nodes into the
+zero-cycle classes, and a distance between classes is found by a Dijkstra
+search over the condensation, one node per class, on demand.
 
 Feasibility is a walk statement: the system has a solution precisely when no
 closed walk has negative weight, and then the tightest derivable bound on
@@ -23,21 +23,17 @@ closed walk has negative weight, and then the tightest derivable bound on
 
 from __future__ import annotations
 
-import os
 import re
-import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from math import lcm
-from typing import Iterable, Mapping, Union
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
-    DcsError,
     IndexOutOfRange,
     InfeasibleSystem,
     NegativeSelfLoop,
@@ -187,52 +183,105 @@ class DistanceMatrix:
     members; ``class_of[v]`` is the index of v's class (``class_of[0]`` is
     padding).  ``class_arcs`` is the condensation: for each ordered pair
     (a, b) of class indices that some edge crosses, the least reduced cost
-    of such a crossing.  ``class_dist`` and ``class_reach`` are K x K, for
-    K classes: where ``class_reach[a, b]``, ``class_dist[a, b]`` is the
-    least reduced cost of a walk from class a to class b; elsewhere no such
-    walk exists and ``class_dist`` holds a sentinel that is not a weight.
-    It is int64 when the reduced costs fit and Python ints otherwise.
+    of such a crossing.  ``class_succ[a]`` lists the same arcs out of class
+    a as (b, cost) pairs, cheapest first, keyed only for classes with arcs.
 
     Inside a class every walk costs at least zero and the class's zero arcs
     connect it, so for i in class a and j in class b the least weight over
     all walks ``i ~> j`` is exactly
-    ``(potential[j] - potential[i] + class_dist[a, b]) / scale``.  ``get``
-    is the one place a :class:`~fractions.Fraction` is made, and it reports
-    unreachability as ``None``, so the sentinel never leaks into exact
-    arithmetic.
+    ``(potential[j] - potential[i] + D) / scale``, with D the least reduced
+    cost of a walk from class a to class b over the condensation arcs, as
+    :meth:`search` finds it.
     """
 
     n: int
-    feasible: bool
     scale: int
     potential: tuple[int, ...]
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     class_arcs: Mapping[tuple[int, int], int]
-    class_dist: np.ndarray
-    class_reach: np.ndarray
+    class_succ: Mapping[int, list[tuple[int, int]]]
+    _rows: dict[int, dict[int, int]] = field(default_factory=dict, init=False)
+
+    def search(self, a: int, radius: int) -> Iterator[tuple[int, int]]:
+        """Each class reachable from class a at a least reduced cost of at
+        most ``radius``, as (class, cost), in cost order, class a itself
+        first at cost 0.
+
+        A Dijkstra search, as reduced costs are non-negative (Johnson 1977),
+        whose heap holds each tentative cost once with the list of classes
+        reached at it, since many walks tie on small costs.  A caller stops
+        consuming it once it has its answer.
+        """
+        succ = self.class_succ
+        beyond = radius + 1
+        best = {a: 0}
+        reached = {0: [a]}
+        costs = [0]
+        while costs:
+            cost = heappop(costs)
+            for u in reached.pop(cost):
+                if best[u] != cost:
+                    continue
+                yield u, cost
+                for v, r in succ.get(u, ()):
+                    c = cost + r
+                    if c >= beyond:
+                        break
+                    if c < best.get(v, beyond):
+                        best[v] = c
+                        if c in reached:
+                            reached[c].append(v)
+                        else:
+                            reached[c] = [v]
+                            heappush(costs, c)
+
+    def settle(self, a: int, bounds: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """The least reduced cost from class a of each class named in
+        ``bounds``, (class, bound) pairs, that is at most the largest bound
+        given for that class.  The search stops once every class named is
+        settled or past the largest bound still pending."""
+        pending: dict[int, int] = {}
+        for b, bound in bounds:
+            pending[b] = max(bound, pending.get(b, bound))
+        found = {}
+        radius = max(pending.values(), default=-1)
+        for u, cost in self.search(a, radius):
+            if cost > radius:
+                break
+            bound = pending.pop(u, -1)
+            if cost <= bound:
+                found[u] = cost
+            if bound == radius:
+                radius = max(pending.values(), default=-1)
+        return found
 
     def get(self, i: int, j: int) -> Fraction | None:
-        a, b = self.class_of[i], self.class_of[j]
-        if not self.class_reach[a, b]:
-            return None
-        p = self.potential
-        return Fraction(p[j] - p[i] + int(self.class_dist[a, b]), self.scale)
+        """The minimum walk weight ``i ~> j``, or None when no walk exists.
 
-    def scaled(self, w: Fraction) -> int:
-        """``w * scale`` as an int, for w a multiple of ``1 / scale``: every
-        weight and minimum walk weight of the graph measured is one."""
-        return w.numerator * (self.scale // w.denominator)
+        Within a class it is a difference of potentials.  Across classes
+        the first call from class a searches everything a reaches and keeps
+        the costs, so a sweep over many pairs pays one search per class.
+        """
+        a, b = self.class_of[i], self.class_of[j]
+        p = self.potential
+        if a == b:
+            return Fraction(p[j] - p[i], self.scale)
+        row = self._rows.get(a)
+        if row is None:
+            # all the arcs together cost at least any cheapest walk
+            row = self._rows[a] = dict(self.search(a, sum(self.class_arcs.values())))
+        cost = row.get(b)
+        return None if cost is None else Fraction(p[j] - p[i] + cost, self.scale)
 
     def reduced(self, i: int, j: int, w: Fraction) -> int:
-        """The reduced cost of a weight-w constraint (i, j), scaled."""
-        return self.scaled(w) + self.potential[i] - self.potential[j]
-
-    def reachable(self, i: int, j: int) -> bool:
-        return bool(self.class_reach[self.class_of[i], self.class_of[j]])
+        """The reduced cost of a weight-w constraint (i, j), scaled, for w a
+        multiple of ``1 / scale``, as every weight of the graph measured is."""
+        p = self.potential
+        return w.numerator * (self.scale // w.denominator) + p[i] - p[j]
 
     def __repr__(self) -> str:
-        return f"DistanceMatrix(n={self.n}, feasible={self.feasible})"
+        return f"DistanceMatrix(n={self.n}, classes={len(self.classes)})"
 
 
 @dataclass(frozen=True)
@@ -273,64 +322,6 @@ def normalize(
         if cur is None or w < cur:
             edges[(i, j)] = w
     return PrecedenceGraph(n, edges)
-
-
-def _scaled_integer_edges(g: PrecedenceGraph) -> tuple[dict[Edge, int], int]:
-    """Rescale all weights to integers by the lcm of their denominators."""
-    scale = lcm(*(w.denominator for w in g.edges.values())) if g.edges else 1
-    return {e: w.numerator * (scale // w.denominator) for e, w in g.edges.items()}, scale
-
-
-def _fw_numpy(n: int, scaled: dict[Edge, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Floyd-Warshall on integer weights: the matrix and its reach mask.
-
-    Row and column 0 are padding.  The unreachable sentinel ``inf`` is more
-    than twice the weight of any simple path: a sum that touches it may
-    fall below it but stays above ``inf // 2``, and every walk weight lies
-    below, so an entry is a walk weight exactly when it is under
-    ``inf // 2``.  The matrix is int64 when sums of two entries (at most
-    ``2 * inf``) fit; otherwise it holds Python ints, and each round then
-    updates only the rows that reach k and the columns k reaches, since
-    Python-int arithmetic costs per entry.
-
-    The relaxation stops after the first round that leaves a negative
-    diagonal entry.  Up to that round no negative closed walk has entered
-    any entry, so none falls below ``-2 * (n - 1) * maxabs`` and int64
-    arithmetic cannot wrap.
-
-    Raises :class:`DcsError` before allocating when the kernel would not
-    fit in the machine's physical memory: the matrix, one round's
-    ``np.add.outer`` temporary of the same shape, and the boolean reach
-    mask, where each entry of a Python-int matrix also holds an int object.
-    """
-    maxabs = max(map(abs, scaled.values()), default=0)
-    inf = 2 * (n + 1) * (maxabs + 1)
-    wide = inf >= 1 << 61
-    dtype = np.dtype(object if wide else np.int64)
-    cell = dtype.itemsize + (sys.getsizeof(inf) if wide else 0)
-    need = (n + 1) ** 2 * (2 * cell + 1)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise DcsError(
-            f"the {n + 1} x {n + 1} distance matrix needs {need} bytes, "
-            f"more than the {have} bytes of physical memory"
-        )
-    a = np.full((n + 1, n + 1), inf, dtype=dtype)
-    np.fill_diagonal(a, 0)
-    for (i, j), w in scaled.items():
-        a[i, j] = w
-    half = inf // 2
-    for k in range(1, n + 1):
-        if wide:
-            rows = np.flatnonzero(a[:, k] < half)
-            cols = np.flatnonzero(a[k] < half)
-            block = np.ix_(rows, cols)
-            a[block] = np.minimum(a[block], np.add.outer(a[rows, k], a[k, cols]))
-        else:
-            np.minimum(a, np.add.outer(a[:, k], a[k]), out=a)
-        if (a.diagonal() < 0).any():
-            break
-    return a, a < half
 
 
 def _bellman_ford(n: int, scaled: dict[Edge, int]) -> tuple[list[int], Walk | None]:
@@ -443,7 +434,7 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
 
 
 def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
-    """All-pairs minimum walk weights, factored through the zero-cycle classes.
+    """Minimum walk weights of every pair, factored through the zero-cycle classes.
 
     Raises :class:`InfeasibleSystem` (carrying a witness cycle) when a
     negative-weight closed walk exists and the system has no solution.
@@ -453,14 +444,15 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     reduced cost is non-negative (Johnson 1977).  The arcs of reduced cost
     zero form the zero-weight closed walks, so their strongly connected
     components are the classes, and inside a class every minimum walk
-    weight is a difference of potentials.  Only the condensation, one node
-    per class and one arc per class pair at its least crossing reduced
-    cost (kept as ``class_arcs``), goes to the Floyd-Warshall kernel
-    :func:`_fw_numpy`, in int64 or Python ints as the costs require; either
-    way the result is exact.
+    weight is a difference of potentials.  Between classes only the
+    condensation is kept, one node per class and one arc per class pair at
+    its least crossing reduced cost (``class_arcs``); a distance across
+    classes is a search over it, on Python ints, so the result is exact
+    whatever the size of the weights.
     """
     n = g.n
-    scaled, scale = _scaled_integer_edges(g)
+    scale = lcm(*(w.denominator for w in g.edges.values())) if g.edges else 1
+    scaled = {e: w.numerator * (scale // w.denominator) for e, w in g.edges.items()}
     potential, witness = _bellman_ford(n, scaled)
     if witness is not None:
         raise InfeasibleSystem(
@@ -478,20 +470,20 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
             r = w + potential[i] - potential[j]
             if r < crossing.get((a, b), r + 1):
                 crossing[(a, b)] = r
-    dist, reach = _fw_numpy(k, {(a + 1, b + 1): r for (a, b), r in crossing.items()})
+    succ: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), r in sorted(crossing.items(), key=lambda arc: (arc[1], arc[0])):
+        succ.setdefault(a, []).append((b, r))
     classes: list[list[int]] = [[] for _ in range(k)]
     for v in range(1, n + 1):
         classes[class_of[v]].append(v)
     return DistanceMatrix(
         n,
-        True,
         scale,
         tuple(potential),
         tuple(class_of),
         tuple(map(tuple, classes)),
         crossing,
-        dist[1:, 1:],
-        reach[1:, 1:],
+        succ,
     )
 
 

@@ -37,14 +37,15 @@ class EdgePartition:
 
     The edges inside class k split into ``intra_slack[k]`` (weight strictly
     above the minimum walk weight; always removable) and ``intra_tight[k]``
-    (weight equal to it).  ``cross[(a, b)]`` holds the edges from class a to
-    class b, keyed only for nonempty pairs; ``cross_min[(a, b)]`` is the
-    subset realizing the cheapest crossing, and ``cross_rep[(a, b)]`` its
-    lexicographically smallest member, the pair's representing edge.
+    (weight equal to it), each keyed only for classes that have such edges.
+    ``cross[(a, b)]`` holds the edges from class a to class b, keyed only
+    for nonempty pairs; ``cross_min[(a, b)]`` is the subset realizing the
+    cheapest crossing, and ``cross_rep[(a, b)]`` its lexicographically
+    smallest member, the pair's representing edge.
     """
 
-    intra_slack: tuple[frozenset[Edge], ...]
-    intra_tight: tuple[frozenset[Edge], ...]
+    intra_slack: Mapping[int, frozenset[Edge]]
+    intra_tight: Mapping[int, frozenset[Edge]]
     cross: Mapping[tuple[int, int], frozenset[Edge]]
     cross_min: Mapping[tuple[int, int], frozenset[Edge]]
     cross_rep: Mapping[tuple[int, int], Edge]
@@ -74,10 +75,10 @@ class Analysis:
     """Everything the decomposition derives from one system.
 
     ``d`` holds the system's minimum walk weights (a potential, the
-    zero-cycle classes, the condensation's arcs and the class-to-class
-    matrix), computed once; the edge buckets and the condensation are read
-    off it, and ``removed_pairs`` holds the class-index pairs whose
-    condensation edge is redundant.
+    zero-cycle classes and the condensation's arcs), computed once; the
+    edge buckets and the condensation are read off it, and
+    ``removed_pairs`` holds the class-index pairs whose condensation edge
+    is redundant.
     """
 
     d: DistanceMatrix
@@ -111,23 +112,22 @@ def partition_edges(g: PrecedenceGraph, d: DistanceMatrix) -> EdgePartition:
     the cheapest crossings are those whose r is the pair's
     ``d.class_arcs`` entry.
     """
-    k = len(d.classes)
-    slack: list[set[Edge]] = [set() for _ in range(k)]
-    tight: list[set[Edge]] = [set() for _ in range(k)]
+    slack: dict[int, set[Edge]] = {}
+    tight: dict[int, set[Edge]] = {}
     cross: dict[tuple[int, int], set[Edge]] = {}
     cheapest: dict[tuple[int, int], set[Edge]] = {}
     for (i, j), w in g.edges.items():
         r = d.reduced(i, j, w)
         a, b = d.class_of[i], d.class_of[j]
         if a == b:
-            (slack if r > 0 else tight)[a].add((i, j))
+            (slack if r > 0 else tight).setdefault(a, set()).add((i, j))
         else:
             cross.setdefault((a, b), set()).add((i, j))
             if r == d.class_arcs[(a, b)]:
                 cheapest.setdefault((a, b), set()).add((i, j))
     return EdgePartition(
-        intra_slack=tuple(map(frozenset, slack)),
-        intra_tight=tuple(map(frozenset, tight)),
+        intra_slack={k: frozenset(es) for k, es in slack.items()},
+        intra_tight={k: frozenset(es) for k, es in tight.items()},
         cross={pair: frozenset(es) for pair, es in cross.items()},
         cross_min={pair: frozenset(es) for pair, es in cheapest.items()},
         cross_rep={pair: min(es) for pair, es in cheapest.items()},
@@ -159,24 +159,24 @@ def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]
     The condensation has only strictly positive cycles, so the fast
     criterion gives its unique maximum redundant edge set: (a, b) goes when
     another out-edge (a, k) has c_ak + d(k, b) <= c_ab.  Classes are rigid,
-    so the condensation's own minimum walk weights are those of ``d`` and
-    need no second all-pairs run.
+    so the condensation's own minimum walk weights are those of ``d``.
 
-    The test runs on reduced costs, where the potentials of a, k and b
-    cancel: r_ak + D[k, b] <= r_ab, with r the ``d.class_arcs`` costs and
-    D the class-to-class matrix (``d.class_reach[k, b]`` required), all
-    scaled integers.
+    The test runs on the reduced costs r of ``d.class_arcs``, where the
+    potentials cancel, and it is local: (a, b) goes when a class u other
+    than a, at least reduced cost D from a, has an arc (u, b) with
+    D + r_ub <= r_ab (no such walk to u uses (a, b): it would close a
+    positive cycle through b).  One search from each class a settles it.
     """
-    out: dict[int, list[tuple[int, int]]] = {}
-    for (a, k), r in d.class_arcs.items():
-        out.setdefault(a, []).append((k, r))
-    dist, reach = d.class_dist, d.class_reach
+    into: dict[int, list[tuple[int, int]]] = {}
+    for (u, b), r in d.class_arcs.items():
+        into.setdefault(b, []).append((u, r))
     removed = set()
-    for (a, b), rab in d.class_arcs.items():
-        for k, rak in out[a]:
-            if k != b and reach[k, b] and rak + int(dist[k, b]) <= rab:
-                removed.add((a, b))
-                break
+    for a, arcs in d.class_succ.items():
+        if len(arcs) < 2:
+            continue
+        detours = [(u, b, rab - rub) for b, rab in arcs for u, rub in into[b] if u != a]
+        cost = d.settle(a, ((u, bound) for u, _, bound in detours))
+        removed.update((a, b) for u, b, bound in detours if cost.get(u, bound + 1) <= bound)
     return frozenset(removed)
 
 
@@ -199,8 +199,8 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     but the sole cheapest crossing of a pair whose condensation edge stays.
     """
     ep = a.edges
-    tight = Digraph(a.d.n, frozenset().union(*ep.intra_tight))
-    out = set(redundant_arcs(tight)).union(*ep.intra_slack)
+    tight = Digraph(a.d.n, frozenset().union(*ep.intra_tight.values()))
+    out = set(redundant_arcs(tight)).union(*ep.intra_slack.values())
     for pair, edges in ep.cross.items():
         cheapest = ep.cross_min[pair]
         sole = len(cheapest) == 1 and pair not in a.removed_pairs
@@ -235,11 +235,9 @@ def max_redundant_edge_set(
             out |= eij
         else:
             out |= eij - {ep.cross_rep[pair]}
-    for k, members in enumerate(analysis.d.classes):
-        out |= ep.intra_slack[k]
-        tight = ep.intra_tight[k]
-        if not tight:
-            continue
+    out.update(*ep.intra_slack.values())
+    for k in sorted(ep.intra_tight):
+        members, tight = analysis.d.classes[k], ep.intra_tight[k]
         h = Digraph(g.n, tight)
         if len(tight) > exact_limit:
             over = f"over the exact limit of {exact_limit}"

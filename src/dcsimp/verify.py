@@ -10,7 +10,7 @@ distance primitive and the definitional set check, never solver logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .core import Edge, PrecedenceGraph, min_walk_weights
 from .errors import LimitExceeded, NodeCountMismatch
@@ -40,19 +40,29 @@ def systems_equivalent(a: PrecedenceGraph, b: PrecedenceGraph) -> EquivalenceRep
     Infeasible systems are refused (the distance computation raises): every
     infeasible pair would otherwise be vacuously equivalent, which is never
     what a caller comparing artifacts wants.
+
+    Each side's constraints are scanned in sorted order, grouped by tail i,
+    and the first one not implied is the witness.  One the other side has
+    as an edge at weight <= c is implied outright.  The others hold when the
+    least reduced cost D from i's class to j's has D <= floor(c·scale) -
+    potential[j] + potential[i]; one search from i's class settles them all.
     """
     if a.n != b.n:
         raise NodeCountMismatch(f"node counts differ: {a.n} vs {b.n}")
     da = min_walk_weights(a)
     db = min_walk_weights(b)
-    for (i, j), c in sorted(a.edges.items()):
-        w = db.get(i, j)
-        if w is None or w > c:
-            return EquivalenceReport(False, ((i, j), "a"))
-    for (i, j), c in sorted(b.edges.items()):
-        w = da.get(i, j)
-        if w is None or w > c:
-            return EquivalenceReport(False, ((i, j), "b"))
+    for g, other, d, side in ((a, b, db, "a"), (b, a, da, "b")):
+        p, of = d.potential, d.class_of
+        for i, tail in groupby(sorted(g.edges.items()), key=lambda e: e[0][0]):
+            bounds = {
+                j: c.numerator * d.scale // c.denominator - p[j] + p[i]
+                for (_, j), c in tail
+                if other.edges.get((i, j), c + 1) > c
+            }
+            cost = d.settle(of[i], ((of[j], x) for j, x in bounds.items()))
+            for j, x in bounds.items():
+                if cost.get(of[j], x + 1) > x:
+                    return EquivalenceReport(False, ((i, j), side))
     return EquivalenceReport(True, None)
 
 

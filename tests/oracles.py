@@ -1,26 +1,19 @@
 """Independent brute-force oracles and random-input builders for the tests.
 
 Everything here enumerates (simple paths, simple cycles, arc subsets) or
-runs the dense Floyd-Warshall kernel over every node.  Only the graph
-containers and that kernel are imported from the package; the solver runs
-the kernel on the condensation alone and no solver module is imported, so
-agreement between an oracle and a solver is a real check.
+runs a dense Floyd-Warshall over every node.  Only the graph containers
+are imported from the package, and no solver module, so agreement between
+an oracle and a solver is a real check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from random import Random
 
-from dcsimp.core import (
-    Edge,
-    PrecedenceGraph,
-    Walk,
-    _fw_numpy,
-    _scaled_integer_edges,
-    normalize,
-)
+from dcsimp.core import Edge, PrecedenceGraph, Walk, normalize
 
 
 def _out_neighbors(g: PrecedenceGraph) -> dict[int, list[tuple[int, Fraction]]]:
@@ -61,14 +54,31 @@ def dense_min_walk_weights(
 ) -> dict[Edge, Fraction | None] | None:
     """Minimum walk weight of every ordered pair (i, j), i == j included, by
     Floyd-Warshall over all n nodes; None for an unreachable pair, and None
-    in place of the whole table when a closed walk weighs less than zero."""
-    scaled, scale = _scaled_integer_edges(g)
-    a, reach = _fw_numpy(g.n, scaled)
-    if (a.diagonal() < 0).any():
-        return None
+    in place of the whole table when a closed walk weighs less than zero.
+
+    It runs on the weights scaled to integers by the lcm of their
+    denominators, one dict of reached nodes per row, and stops at the first
+    negative diagonal entry.
+    """
+    scale = lcm(*(w.denominator for w in g.edges.values())) if g.edges else 1
     nodes = range(1, g.n + 1)
+    rows: dict[int, dict[int, int]] = {i: {i: 0} for i in nodes}
+    for (i, j), w in g.edges.items():
+        rows[i][j] = w.numerator * (scale // w.denominator)
+    for k in nodes:
+        row_k = rows[k]
+        for i in nodes:
+            row_i = rows[i]
+            dik = row_i.get(k)
+            if dik is None or i == k:
+                continue
+            for j, dkj in row_k.items():
+                if dik + dkj < row_i.get(j, dik + dkj + 1):
+                    row_i[j] = dik + dkj
+            if row_i[i] < 0:
+                return None
     return {
-        (i, j): Fraction(int(a[i, j]), scale) if reach[i, j] else None
+        (i, j): None if (dij := rows[i].get(j)) is None else Fraction(dij, scale)
         for i in nodes
         for j in nodes
     }

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from random import Random
 
-import numpy as np
 import pytest
 
 import oracles
 from dcsimp.core import (
     PrecedenceGraph,
     Walk,
-    _fw_numpy,
-    _scaled_integer_edges,
     as_weight,
     decompose_walk,
     implies,
@@ -23,7 +19,6 @@ from dcsimp.core import (
     walk_weight,
 )
 from dcsimp.errors import (
-    DcsError,
     IndexOutOfRange,
     InfeasibleSystem,
     NegativeSelfLoop,
@@ -86,7 +81,6 @@ class TestNormalize:
 class TestMinWalkWeights:
     def test_two_classes_distances(self):
         d = min_walk_weights(load_fixture("two_classes"))
-        assert d.feasible
         # around the zero cycle both directions are pinned
         assert d.get(2, 3) == Fraction(-2)
         assert d.get(3, 2) == Fraction(2)
@@ -107,7 +101,7 @@ class TestMinWalkWeights:
         d = min_walk_weights(g)
         assert d.get(2, 1) is None
         assert d.get(1, 3) is None
-        assert not d.reachable(3, 1)
+        assert d.get(3, 1) is None
 
     def test_negative_cycle_raises_with_witness(self):
         g = normalize(2, [(1, 2, -1), (2, 1, 0)])
@@ -149,21 +143,18 @@ class TestMinWalkWeights:
                 with pytest.raises(InfeasibleSystem):
                     min_walk_weights(g)
             else:
-                assert min_walk_weights(g).feasible
+                min_walk_weights(g)
         assert seen_infeasible > 10
 
     def test_python_int_kernel_is_exact(self):
-        # scaling every weight by P / 3 (P prime near 1e25) pushes the kernel
-        # off int64 onto Python ints; distances must scale exactly, match the
-        # path oracle, and infeasibility must not change
+        # scaling every weight by P / 3 (P prime near 1e25) puts every scaled
+        # weight far past int64; distances must scale exactly, match the path
+        # oracle, and infeasibility must not change
         rng = Random(55)
         verdicts = set()
         for _ in range(80):
             g = oracles.random_system(rng, max_n=6, max_m=14)
             wide = _scaled_copy(g, WIDE)
-            assert _fw_numpy(g.n, _scaled_integer_edges(g)[0])[0].dtype == np.int64
-            wide_dtype = _fw_numpy(g.n, _scaled_integer_edges(wide)[0])[0].dtype
-            assert wide_dtype == (object if any(g.edges.values()) else np.int64)
             mc = oracles.min_cycle_weight(g)
             feasible = mc is None or mc >= 0
             verdicts.add(feasible)
@@ -182,38 +173,21 @@ class TestMinWalkWeights:
         assert verdicts == {True, False}
 
     def test_weights_past_the_int64_limit_stay_exact(self):
-        # the sentinel 2 (n + 1) (maxabs + 1) is just above 2^62 here: as
-        # int64, a sum of two sentinels would wrap
+        # weights of 2^59: a fixed-width sum of a few of them would wrap past
+        # 2^63, so distances must stay exact on unbounded ints
         big = 1 << 59
         d = min_walk_weights(normalize(3, [(1, 2, big), (2, 3, -big)]))
         assert d.get(1, 3) == 0 and d.get(1, 2) == big
         assert d.get(2, 1) is None and d.get(3, 1) is None
 
-    def test_size_guard_counts_the_whole_kernel(self, monkeypatch):
-        # 100 x 100 entries: the matrix alone fits in the memory given, but
-        # not with a round's np.add.outer temporary and the reach mask, nor
-        # on Python ints with an int object per entry
-        for w, have in ((1, 100_000), (1 << 70, 500_000)):
-            assert 100 * 100 * 8 < have
-            memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
-            monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-            with pytest.raises(DcsError, match="distance matrix needs"):
-                _fw_numpy(99, {(1, 2): w})
-            memory["SC_PHYS_PAGES"] = 10**7
-            a, reach = _fw_numpy(99, {(1, 2): w})
-            assert a[1, 2] == w and reach[1, 2] and not reach[2, 1]
-
     def test_dense_negative_digraph_stops_before_overflow(self):
         # every pair of the complete -1 digraph closes a negative cycle; the
-        # kernel must stop before compounding them past -2 (n - 1) maxabs
+        # witness must be a negative closed walk, on int-sized and on wide
+        # weights alike
         n = 100
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         dense = normalize(n, [(i, j, -1) for i, j in pairs])
         for g in (dense, _scaled_copy(dense, WIDE)):
-            scaled, _ = _scaled_integer_edges(g)
-            maxabs = max(abs(w) for w in scaled.values())
-            a, _ = _fw_numpy(n, scaled)
-            assert a.min() >= -2 * (n - 1) * maxabs
             with pytest.raises(InfeasibleSystem) as info:
                 min_walk_weights(g)
             assert walk_weight(g, info.value.cycle) < 0
@@ -228,7 +202,6 @@ class TestAgainstDenseKernel:
         d = min_walk_weights(g)
         for (i, j), w in want.items():
             assert d.get(i, j) == w
-            assert d.reachable(i, j) == (w is not None)
         nodes = range(1, g.n + 1)
         rings = {
             frozenset(
@@ -245,8 +218,8 @@ class TestAgainstDenseKernel:
 
     def test_random_potential_systems(self):
         # zero-slack share 0: no classes; 0.9: a few large ones.  m below n
-        # leaves isolated nodes; copies with every weight times P / 3 run on
-        # Python ints
+        # leaves isolated nodes; copies with every weight times P / 3 are far
+        # past int64
         rng = Random(906)
         for share in (0, 0.5, 0.9):
             for _ in range(4):

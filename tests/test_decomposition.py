@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-import numpy as np
 import pytest
 
 import oracles
@@ -83,8 +82,8 @@ class TestPartitionEdges:
     def test_two_classes_fixture(self):
         g = load_fixture("two_classes")
         d, ep, _ = _pipeline(g)
-        assert ep.intra_slack == (frozenset(), {(3, 2)})
-        assert ep.intra_tight == (frozenset(), {(2, 5), (5, 3), (3, 4), (4, 2)})
+        assert ep.intra_slack == {1: {(3, 2)}}
+        assert ep.intra_tight == {1: {(2, 5), (5, 3), (3, 4), (4, 2)}}
         assert ep.cross == {(0, 1): frozenset({(1, 2)}), (1, 0): frozenset({(3, 1)})}
         assert ep.cross_min == ep.cross
         assert ep.cross_rep == {(0, 1): (1, 2), (1, 0): (3, 1)}
@@ -98,11 +97,13 @@ class TestPartitionEdges:
     def test_slack_never_below_distance(self):
         for g in oracles.feasible_suite(303, 50):
             d, ep, _ = _pipeline(g)
-            for k in range(len(d.classes)):
-                for i, j in ep.intra_tight[k]:
-                    assert g.edges[(i, j)] == d.get(i, j)
-                for i, j in ep.intra_slack[k]:
-                    assert g.edges[(i, j)] > d.get(i, j)
+            for bucket, tight in ((ep.intra_tight, True), (ep.intra_slack, False)):
+                for k, edges in bucket.items():
+                    assert edges
+                    for i, j in edges:
+                        assert d.class_of[i] == d.class_of[j] == k
+                        assert (g.edges[(i, j)] == d.get(i, j)) == tight
+                        assert g.edges[(i, j)] >= d.get(i, j)
 
     def test_pinned_distances_inside_classes(self):
         # d_ij = -d_ji and d_ij = d_is + d_sj for class members
@@ -162,16 +163,14 @@ class TestCondensation:
 
     def test_redundant_pairs_match_fast_criterion_on_condensation(self):
         # the condensation's own distances, recomputed, are the reference;
-        # the copy with every weight times P / 3 runs on Python-int distances
-        # whenever a condensation arc has a nonzero reduced cost
+        # the copy with every weight times P / 3 has reduced costs far past
+        # int64 whenever a condensation arc has a nonzero one
         python_int_runs = 0
         for g in oracles.feasible_suite(313, 60):
             wide = PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()})
             for h in (g, wide):
                 d, _, cond = _pipeline(h)
-                python_ints = h is wide and any(d.class_arcs.values())
-                assert d.class_dist.dtype == (object if python_ints else np.int64)
-                python_int_runs += python_ints
+                python_int_runs += h is wide and any(d.class_arcs.values())
                 want = {(a - 1, b - 1) for a, b in mres_no_zero_cycles(cond.as_graph())}
                 assert condensation_redundant_pairs(d) == want
         assert python_int_runs >= 40
@@ -239,7 +238,7 @@ class TestRedundantEdges:
 
     def test_many_tight_arcs_match_brute_force(self):
         # zero-slack share 0.8 leaves large classes full of tight arcs; every
-        # fourth system also runs scaled by P / 3, on the Python-int matrix
+        # fourth system also runs scaled by P / 3, far past int64
         rng = Random(315)
         python_int_runs = 0
         for q in range(100):
@@ -250,9 +249,7 @@ class TestRedundantEdges:
             assert redundant_edges(analyze(g)) == want
             if q % 4 == 0 and any(g.edges.values()):
                 a = analyze(PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()}))
-                costly = any(a.d.class_arcs.values())
-                assert a.d.class_dist.dtype == (object if costly else np.int64)
-                python_int_runs += costly
+                python_int_runs += any(a.d.class_arcs.values())
                 assert redundant_edges(a) == want
         assert python_int_runs >= 10
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 import oracles
-from dcsimp.core import min_walk_weights, normalize
+from dcsimp.core import PrecedenceGraph, min_walk_weights, normalize
 from dcsimp.errors import InfeasibleSystem, LimitExceeded, NodeCountMismatch
 from dcsimp.redundancy import find_redundant_edges, is_redundant_edge_set
 from dcsimp.verify import (
@@ -73,6 +74,43 @@ class TestSystemsEquivalent:
                 report = systems_equivalent(g, b)
                 assert not report.equivalent
                 assert report.witness == (((i, j)), "b")
+
+    def test_witness_matches_the_dense_oracle(self):
+        # b moves some of a's weights by fractions of other denominators, so
+        # a bound often falls strictly between two of the other side's walk
+        # weights; the witness is the first constraint, a's and then b's in
+        # sorted order, whose minimum walk weight on the other side is
+        # missing or above its bound
+        rng = Random(505)
+        steps = [Fraction(k, q) for q in (1, 2, 3, 7) for k in (-2, -1, 1, 2)]
+        checked = unequal = 0
+        while checked < 200:
+            a = oracles.random_system(rng, max_n=6, max_m=12)
+            b = PrecedenceGraph(
+                a.n,
+                {
+                    e: w + rng.choice(steps) if rng.random() < 0.3 else w
+                    for e, w in a.edges.items()
+                    if rng.random() < 0.9
+                },
+            )
+            da, db = oracles.dense_min_walk_weights(a), oracles.dense_min_walk_weights(b)
+            if da is None or db is None:
+                continue
+            want = next(
+                (
+                    (e, side)
+                    for g, d, side in ((a, db, "a"), (b, da, "b"))
+                    for e, c in sorted(g.edges.items())
+                    if d[e] is None or d[e] > c
+                ),
+                None,
+            )
+            report = systems_equivalent(a, b)
+            assert (report.equivalent, report.witness) == (want is None, want)
+            checked += 1
+            unequal += want is not None
+        assert 50 < unequal < 190
 
 
 class TestBruteForceRedundantEdges:
