@@ -44,21 +44,15 @@ from .errors import (
     ParseError,
     SameNode,
     SelfLoopDropped,
-    ZeroWeightCycle,
 )
 from .fileformat import dump, dumps, load, loads
 from .meg import Digraph, meg_exact, meg_greedy, reachability, same_reachability
-from .redundancy import (
-    find_redundant_edges,
-    has_zero_weight_cycle,
-    is_redundant_edge_set,
-    mres_no_zero_cycles,
-)
 from .reduction import ReductionResult, equivalent_reduction
 from .verify import (
     EquivalenceReport,
     brute_force_max_redundant,
     brute_force_redundant_edges,
+    is_redundant_edge_set,
     systems_equivalent,
 )
 
@@ -89,7 +83,6 @@ __all__ = [
     "SelfLoopDropped",
     "Walk",
     "WalkDecomposition",
-    "ZeroWeightCycle",
     "analyze",
     "as_weight",
     "brute_force_max_redundant",
@@ -100,8 +93,6 @@ __all__ = [
     "dump",
     "dumps",
     "equivalent_reduction",
-    "find_redundant_edges",
-    "has_zero_weight_cycle",
     "implies",
     "is_redundant_edge_set",
     "load",
@@ -110,7 +101,6 @@ __all__ = [
     "meg_exact",
     "meg_greedy",
     "min_walk_weights",
-    "mres_no_zero_cycles",
     "normalize",
     "partition_edges",
     "reachability",

@@ -30,6 +30,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import groupby
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -255,6 +256,29 @@ class DistanceMatrix:
             if bound == radius:
                 radius = max(pending.values(), default=-1)
         return found
+
+    def unimplied(
+        self, constraints: Iterable[tuple[Edge, Fraction]]
+    ) -> tuple[Edge, Fraction] | None:
+        """The first constraint ((i, j), c), in sorted order, that the
+        system does not force, or None when it forces them all.
+
+        ``x_i - x_j <= c`` is forced exactly when some walk i ~> j weighs at
+        most c, that is when the least reduced cost D from i's class to j's
+        has D <= floor(c·scale) - potential[j] + potential[i].  One search
+        from i's class settles every constraint on tail i.
+        """
+        p, of = self.potential, self.class_of
+        for i, tail in groupby(sorted(constraints), key=lambda e: e[0][0]):
+            bounds = [
+                (j, c, c.numerator * self.scale // c.denominator - p[j] + p[i])
+                for (_, j), c in tail
+            ]
+            cost = self.settle(of[i], ((of[j], x) for j, _, x in bounds))
+            for j, c, x in bounds:
+                if cost.get(of[j], x + 1) > x:
+                    return (i, j), c
+        return None
 
     def get(self, i: int, j: int) -> Fraction | None:
         """The minimum walk weight ``i ~> j``, or None when no walk exists.
@@ -515,8 +539,7 @@ def implies(d: DistanceMatrix, u: int, v: int, bound: WeightLike) -> bool:
         raise SameNode(f"implication needs two distinct nodes, got {u} twice")
     if not (1 <= u <= d.n and 1 <= v <= d.n):
         raise IndexOutOfRange(f"nodes ({u},{v}) outside 1..{d.n}")
-    duv = d.get(u, v)
-    return duv is not None and duv <= as_weight(bound)
+    return d.unimplied([((u, v), as_weight(bound))]) is None
 
 
 def decompose_walk(g: PrecedenceGraph, walk: Walk) -> WalkDecomposition:

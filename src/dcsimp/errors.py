@@ -38,11 +38,6 @@ class NotAWalk(DcsError):
     """A node sequence steps over a pair that is not an edge of the graph."""
 
 
-class ZeroWeightCycle(DcsError):
-    """The fast redundancy criterion was asked to run on a graph with a
-    zero-weight cycle, where it is unsound."""
-
-
 class NotASubset(DcsError):
     """An edge (or arc) set refers to members outside the host graph."""
 

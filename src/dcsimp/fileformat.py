@@ -9,6 +9,7 @@ One system per file::
 with exactly m constraint lines, 1-based node ids, and weights written as
 decimals (``-2``, ``0.5``) or rationals (``-3/2``): digits with an optional
 sign, and either a fraction part or a nonzero denominator, of any length.
+Sizes and node ids are ASCII digits with an optional sign.
 Serialization is canonical: header first, edges sorted by ``(i, j)``, each
 weight rendered as an integer when whole and ``p/q`` otherwise.  Parsing a
 canonical file and serializing it again reproduces the bytes exactly.
@@ -20,6 +21,17 @@ from pathlib import Path
 
 from .core import PrecedenceGraph, as_weight, normalize, weight_text
 from .errors import IndexOutOfRange, ParseError
+
+
+def _int(field: str) -> int:
+    """``int(field)`` for ASCII ``[+-]digits`` only, else ValueError.
+
+    ``int`` alone also takes digit separators (``1_0``) and non-ASCII digits
+    (``١``); on ASCII text without ``_`` it reads exactly ``[+-]digits``.
+    """
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"not an integer: {field!r}")
+    return int(field)
 
 
 def loads(text: str) -> PrecedenceGraph:
@@ -35,7 +47,7 @@ def loads(text: str) -> PrecedenceGraph:
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "dcs":
                 raise ParseError(f"line {lineno}: expected 'p dcs <n> <m>' header")
             try:
-                n, m = int(fields[2]), int(fields[3])
+                n, m = _int(fields[2]), _int(fields[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer size in header") from None
             if n < 0 or m < 0:
@@ -46,7 +58,7 @@ def loads(text: str) -> PrecedenceGraph:
         if len(fields) != 4:
             raise ParseError(f"line {lineno}: expected 'e <i> <j> <c>'")
         try:
-            i, j = int(fields[1]), int(fields[2])
+            i, j = _int(fields[1]), _int(fields[2])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer node id") from None
         try:

@@ -1,20 +1,25 @@
-"""Equivalence checking and exhaustive certification oracles.
+"""Equivalence checking, the definitional redundancy check, and exhaustive
+certification oracles.
 
 Two systems are equivalent when they admit exactly the same solutions, i.e.
-each one's constraints are all implied by the other.  The brute-force
-routines below are test references only, certifying the solvers on
-desk-sized inputs: they enumerate rather than decompose, sharing only the
-distance primitive and the definitional set check, never solver logic.
+each one's constraints are all implied by the other.  An edge set is
+redundant when the graph without it still implies every deleted
+constraint.  Both questions, like :func:`~dcsimp.core.implies`, are
+answered by :meth:`~dcsimp.core.DistanceMatrix.unimplied`.  The
+brute-force routines below are test references only, certifying the
+solvers on desk-sized inputs: they enumerate rather than decompose, sharing
+only the distance primitive and the definitional set check, never solver
+logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
+from typing import Iterable
 
 from .core import Edge, PrecedenceGraph, min_walk_weights
-from .errors import LimitExceeded, NodeCountMismatch
-from .redundancy import is_redundant_edge_set
+from .errors import LimitExceeded, NodeCountMismatch, NotASubset
 
 DEFAULT_ORACLE_LIMIT = 16
 
@@ -41,29 +46,39 @@ def systems_equivalent(a: PrecedenceGraph, b: PrecedenceGraph) -> EquivalenceRep
     infeasible pair would otherwise be vacuously equivalent, which is never
     what a caller comparing artifacts wants.
 
-    Each side's constraints are scanned in sorted order, grouped by tail i,
-    and the first one not implied is the witness.  One the other side has
-    as an edge at weight <= c is implied outright.  The others hold when the
-    least reduced cost D from i's class to j's has D <= floor(c·scale) -
-    potential[j] + potential[i]; one search from i's class settles them all.
+    Each side's constraints are scanned in sorted order, and the first one
+    not implied is the witness.  One the other side has as an edge at
+    weight <= c is implied outright; the rest go to the other side's
+    :meth:`~dcsimp.core.DistanceMatrix.unimplied`.
     """
     if a.n != b.n:
         raise NodeCountMismatch(f"node counts differ: {a.n} vs {b.n}")
     da = min_walk_weights(a)
     db = min_walk_weights(b)
     for g, other, d, side in ((a, b, db, "a"), (b, a, da, "b")):
-        p, of = d.potential, d.class_of
-        for i, tail in groupby(sorted(g.edges.items()), key=lambda e: e[0][0]):
-            bounds = {
-                j: c.numerator * d.scale // c.denominator - p[j] + p[i]
-                for (_, j), c in tail
-                if other.edges.get((i, j), c + 1) > c
-            }
-            cost = d.settle(of[i], ((of[j], x) for j, x in bounds.items()))
-            for j, x in bounds.items():
-                if cost.get(of[j], x + 1) > x:
-                    return EquivalenceReport(False, ((i, j), side))
+        held = other.edges
+        missing = d.unimplied(
+            (e, c) for e, c in g.edges.items() if (w := held.get(e)) is None or w > c
+        )
+        if missing is not None:
+            return EquivalenceReport(False, (missing[0], side))
     return EquivalenceReport(True, None)
+
+
+def is_redundant_edge_set(g: PrecedenceGraph, r: Iterable[Edge]) -> bool:
+    """Decide redundancy of an edge set by recomputing distances without it.
+
+    Every deleted edge (u,v) must keep a replacement walk u ~> v of weight
+    at most c_uv in the remaining graph.  This is the definition itself:
+    exponential nowhere, sound everywhere, zero cycles included.
+    """
+    rset = frozenset(r)
+    if not rset <= g.edges.keys():
+        raise NotASubset(f"{sorted(rset - g.edges.keys())} are not edges of the graph")
+    if not rset:
+        return True
+    d = min_walk_weights(g.without(rset))
+    return d.unimplied((e, g.edges[e]) for e in rset) is None
 
 
 def brute_force_redundant_edges(g: PrecedenceGraph) -> frozenset[Edge]:

@@ -17,16 +17,16 @@ import pytest
 from dcsimp import (
     Condensation,
     PrecedenceGraph,
-    ZeroWeightCycle,
     analyze,
     brute_force_max_redundant,
+    brute_force_redundant_edges,
     decompose_walk,
     equivalent_reduction,
-    find_redundant_edges,
     is_redundant_edge_set,
     max_redundant_edge_set,
     min_walk_weights,
     normalize,
+    redundant_edges,
     systems_equivalent,
     walk_weight,
 )
@@ -86,15 +86,15 @@ def test_criterion_01_fixture_pipeline(criterion):
 
 
 def test_criterion_02_zero_cycle_guard(criterion):
-    with criterion(2, "zero-weight cycle guard blocks the unsound fast criterion"):
+    with criterion(2, "zero-weight cycle: the tied detour is never taken as redundancy"):
         g = load_fixture("shortcut_trap")
         d = min_walk_weights(g)
-        with pytest.raises(ZeroWeightCycle):
-            find_redundant_edges(g, d)
         # The detour bound matches the weight exactly, yet removal changes
         # the solution set: the only path back to node 2 used the edge.
         assert g.edges[(1, 3)] + d.get(3, 2) == g.edges[(1, 2)]
         assert not is_redundant_edge_set(g, {(1, 2)})
+        assert (1, 2) not in redundant_edges(analyze(g))
+        assert (1, 2) not in max_redundant_edge_set(g).edges
 
 
 def test_criterion_03_tied_maxima(criterion):
@@ -108,13 +108,13 @@ def test_criterion_03_tied_maxima(criterion):
 
 
 def test_criterion_04_unique_maximum_positive_cycles(criterion, suite_positive):
-    with criterion(4, "fast criterion is the unique maximum on 200 systems"):
+    with criterion(4, "per-edge criterion is the unique maximum on 200 systems"):
         start = time.perf_counter()
         for g in suite_positive:
-            fast = find_redundant_edges(g, min_walk_weights(g))
+            per_edge = redundant_edges(analyze(g))
             size, sets = brute_force_max_redundant(g)
-            assert size == len(fast)
-            assert sets == [fast]
+            assert size == len(per_edge)
+            assert sets == [per_edge]
         assert time.perf_counter() - start < 60.0
 
 
@@ -192,8 +192,8 @@ def test_criterion_08_zero_weight_specializations(criterion):
 
 def test_criterion_09_representative_independence(criterion, suite_feasible):
     with criterion(9, "results do not depend on the class representative"):
-        # weight each class pair at a random member per class; the fast
-        # criterion on that condensation must drop the analysis's pairs
+        # weight each class pair at a random member per class; the edges of
+        # that condensation redundant on their own must be the analysis's pairs
         rng = Random(61)
         for g in suite_feasible:
             a = analyze(g)
@@ -206,7 +206,7 @@ def test_criterion_09_representative_independence(criterion, suite_feasible):
                     w = d.get(pick[x], s) + c + d.get(t, pick[y])
                     weights[(x + 1, y + 1)] = min(w, weights.get((x + 1, y + 1), w))
             kg = PrecedenceGraph(len(d.classes), weights)
-            found = find_redundant_edges(kg, min_walk_weights(kg))
+            found = brute_force_redundant_edges(kg)
             assert {(x - 1, y - 1) for x, y in found} == a.removed_pairs
 
 

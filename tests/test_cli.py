@@ -125,6 +125,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("p dcs 2 1\ne 1 2 1e5000000\n")
     assert main(["simplify", str(bad)]) == 1
     assert capsys.readouterr().err == "error: line 2: not a rational constant: '1e5000000'\n"
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit one as 1
+    for text, message in [
+        ("p dcs 1_0 1\ne 1 2 3\n", "line 1: non-integer size in header"),
+        ("p dcs 2 1\ne \u0661 +2 3\n", "line 2: non-integer node id"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        assert main(["info", str(bad)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -437,3 +445,12 @@ def test_readme_common_flags_match_parser():
             if flag not in ("-h", "--help", "--out"):
                 accepted.setdefault(flag, set()).add(cmd)
     assert documented == accepted
+
+
+def test_readme_library_example_runs(monkeypatch):
+    # the fenced python block of the Library section, run from the repo root
+    root = Path(__file__).resolve().parent.parent
+    library = (root / "README.md").read_text().split("## Library", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    exec(compile(block, "README.md", "exec"), {})

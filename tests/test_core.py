@@ -285,11 +285,20 @@ class TestImplies:
         rng = Random(333)
         for g in oracles.feasible_suite(31, 30):
             d = min_walk_weights(g)
+            # the same system on a grid of 1/3
+            third = min_walk_weights(_scaled_copy(g, Fraction(1, 3)))
             for _ in range(10):
                 u, v = rng.sample(range(1, g.n + 1), 2)
-                b = Fraction(rng.randint(-6, 6))
+                bounds = [Fraction(rng.randint(-6, 6))]
                 best = oracles.min_simple_path_weight(g, u, v)
-                assert implies(d, u, v, b) == (best is not None and best <= b)
+                # off the integer grid too, negative ones and next to best
+                bounds += [Fraction(k, 7) for k in range(-43, 44, 6)]
+                if best is not None:
+                    bounds += [best - Fraction(1, 7), best + Fraction(1, 7)]
+                for b in bounds:
+                    want = best is not None and best <= b
+                    assert implies(d, u, v, b) == want
+                    assert implies(third, u, v, b / 3) == want
 
 
 class TestWalkWeight:

@@ -19,14 +19,10 @@ from dcsimp.decomposition import (
 )
 from dcsimp.errors import ExactLimitExceeded
 from dcsimp.meg import Digraph, reachability
-from dcsimp.redundancy import (
-    find_redundant_edges,
-    is_redundant_edge_set,
-    mres_no_zero_cycles,
-)
 from dcsimp.verify import (
     brute_force_max_redundant,
     brute_force_redundant_edges,
+    is_redundant_edge_set,
     systems_equivalent,
 )
 from shipped import NAMES, load_fixture
@@ -162,7 +158,7 @@ class TestCondensation:
             assert mc is None or mc > 0
 
     def test_redundant_pairs_match_fast_criterion_on_condensation(self):
-        # the condensation's own distances, recomputed, are the reference;
+        # deleting each condensation edge and recomputing is the reference;
         # the copy with every weight times P / 3 has reduced costs far past
         # int64 whenever a condensation arc has a nonzero one
         python_int_runs = 0
@@ -171,7 +167,7 @@ class TestCondensation:
             for h in (g, wide):
                 d, _, cond = _pipeline(h)
                 python_int_runs += h is wide and any(d.class_arcs.values())
-                want = {(a - 1, b - 1) for a, b in mres_no_zero_cycles(cond.as_graph())}
+                want = {(a - 1, b - 1) for a, b in brute_force_redundant_edges(cond.as_graph())}
                 assert condensation_redundant_pairs(d) == want
         assert python_int_runs >= 40
 
@@ -255,4 +251,4 @@ class TestRedundantEdges:
 
     def test_positive_cycles_match_fast_criterion(self):
         for g in oracles.positive_cycle_suite(316, 60):
-            assert redundant_edges(analyze(g)) == find_redundant_edges(g, min_walk_weights(g))
+            assert redundant_edges(analyze(g)) == brute_force_redundant_edges(g)

@@ -60,6 +60,10 @@ def test_negative_self_loop_surfaces_as_infeasible():
         "p dcs 2 1\ne 1 2 1_000\n",       # digit separator
         "p dcs 2 1\ne 1 2 .5\n",          # no integer part
         "p dcs 2 1\ne 1 2 1/-2\n",        # signed denominator
+        "p dcs 1_0 1\ne 1 2 3\n",         # digit separator in a size
+        "p dcs 20 1\ne 1_0 2 3\n",        # digit separator in a node id
+        "p dcs 2 1\ne \u0661 +2 3\n",     # non-ASCII digit in a node id
+        "p dcs \uff12 1\ne 1 2 3\n",      # fullwidth digit in a size
     ],
 )
 def test_rejects_malformed_input(text):

@@ -1,8 +1,12 @@
-"""Redundant edges: the fast criterion, the definitional check, closure laws."""
+"""Redundant edges: the per-edge criterion, the definitional check, closure laws.
+
+The per-edge criterion is what ``redundant_edges(analyze(g))`` reports, and
+with every cycle strictly positive it is also the unique maximum redundant
+set, which ``max_redundant_edge_set`` must return.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -10,13 +14,9 @@ import pytest
 
 import oracles
 from dcsimp.core import min_walk_weights, normalize
-from dcsimp.errors import NotASubset, ZeroWeightCycle
-from dcsimp.redundancy import (
-    find_redundant_edges,
-    has_zero_weight_cycle,
-    is_redundant_edge_set,
-    mres_no_zero_cycles,
-)
+from dcsimp.decomposition import analyze, max_redundant_edge_set, redundant_edges
+from dcsimp.errors import NotASubset
+from dcsimp.verify import is_redundant_edge_set
 from shipped import load_fixture
 
 
@@ -30,39 +30,50 @@ def _oracle_is_redundant(g, r):
     return True
 
 
+def _has_zero_weight_cycle(g):
+    # what `info` prints as its "zero-weight cycle:" line
+    return any(len(c) > 1 for c in min_walk_weights(g).classes)
+
+
+def _per_edge_and_maximum(g):
+    return redundant_edges(analyze(g)), max_redundant_edge_set(g).edges
+
+
 class TestHasZeroWeightCycle:
+    """Some class has two or more members, as `info` reports it."""
+
     def test_fixtures(self):
-        assert has_zero_weight_cycle(min_walk_weights(load_fixture("two_classes")))
-        assert has_zero_weight_cycle(min_walk_weights(load_fixture("shortcut_trap")))
-        assert has_zero_weight_cycle(min_walk_weights(load_fixture("tied_optima")))
-        assert not has_zero_weight_cycle(min_walk_weights(load_fixture("weight_sensitive")))
+        assert _has_zero_weight_cycle(load_fixture("two_classes"))
+        assert _has_zero_weight_cycle(load_fixture("shortcut_trap"))
+        assert _has_zero_weight_cycle(load_fixture("tied_optima"))
+        assert not _has_zero_weight_cycle(load_fixture("weight_sensitive"))
 
     def test_agrees_with_cycle_enumeration(self):
         for g in oracles.feasible_suite(210, 80):
-            d = min_walk_weights(g)
             mc = oracles.min_cycle_weight(g)
-            assert has_zero_weight_cycle(d) == (mc == 0)
+            assert _has_zero_weight_cycle(g) == (mc == 0)
 
 
 class TestFindRedundantEdges:
+    """The per-edge criterion, edge by edge."""
+
     def test_simple_detour(self):
         g = normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 2)])
-        d = min_walk_weights(g)
-        assert find_redundant_edges(g, d) == {(1, 2)}
+        assert _per_edge_and_maximum(g) == ({(1, 2)}, {(1, 2)})
 
     def test_nothing_redundant_when_weights_matter(self):
         g = load_fixture("weight_sensitive")
-        assert find_redundant_edges(g, min_walk_weights(g)) == frozenset()
+        assert _per_edge_and_maximum(g) == (frozenset(), frozenset())
 
     def test_refuses_zero_weight_cycles(self):
+        # the detour bound for (1,2) matches its weight, but the detour
+        # rides the zero cycle back over (1,2) itself
         g = load_fixture("shortcut_trap")
         d = min_walk_weights(g)
-        with pytest.raises(ZeroWeightCycle):
-            find_redundant_edges(g, d)
-        # ... and rightly so: the detour bound for (1,2) matches its weight
         assert g.edges[(1, 3)] + d.get(3, 2) == g.edges[(1, 2)]
-        # yet the edge is not redundant
         assert not is_redundant_edge_set(g, {(1, 2)})
+        per_edge, maximum = _per_edge_and_maximum(g)
+        assert (1, 2) not in per_edge and (1, 2) not in maximum
 
 
 class TestIsRedundantEdgeSet:
@@ -102,13 +113,16 @@ class TestIsRedundantEdgeSet:
 
 
 class TestMresNoZeroCycles:
+    """With every cycle positive, the per-edge set is the unique maximum."""
+
     def test_fixtures(self):
         # the two-node condensation of the main fixture, as its own system
         g = normalize(2, [(1, 2, 1), (2, 1, 0)])
-        assert mres_no_zero_cycles(g) == frozenset()
+        assert _per_edge_and_maximum(g) == (frozenset(), frozenset())
         g = normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 2)])
-        assert mres_no_zero_cycles(g) == {(1, 2)}
-        assert mres_no_zero_cycles(load_fixture("weight_sensitive")) == frozenset()
+        assert _per_edge_and_maximum(g) == ({(1, 2)}, {(1, 2)})
+        g = load_fixture("weight_sensitive")
+        assert _per_edge_and_maximum(g) == (frozenset(), frozenset())
 
     def test_union_of_redundant_sets_stays_redundant(self):
         # holds with strictly positive cycles (it fails on tied_optima above)
@@ -128,28 +142,29 @@ class TestMresNoZeroCycles:
         from dcsimp.verify import brute_force_max_redundant
 
         for g in oracles.positive_cycle_suite(73, 40):
-            ours = mres_no_zero_cycles(g)
+            per_edge, maximum = _per_edge_and_maximum(g)
             size, sets = brute_force_max_redundant(g)
-            assert sets == [ours] and size == len(ours)
+            assert sets == [per_edge] and size == len(per_edge)
+            assert maximum == per_edge
 
     def test_removal_preserves_equivalence(self):
         from dcsimp.verify import systems_equivalent
 
         for g in oracles.positive_cycle_suite(74, 40):
-            r = mres_no_zero_cycles(g)
-            assert systems_equivalent(g, g.without(r)).equivalent
+            per_edge, maximum = _per_edge_and_maximum(g)
+            assert maximum == per_edge
+            assert systems_equivalent(g, g.without(per_edge)).equivalent
 
 
 def test_edges_never_redundant_without_support():
     # a redundant edge needs some other out-edge at its tail
     for g in oracles.positive_cycle_suite(75, 30):
-        d = min_walk_weights(g)
-        red = find_redundant_edges(g, d)
+        red = redundant_edges(analyze(g))
         out_degree = {i: 0 for i in range(1, g.n + 1)}
         for i, _ in g.edges:
             out_degree[i] += 1
         for i, j in red:
             assert out_degree[i] >= 2
-        # every fast-criterion hit passes the definitional check one by one
+        # every per-edge hit passes the definitional check one by one
         for e in red:
             assert is_redundant_edge_set(g, {e})

@@ -10,10 +10,10 @@ import pytest
 import oracles
 from dcsimp.core import PrecedenceGraph, min_walk_weights, normalize
 from dcsimp.errors import InfeasibleSystem, LimitExceeded, NodeCountMismatch
-from dcsimp.redundancy import find_redundant_edges, is_redundant_edge_set
 from dcsimp.verify import (
     brute_force_max_redundant,
     brute_force_redundant_edges,
+    is_redundant_edge_set,
     systems_equivalent,
 )
 from shipped import load_fixture
@@ -120,9 +120,18 @@ class TestBruteForceRedundantEdges:
         assert brute_force_redundant_edges(load_fixture("tied_optima")) == {(1, 2), (1, 3)}
 
     def test_matches_fast_criterion_without_zero_cycles(self):
+        # with every cycle positive, (i, j) is redundant exactly when another
+        # out-edge (i, k) starts a detour no dearer, c_ik + d(k, j) <= c_ij,
+        # with d the dense oracle's distances over the whole graph
         for g in oracles.positive_cycle_suite(503, 50):
-            d = min_walk_weights(g)
-            assert brute_force_redundant_edges(g) == find_redundant_edges(g, d)
+            d = oracles.dense_min_walk_weights(g)
+            fast = {
+                (i, j)
+                for (i, j), c in g.edges.items()
+                for k, cik in g.successors(i)
+                if k != j and d[(k, j)] is not None and cik + d[(k, j)] <= c
+            }
+            assert brute_force_redundant_edges(g) == fast
 
 
 class TestBruteForceMaxRedundant:
