@@ -28,7 +28,14 @@ from typing import Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
 from .errors import ExactLimitExceeded, LimitExceeded
-from .meg import DEFAULT_EXACT_LIMIT, Digraph, meg_exact, meg_greedy, redundant_arcs
+from .meg import (
+    DEFAULT_EXACT_LIMIT,
+    Digraph,
+    certificate,
+    meg_exact,
+    meg_greedy,
+    redundant_arcs,
+)
 
 
 @dataclass(frozen=True)
@@ -254,6 +261,6 @@ def max_redundant_edge_set(
                 "accept a maximal (uncertified) result",
                 analysis=analysis,
             )
-        out |= tight - meg_greedy(h)
+        out |= tight - meg_greedy(certificate(h))
         certified = False
     return MresResult(frozenset(out), certified, analysis)

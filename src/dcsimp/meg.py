@@ -5,6 +5,14 @@ intra-class subproblem of the decomposition reduces to exactly this.  The
 problem is NP-hard in general (Moyles & Thompson 1969), so the exact solver
 is a bounded search and a greedy maximal fallback is provided.
 
+Over the exact limit, the decomposition runs the greedy on a
+strong-connectivity :func:`certificate` of the class's tight arcs: a
+depth-first out-tree plus one arc per node reaching back to the earliest
+preorder, at most 2(|C| - 1) arcs for a class C.  That is a fraction of a
+dense class's arcs, so the greedy has fewer arcs to test and fewer to keep.
+The greedy itself keeps an arc that is its head's only live in-arc or its
+tail's only live out-arc without a search, since no digraph can drop it.
+
 Every solver works on successor bitsets: ``succ[i]`` is a Python int whose
 bit j is set when the arc (i, j) is present.  Dropping or restoring an arc
 flips one bit, and :func:`_reach` answers every reachability question by a
@@ -115,14 +123,85 @@ def meg_greedy(h: Digraph) -> frozenset[Arc]:
     earlier drops can reroute any use of this arc through the walk found
     here, which avoids it.  The result is minimal (no single kept arc can
     still go) but not necessarily minimum.
+
+    An arc that is its head's only live in-arc, or its tail's only live
+    out-arc, can never go, so it is kept without a search.
     """
     arcs = sorted(h.arcs)
     succ = _successors(h.n, arcs)
+    outdeg = [0] * (h.n + 1)
+    indeg = [0] * (h.n + 1)
     for i, j in arcs:
+        outdeg[i] += 1
+        indeg[j] += 1
+    for i, j in arcs:
+        if outdeg[i] == 1 or indeg[j] == 1:
+            continue
         succ[i] ^= 1 << j
-        if not _reach(succ, i, 1 << j) >> j & 1:
+        if _reach(succ, i, 1 << j) >> j & 1:
+            outdeg[i] -= 1
+            indeg[j] -= 1
+        else:
             succ[i] |= 1 << j
     return frozenset((i, j) for i, j in arcs if succ[i] >> j & 1)
+
+
+def certificate(h: Digraph) -> Digraph:
+    """A subgraph of at most 2(n' - 1) arcs, n' the nodes h touches, with
+    the reachability of h, for h strongly connected on those nodes.
+
+    One depth-first search from the smallest node with an arc keeps its
+    tree arcs, and for each other node v the first arc found out of v's
+    subtree whose head comes earliest in preorder (Tarjan 1972).  That
+    head precedes v, so by induction on preorder every node reaches the
+    root over the kept arcs, and the tree takes the root to every node.
+    Raises ``ValueError`` when h is not strongly connected on the nodes it
+    touches: a node other than the root whose subtree has no arc to an
+    earlier node, or a node with an arc that the search never reaches.
+    """
+    adj: list[list[int]] = [[] for _ in range(h.n + 1)]
+    touched = set()
+    for i, j in sorted(h.arcs):
+        adj[i].append(j)
+        touched.update((i, j))
+    if not touched:
+        return h
+    root = min(touched)
+    pre = [0] * (h.n + 1)
+    # low[v]: (preorder, arc) of the arc out of v's subtree with the
+    # earliest head found so far; starts at v itself with no arc
+    low: list[tuple[int, Arc | None]] = [(0, None)] * (h.n + 1)
+    kept = []
+    count = pre[root] = 1
+    low[root] = (1, None)
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, rest = stack[-1]
+        for w in rest:
+            if pre[w]:
+                if pre[w] < low[v][0]:
+                    low[v] = (pre[w], (v, w))
+                continue
+            kept.append((v, w))
+            count += 1
+            pre[w] = count
+            low[w] = (count, None)
+            stack.append((w, iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                if low[v][1] is None:
+                    raise ValueError(
+                        f"node {v} reaches no node before it: not strongly connected"
+                    )
+                kept.append(low[v][1])
+                u = stack[-1][0]
+                if low[v][0] < low[u][0]:
+                    low[u] = low[v]
+    if count < len(touched):
+        raise ValueError("the search misses a node with an arc: not strongly connected")
+    return Digraph(h.n, frozenset(kept))
 
 
 def redundant_arcs(h: Digraph) -> frozenset[Arc]:

@@ -71,14 +71,20 @@ def is_redundant_edge_set(g: PrecedenceGraph, r: Iterable[Edge]) -> bool:
     Every deleted edge (u,v) must keep a replacement walk u ~> v of weight
     at most c_uv in the remaining graph.  This is the definition itself:
     exponential nowhere, sound everywhere, zero cycles included.
+
+    An infeasible g is refused, as :func:`systems_equivalent` refuses it:
+    a system without solutions implies every constraint.  When every
+    deleted edge is implied, g has the remaining graph's solutions, so only
+    a negative answer needs g's own distance computation to check that.
     """
     rset = frozenset(r)
     if not rset <= g.edges.keys():
         raise NotASubset(f"{sorted(rset - g.edges.keys())} are not edges of the graph")
-    if not rset:
-        return True
     d = min_walk_weights(g.without(rset))
-    return d.unimplied((e, g.edges[e]) for e in rset) is None
+    if d.unimplied((e, g.edges[e]) for e in rset) is None:
+        return True
+    min_walk_weights(g)
+    return False
 
 
 def brute_force_redundant_edges(g: PrecedenceGraph) -> frozenset[Edge]:

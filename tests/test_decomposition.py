@@ -18,7 +18,7 @@ from dcsimp.decomposition import (
     redundant_edges,
 )
 from dcsimp.errors import ExactLimitExceeded
-from dcsimp.meg import Digraph, reachability
+from dcsimp.meg import Digraph, reachability, redundant_arcs, same_reachability
 from dcsimp.verify import (
     brute_force_max_redundant,
     brute_force_redundant_edges,
@@ -212,6 +212,22 @@ class TestMaxRedundantEdgeSet:
         assert not res.certified
         assert res.edges == {(3, 2)}  # greedy finds the optimum here
         assert is_redundant_edge_set(g, res.edges)
+
+    def test_heuristic_fallback_on_a_giant_class(self):
+        # 1500-odd zero-slack arcs over 300 nodes: one class far over the
+        # exact limit, solved by greedy on a strong-connectivity certificate
+        g = oracles.random_potential_system(Random(317), 300, 3000, 0.5)
+        res = max_redundant_edge_set(g, exact_limit=20, allow_heuristic=True)
+        assert not res.certified
+        assert is_redundant_edge_set(g, res.edges)
+        ep = res.analysis.edges
+        assert max(len(ep.intra_tight[k]) for k in ep.intra_tight) > 1000
+        for tight in ep.intra_tight.values():
+            kept = tight - res.edges
+            assert same_reachability(Digraph(g.n, tight), kept)
+            # each kept tight arc is essential: its head is unreachable
+            # from its tail over the other kept arcs
+            assert not redundant_arcs(Digraph(g.n, kept))
 
     def test_class_preservation(self):
         # removing the set keeps the node partition intact

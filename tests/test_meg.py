@@ -7,8 +7,16 @@ from random import Random
 import pytest
 
 import oracles
+from dcsimp import meg
 from dcsimp.errors import LimitExceeded, NotASubset
-from dcsimp.meg import Digraph, meg_exact, meg_greedy, reachability, same_reachability
+from dcsimp.meg import (
+    Digraph,
+    certificate,
+    meg_exact,
+    meg_greedy,
+    reachability,
+    same_reachability,
+)
 
 
 def _random_digraph(rng: Random, max_n: int = 7, max_m: int = 16) -> Digraph:
@@ -32,6 +40,18 @@ _SHAPES = [
 def _digraphs(seed: int, count: int) -> list[Digraph]:
     rng = Random(seed)
     return _SHAPES + [_random_digraph(rng) for _ in range(count)]
+
+
+def _strongly_connected(rng: Random) -> tuple[Digraph, int]:
+    """A Hamiltonian cycle plus random chords on k of n nodes, the others
+    isolated, as a class's tight arcs sit among the system's nodes."""
+    k = rng.randint(2, 9)
+    n = k + rng.randint(0, 3)
+    nodes = rng.sample(range(1, n + 1), k)
+    cycle = {(nodes[t], nodes[(t + 1) % k]) for t in range(k)}
+    pairs = [(i, j) for i in nodes for j in nodes if i != j and (i, j) not in cycle]
+    chords = rng.sample(pairs, rng.randint(0, len(pairs)))
+    return Digraph(n, frozenset(cycle.union(chords))), k
 
 
 class TestReachability:
@@ -163,3 +183,56 @@ class TestMegGreedy:
     def test_matches_plain_lexicographic_greedy(self):
         for h in _digraphs(93, 200):
             assert meg_greedy(h) == oracles.lex_greedy_meg(h.n, h.arcs)
+
+    def test_keeps_sole_arcs_without_a_search(self, monkeypatch):
+        searches = []
+        reach = meg._reach
+
+        def counted(*args):
+            searches.append(args)
+            return reach(*args)
+
+        monkeypatch.setattr(meg, "_reach", counted)
+        for n in range(2, 10):
+            cycle = frozenset((i, i % n + 1) for i in range(1, n + 1))
+            assert meg_greedy(Digraph(n, cycle)) == cycle
+        assert searches == []
+        graphs = _digraphs(93, 200)
+        for h in graphs:
+            assert meg_greedy(h) == oracles.lex_greedy_meg(h.n, h.arcs)
+        assert 0 < len(searches) < sum(len(h.arcs) for h in graphs)
+
+
+class TestCertificate:
+    def test_sparse_subgraph_with_the_same_reachability(self):
+        rng = Random(94)
+        for _ in range(300):
+            h, k = _strongly_connected(rng)
+            cert = certificate(h)
+            assert cert.n == h.n
+            assert cert.arcs <= h.arcs
+            assert same_reachability(h, cert.arcs)
+            assert len(cert.arcs) <= 2 * (k - 1)
+
+    def test_no_arcs_gives_no_arcs(self):
+        assert certificate(Digraph(3, frozenset())) == Digraph(3, frozenset())
+
+    def test_refuses_what_is_not_strongly_connected(self):
+        # a path: node 3 has no arc back; two 2-cycles: the search from
+        # node 1 never meets 3 and 4; a source feeding a 2-cycle
+        for arcs in (
+            {(1, 2), (2, 3)},
+            {(1, 2), (2, 1), (3, 4), (4, 3)},
+            {(3, 1), (1, 2), (2, 1)},
+        ):
+            with pytest.raises(ValueError):
+                certificate(Digraph(4, frozenset(arcs)))
+
+    def test_greedy_on_it_is_minimal_against_h(self):
+        rng = Random(95)
+        for _ in range(300):
+            h, _ = _strongly_connected(rng)
+            kept = meg_greedy(certificate(h))
+            assert same_reachability(h, kept)
+            for a in sorted(kept):
+                assert not same_reachability(h, kept - {a})

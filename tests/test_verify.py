@@ -53,6 +53,11 @@ class TestSystemsEquivalent:
             systems_equivalent(bad, normalize(2, [(1, 2, 0)]))
         with pytest.raises(InfeasibleSystem):
             systems_equivalent(normalize(2, [(1, 2, 0)]), bad)
+        # every subset, the empty one included: an infeasible system implies
+        # every constraint, so no answer about its edges would be meaningful
+        for r in (set(), {(1, 2)}, {(2, 1)}, {(1, 2), (2, 1)}):
+            with pytest.raises(InfeasibleSystem):
+                is_redundant_edge_set(bad, r)
 
     def test_reflexive_and_detects_tightening(self):
         # strictly tightening a constraint below the minimum walk weight
