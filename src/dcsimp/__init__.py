@@ -2,8 +2,8 @@
 
 The package finds maximum sets of constraints that can be deleted without
 changing the solution set, and synthesizes minimum-cardinality equivalent
-systems, with exact rational arithmetic end to end and brute-force oracles
-to certify results on small inputs.
+systems, with exact rational arithmetic end to end and exact checks of
+equivalence and redundancy.
 """
 
 from .core import (
@@ -46,15 +46,9 @@ from .errors import (
     SelfLoopDropped,
 )
 from .fileformat import dump, dumps, load, loads
-from .meg import Digraph, meg_exact, meg_greedy, reachability, same_reachability
+from .meg import Digraph, meg_exact, meg_greedy
 from .reduction import ReductionResult, equivalent_reduction
-from .verify import (
-    EquivalenceReport,
-    brute_force_max_redundant,
-    brute_force_redundant_edges,
-    is_redundant_edge_set,
-    systems_equivalent,
-)
+from .verify import EquivalenceReport, is_redundant_edge_set, systems_equivalent
 
 __version__ = "0.1.0"
 
@@ -85,8 +79,6 @@ __all__ = [
     "WalkDecomposition",
     "analyze",
     "as_weight",
-    "brute_force_max_redundant",
-    "brute_force_redundant_edges",
     "condensation",
     "condensation_redundant_pairs",
     "decompose_walk",
@@ -103,9 +95,7 @@ __all__ = [
     "min_walk_weights",
     "normalize",
     "partition_edges",
-    "reachability",
     "redundant_edges",
-    "same_reachability",
     "systems_equivalent",
     "walk_weight",
 ]

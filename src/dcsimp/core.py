@@ -24,11 +24,10 @@ closed walk has negative weight, and then the tightest derivable bound on
 from __future__ import annotations
 
 import re
+import sys
 import warnings
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from heapq import heappop, heappush
 from itertools import groupby
 from math import lcm
@@ -52,11 +51,18 @@ _WEIGHT = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
 
 
 def _int(digits: str) -> int:
-    """``int(digits)``, also past Python's limit on decimal digits."""
-    try:
+    """``int(digits)`` for ``[+-]digits``, also past Python's limit on
+    decimal digits: a longer string is read in halves, as
+    ``int(hi) * 10**k + int(lo)``, which takes subquadratic time where one
+    conversion of the whole string takes quadratic."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(digits) <= limit:
         return int(digits)
-    except ValueError:  # over the limit, which Decimal does not have
-        return int(Decimal(digits))
+    if digits[0] in "+-":
+        value = _int(digits[1:])
+        return -value if digits[0] == "-" else value
+    k = len(digits) // 2
+    return _int(digits[:-k]) * 10**k + _int(digits[-k:])
 
 
 def weight_text(w: Fraction) -> str:
@@ -97,8 +103,69 @@ def as_weight(value: WeightLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a weight")
 
 
-@dataclass(frozen=True)
-class PrecedenceGraph:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass's fields are the public names of its ``__slots__``, in
+    constructor order; a private slot is a cache that ``__post_init__`` may
+    fill.  Instances are built from the fields by position or keyword, then
+    ``__post_init__`` validates them.  They compare, hash and print by the
+    fields named in ``_compared`` (every field unless a subclass narrows
+    it), and assigning an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = cls.__match_args__ = tuple(
+            name for name in cls.__slots__ if not name.startswith("_")
+        )
+        if "_compared" not in vars(cls):
+            cls._compared = cls._fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes each of {', '.join(fields)} once"
+            )
+        for key in fields:
+            object.__setattr__(self, key, values[key])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class PrecedenceGraph(_Value):
     """A difference constraint system viewed as a weighted digraph.
 
     Nodes are ``1..n``.  ``edges`` maps ordered pairs ``(i, j)`` to exact
@@ -107,6 +174,7 @@ class PrecedenceGraph:
     immutable; the edge mapping is copied defensively.
     """
 
+    __slots__ = ("n", "edges", "_out")
     n: int
     edges: Mapping[Edge, Fraction]
 
@@ -123,22 +191,21 @@ class PrecedenceGraph:
                 )
             clean[(i, j)] = as_weight(w)
         object.__setattr__(self, "edges", clean)
+        object.__setattr__(self, "_out", None)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def _out(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-        out: dict[int, list[tuple[int, Fraction]]] = {
-            i: [] for i in range(1, self.n + 1)
-        }
-        for (i, j), w in sorted(self.edges.items()):
-            out[i].append((j, w))
-        return {i: tuple(v) for i, v in out.items()}
-
     def successors(self, i: int) -> tuple[tuple[int, Fraction], ...]:
         """Out-edges of node i as (target, weight) pairs, sorted by target."""
+        if self._out is None:
+            out: dict[int, list[tuple[int, Fraction]]] = {
+                v: [] for v in range(1, self.n + 1)
+            }
+            for (u, v), w in sorted(self.edges.items()):
+                out[u].append((v, w))
+            object.__setattr__(self, "_out", {u: tuple(vs) for u, vs in out.items()})
         return self._out[i]
 
     def without(self, remove: Iterable[Edge]) -> "PrecedenceGraph":
@@ -149,13 +216,13 @@ class PrecedenceGraph:
         )
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(_Value):
     """A node sequence ``(i_0, .., i_m)``; each consecutive pair must be an edge.
 
     A single node is the degenerate walk of weight zero.
     """
 
+    __slots__ = ("nodes",)
     nodes: tuple[int, ...]
 
     def __post_init__(self):
@@ -172,8 +239,7 @@ class Walk:
         return len(self.nodes) > 1 and self.nodes[0] == self.nodes[-1]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class DistanceMatrix:
+class DistanceMatrix(_Value):
     """Minimum walk weights of a feasible system, factored through its
     zero-cycle classes.
 
@@ -192,9 +258,19 @@ class DistanceMatrix:
     all walks ``i ~> j`` is exactly
     ``(potential[j] - potential[i] + D) / scale``, with D the least reduced
     cost of a walk from class a to class b over the condensation arcs, as
-    :meth:`search` finds it.
+    :meth:`search` finds it.  Instances compare by identity.
     """
 
+    __slots__ = (
+        "n",
+        "scale",
+        "potential",
+        "class_of",
+        "classes",
+        "class_arcs",
+        "class_succ",
+        "_rows",
+    )
     n: int
     scale: int
     potential: tuple[int, ...]
@@ -202,7 +278,13 @@ class DistanceMatrix:
     classes: tuple[tuple[int, ...], ...]
     class_arcs: Mapping[tuple[int, int], int]
     class_succ: Mapping[int, list[tuple[int, int]]]
-    _rows: dict[int, dict[int, int]] = field(default_factory=dict, init=False)
+    _rows: dict[int, dict[int, int]]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", {})
 
     def search(self, a: int, radius: int) -> Iterator[tuple[int, int]]:
         """Each class reachable from class a at a least reduced cost of at
@@ -308,10 +390,10 @@ class DistanceMatrix:
         return f"DistanceMatrix(n={self.n}, classes={len(self.classes)})"
 
 
-@dataclass(frozen=True)
-class WalkDecomposition:
+class WalkDecomposition(_Value):
     """A walk split into a simple path plus simple cycles (order of peeling)."""
 
+    __slots__ = ("path", "cycles")
     path: Walk
     cycles: tuple[Walk, ...]
 

@@ -22,11 +22,10 @@ reads its distances, classes, edge buckets and condensation from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .core import DistanceMatrix, Edge, PrecedenceGraph, min_walk_weights
+from .core import DistanceMatrix, Edge, PrecedenceGraph, _Value, min_walk_weights
 from .errors import ExactLimitExceeded, LimitExceeded
 from .meg import (
     DEFAULT_EXACT_LIMIT,
@@ -38,8 +37,7 @@ from .meg import (
 )
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(_Value):
     """Edges routed by the zero-cycle classes.
 
     The edges inside class k split into ``intra_slack[k]`` (weight strictly
@@ -51,6 +49,7 @@ class EdgePartition:
     smallest member, the pair's representing edge.
     """
 
+    __slots__ = ("intra_slack", "intra_tight", "cross", "cross_min", "cross_rep")
     intra_slack: Mapping[int, frozenset[Edge]]
     intra_tight: Mapping[int, frozenset[Edge]]
     cross: Mapping[tuple[int, int], frozenset[Edge]]
@@ -58,13 +57,13 @@ class EdgePartition:
     cross_rep: Mapping[tuple[int, int], Edge]
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(_Value):
     """One node per class, its representative (smallest member); one edge
     per nonempty ordered class pair, weighted by the pair's cheapest
     rep-to-rep crossing: d(rep_a, s) + c_st + d(t, rep_b) at the cheapest
     crossing (s, t)."""
 
+    __slots__ = ("reps", "edges")
     reps: tuple[int, ...]
     edges: Mapping[tuple[int, int], Fraction]
 
@@ -77,8 +76,7 @@ class Condensation:
         )
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(_Value):
     """Everything the decomposition derives from one system.
 
     ``d`` holds the system's minimum walk weights (a potential, the
@@ -88,24 +86,27 @@ class Analysis:
     is redundant.
     """
 
+    __slots__ = ("d", "edges", "condensation", "removed_pairs")
     d: DistanceMatrix
     edges: EdgePartition
     condensation: Condensation
     removed_pairs: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class MresResult:
+class MresResult(_Value):
     """A redundant edge set plus the strength of its guarantee.
 
     ``certified`` means every intra-class piece was solved exactly, so the
     set is a true maximum; otherwise it is maximal but possibly smaller
-    than optimal.  ``analysis`` is the decomposition it was assembled from.
+    than optimal.  ``analysis`` is the decomposition it was assembled from;
+    it takes no part in ``==``, ``hash`` or the repr.
     """
 
+    __slots__ = ("edges", "certified", "analysis")
+    _compared = ("edges", "certified")
     edges: frozenset[Edge]
     certified: bool
-    analysis: Analysis = field(compare=False, repr=False)
+    analysis: Analysis
 
 
 def partition_edges(g: PrecedenceGraph, d: DistanceMatrix) -> EdgePartition:

@@ -30,10 +30,10 @@ running for hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import LimitExceeded, NotASubset
+from .core import _Value
+from .errors import LimitExceeded
 
 Arc = tuple[int, int]
 
@@ -44,10 +44,10 @@ DEFAULT_EXACT_LIMIT = 20
 SEARCH_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_Value):
     """Unweighted digraph on nodes 1..n without self-loops."""
 
+    __slots__ = ("n", "arcs")
     n: int
     arcs: frozenset[Arc]
 
@@ -88,32 +88,6 @@ def _reach(succ: list[int], src: int, stop: int = 0) -> int:
         if seen & stop:
             break
     return seen
-
-
-def reachability(h: Digraph) -> list[list[bool]]:
-    """Closure matrix: entry [i-1][j-1] says a walk i ~> j exists.
-
-    The diagonal is True (the degenerate walk).
-    """
-    succ = _successors(h.n, h.arcs)
-    rows = []
-    for s in range(1, h.n + 1):
-        seen = _reach(succ, s)
-        rows.append([bool(seen >> t & 1) for t in range(1, h.n + 1)])
-    return rows
-
-
-def same_reachability(h: Digraph, kept: Iterable[Arc]) -> bool:
-    """Does keeping only ``kept`` preserve every reachability of h?
-
-    Dropping arcs can only lose walks, so equality holds exactly when every
-    dropped arc (i,j) still has some walk i ~> j through the kept arcs.
-    """
-    kset = frozenset(kept)
-    if not kset <= h.arcs:
-        raise NotASubset(f"{sorted(kset - h.arcs)} are not arcs of the digraph")
-    succ = _successors(h.n, kset)
-    return all(_reach(succ, i, 1 << j) >> j & 1 for i, j in h.arcs - kset)
 
 
 def meg_greedy(h: Digraph) -> frozenset[Arc]:

@@ -10,22 +10,23 @@ polynomial while meeting the minimum possible constraint count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Edge, PrecedenceGraph
+from .core import Edge, PrecedenceGraph, _Value
 from .decomposition import Analysis, analyze
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(_Value):
     """The reduced system, how many constraints the rewrite saved (input
     count minus output count), and the analysis of the input it was built
-    from, whose ``d.classes`` are the classes behind it."""
+    from, whose ``d.classes`` are the classes behind it; the analysis takes
+    no part in ``==``, ``hash`` or the repr."""
 
+    __slots__ = ("reduced", "removed_count", "analysis")
+    _compared = ("reduced", "removed_count")
     reduced: PrecedenceGraph
     removed_count: int
-    analysis: Analysis = field(compare=False, repr=False)
+    analysis: Analysis
 
 
 def equivalent_reduction(g: PrecedenceGraph) -> ReductionResult:

@@ -1,31 +1,21 @@
-"""Equivalence checking, the definitional redundancy check, and exhaustive
-certification oracles.
+"""Equivalence checking and the definitional redundancy check.
 
 Two systems are equivalent when they admit exactly the same solutions, i.e.
 each one's constraints are all implied by the other.  An edge set is
 redundant when the graph without it still implies every deleted
 constraint.  Both questions, like :func:`~dcsimp.core.implies`, are
-answered by :meth:`~dcsimp.core.DistanceMatrix.unimplied`.  The
-brute-force routines below are test references only, certifying the
-solvers on desk-sized inputs: they enumerate rather than decompose, sharing
-only the distance primitive and the definitional set check, never solver
-logic.
+answered by :meth:`~dcsimp.core.DistanceMatrix.unimplied`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
-from .core import Edge, PrecedenceGraph, min_walk_weights
-from .errors import LimitExceeded, NodeCountMismatch, NotASubset
-
-DEFAULT_ORACLE_LIMIT = 16
+from .core import Edge, PrecedenceGraph, _Value, min_walk_weights
+from .errors import NodeCountMismatch, NotASubset
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Value):
     """Outcome of an equivalence check.
 
     On failure ``witness`` names the first constraint, scanned in sorted
@@ -33,6 +23,7 @@ class EquivalenceReport:
     ("a" or "b") it came from.
     """
 
+    __slots__ = ("equivalent", "witness")
     equivalent: bool
     witness: tuple[Edge, str] | None
 
@@ -85,34 +76,3 @@ def is_redundant_edge_set(g: PrecedenceGraph, r: Iterable[Edge]) -> bool:
         return True
     min_walk_weights(g)
     return False
-
-
-def brute_force_redundant_edges(g: PrecedenceGraph) -> frozenset[Edge]:
-    """Edges redundant on their own, each checked by deletion from scratch."""
-    return frozenset(e for e in g.edges if is_redundant_edge_set(g, {e}))
-
-
-def brute_force_max_redundant(
-    g: PrecedenceGraph, limit: int = DEFAULT_ORACLE_LIMIT
-) -> tuple[int, list[frozenset[Edge]]]:
-    """All maximum redundant edge sets, by descending-cardinality enumeration.
-
-    Any member of a redundant edge set is redundant as a singleton (subsets
-    of redundant sets are redundant), so candidates are confined to the
-    singleton survivors; within that universe every subset is tested, larger
-    sizes first, and all hits at the first successful size are returned.
-    The empty set always qualifies, so a graph with nothing redundant
-    reports (0, [frozenset()]).
-    """
-    if g.m > limit:
-        raise LimitExceeded(f"{g.m} edges exceed the oracle limit of {limit}")
-    universe = sorted(brute_force_redundant_edges(g))
-    for size in range(len(universe), -1, -1):
-        hits = [
-            frozenset(combo)
-            for combo in combinations(universe, size)
-            if is_redundant_edge_set(g, combo)
-        ]
-        if hits:
-            return size, hits
-    raise AssertionError("unreachable: the empty set is always redundant")

@@ -1,19 +1,23 @@
 """Independent brute-force oracles and random-input builders for the tests.
 
-Everything here enumerates (simple paths, simple cycles, arc subsets) or
-runs a dense Floyd-Warshall over every node.  Only the graph containers
-are imported from the package, and no solver module, so agreement between
-an oracle and a solver is a real check.
+Everything here enumerates (simple paths, simple cycles, arc and edge
+subsets) or runs a dense Floyd-Warshall over every node.  Only the graph
+containers and the error types are imported from the package, and no
+solver module, so agreement between an oracle and a solver is a real check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from random import Random
 
 from dcsimp.core import Edge, PrecedenceGraph, Walk, normalize
+from dcsimp.errors import LimitExceeded
+
+DEFAULT_ORACLE_LIMIT = 16
 
 
 def _out_neighbors(g: PrecedenceGraph) -> dict[int, list[tuple[int, Fraction]]]:
@@ -82,6 +86,47 @@ def dense_min_walk_weights(
         for i in nodes
         for j in nodes
     }
+
+
+def _implied_without(g: PrecedenceGraph, r: Collection[Edge]) -> bool:
+    """Does g without the edges r still imply each of them: a walk i ~> j
+    over the other edges, of weight at most c_ij, for every (i, j) in r?"""
+    d = dense_min_walk_weights(g.without(r))  # feasible, as the callers check g
+    return all(d[e] is not None and d[e] <= g.edges[e] for e in r)
+
+
+def brute_force_redundant_edges(g: PrecedenceGraph) -> frozenset[Edge]:
+    """Edges redundant on their own, each checked by deleting it and
+    recomputing every distance; refuses an infeasible g."""
+    if dense_min_walk_weights(g) is None:
+        raise ValueError("the oracle refuses an infeasible system")
+    return frozenset(e for e in g.edges if _implied_without(g, {e}))
+
+
+def brute_force_max_redundant(
+    g: PrecedenceGraph, limit: int = DEFAULT_ORACLE_LIMIT
+) -> tuple[int, list[frozenset[Edge]]]:
+    """All maximum redundant edge sets, by descending-cardinality enumeration.
+
+    Any member of a redundant edge set is redundant as a singleton (subsets
+    of redundant sets are redundant), so candidates are confined to the
+    singleton survivors; within that universe every subset is tested, larger
+    sizes first, and all hits at the first successful size are returned.
+    The empty set always qualifies, so a graph with nothing redundant
+    reports (0, [frozenset()]).
+    """
+    if g.m > limit:
+        raise LimitExceeded(f"{g.m} edges exceed the oracle limit of {limit}")
+    universe = sorted(brute_force_redundant_edges(g))
+    for size in range(len(universe), -1, -1):
+        hits = [
+            frozenset(combo)
+            for combo in combinations(universe, size)
+            if _implied_without(g, combo)
+        ]
+        if hits:
+            return size, hits
+    raise AssertionError("unreachable: the empty set is always redundant")
 
 
 def simple_cycle_weights(g: PrecedenceGraph) -> list[Fraction]:

@@ -18,8 +18,6 @@ from dcsimp import (
     Condensation,
     PrecedenceGraph,
     analyze,
-    brute_force_max_redundant,
-    brute_force_redundant_edges,
     decompose_walk,
     equivalent_reduction,
     is_redundant_edge_set,
@@ -31,6 +29,8 @@ from dcsimp import (
     walk_weight,
 )
 from oracles import (
+    brute_force_max_redundant,
+    brute_force_redundant_edges,
     brute_meg_size,
     feasible_suite,
     positive_cycle_suite,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -349,6 +350,30 @@ def test_every_command_runs_without_numpy(paths, tmp_path, capsys):
             timeout=60,
         )
         assert (run.returncode, run.stdout) == (code, want), (command, run.stderr)
+
+
+def test_no_command_loads_dataclasses_or_inspect(paths, tmp_path):
+    # both cost tens of milliseconds to import, paid by every invocation;
+    # compared against the modules loaded before, as site may load some
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from dcsimp.cli import main\n"
+        "for command in json.loads(sys.argv[1]):\n"
+        "    main(command)\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    commands = json.dumps(list(_every_command(paths, tmp_path)))
+    run = subprocess.run(
+        [sys.executable, "-c", script, commands],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_out_of_memory_is_one_error_line(paths, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from random import Random
 
@@ -97,3 +98,16 @@ def test_weights_past_the_digit_limit_round_trip():
     assert len(text) > 10_000
     assert loads(text) == g
     assert dumps(loads(text)) == text
+
+
+def test_long_weights_round_trip():
+    # 300,000 digits, far past Python's 4300-digit limit on int(): read in
+    # halves it parses in well under a second, where one conversion of the
+    # whole string (or Decimal) takes seconds
+    text = f"p dcs 2 1\ne 1 2 -{'9' * 300_000}/1024\n"
+    start = time.perf_counter()
+    g = loads(text)
+    took = time.perf_counter() - start
+    assert g.edges == {(1, 2): Fraction(1 - 10**300_000, 1024)}
+    assert took < 2.0
+    assert dumps(g) == text

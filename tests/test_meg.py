@@ -8,15 +8,23 @@ import pytest
 
 import oracles
 from dcsimp import meg
-from dcsimp.errors import LimitExceeded, NotASubset
-from dcsimp.meg import (
-    Digraph,
-    certificate,
-    meg_exact,
-    meg_greedy,
-    reachability,
-    same_reachability,
-)
+from dcsimp.errors import LimitExceeded
+from dcsimp.meg import Digraph, certificate, meg_exact, meg_greedy, redundant_arcs
+
+
+def _same_closure(h: Digraph, kept: frozenset) -> bool:
+    """Does keeping only ``kept``, arcs of h, preserve every reachability of h?"""
+    assert kept <= h.arcs
+    return oracles.closure(h.n, kept) == oracles.closure(h.n, h.arcs)
+
+
+def _reachability(h: Digraph) -> list[list[bool]]:
+    """Entry [i-1][j-1] says ``meg._reach`` finds a walk i ~> j."""
+    succ = meg._successors(h.n, h.arcs)
+    return [
+        [bool(meg._reach(succ, s) >> t & 1) for t in range(1, h.n + 1)]
+        for s in range(1, h.n + 1)
+    ]
 
 
 def _random_digraph(rng: Random, max_n: int = 7, max_m: int = 16) -> Digraph:
@@ -57,17 +65,17 @@ def _strongly_connected(rng: Random) -> tuple[Digraph, int]:
 class TestReachability:
     def test_three_cycle_reaches_everything(self):
         h = Digraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
-        assert reachability(h) == [[True] * 3] * 3
+        assert _reachability(h) == [[True] * 3] * 3
 
     def test_no_arcs_reaches_only_self(self):
-        assert reachability(Digraph(2, frozenset())) == [
+        assert _reachability(Digraph(2, frozenset())) == [
             [True, False],
             [False, True],
         ]
 
     def test_chain_is_upper_triangular(self):
         h = Digraph(3, frozenset({(1, 2), (2, 3)}))
-        assert reachability(h) == [
+        assert _reachability(h) == [
             [True, True, True],
             [False, True, True],
             [False, False, True],
@@ -77,7 +85,7 @@ class TestReachability:
         rng = Random(88)
         for _ in range(40):
             h = _random_digraph(rng)
-            mat = reachability(h)
+            mat = _reachability(h)
             pairs = {
                 (i, j)
                 for i in range(1, h.n + 1)
@@ -86,29 +94,24 @@ class TestReachability:
             }
             assert pairs == oracles.closure(h.n, h.arcs)
 
+    def test_stops_once_it_meets_a_wanted_node(self):
+        # the search from 1 along the chain 1 -> 2 -> .. -> 6 ends at 3
+        succ = meg._successors(6, [(i, i + 1) for i in range(1, 6)])
+        assert meg._reach(succ, 1, 1 << 3) == 0b1110
+        assert meg._reach(succ, 1) == 0b1111110
 
-class TestSameReachability:
+
+class TestRedundantArcs:
     def test_triangle_with_shortcut(self):
         h = Digraph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
-        assert same_reachability(h, {(1, 2), (2, 3)})
-        assert not same_reachability(h, {(1, 3), (2, 3)})
-
-    def test_rejects_foreign_arcs(self):
-        h = Digraph(2, frozenset({(1, 2)}))
-        with pytest.raises(NotASubset):
-            same_reachability(h, {(2, 1)})
+        assert redundant_arcs(h) == {(1, 3)}
 
     def test_matches_closure_comparison(self):
-        rng = Random(89)
-        for _ in range(40):
-            h = _random_digraph(rng)
-            arcs = sorted(h.arcs)
-            want = oracles.closure(h.n, h.arcs)
-            for _ in range(6):
-                kept = frozenset(rng.sample(arcs, rng.randint(0, len(arcs))))
-                assert same_reachability(h, kept) == (
-                    oracles.closure(h.n, kept) == want
-                )
+        # an arc is redundant alone exactly when the closure survives its loss
+        for h in _digraphs(89, 80):
+            assert redundant_arcs(h) == {
+                a for a in h.arcs if _same_closure(h, h.arcs - {a})
+            }
 
 
 class TestMegExact:
@@ -122,7 +125,7 @@ class TestMegExact:
         h = Digraph(3, frozenset((i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j))
         kept = meg_exact(h)
         assert len(kept) == 3
-        assert same_reachability(h, kept)
+        assert _same_closure(h, kept)
 
     def test_single_arc(self):
         assert meg_exact(Digraph(2, frozenset({(1, 2)}))) == {(1, 2)}
@@ -135,7 +138,7 @@ class TestMegExact:
     def test_matches_brute_force_size(self):
         for h in _digraphs(90, 80):
             kept = meg_exact(h)
-            assert same_reachability(h, kept)
+            assert _same_closure(h, kept)
             assert len(kept) == oracles.brute_meg_size(h.n, h.arcs)
 
     def test_hamiltonian_strongly_connected_needs_exactly_n(self):
@@ -159,7 +162,7 @@ class TestMegExact:
         h = Digraph(6, frozenset((i, j) for i in nodes for j in nodes if i != j))
         kept = meg_exact(h, limit=30)
         assert len(kept) == 6
-        assert same_reachability(h, kept)
+        assert _same_closure(h, kept)
 
 
 class TestMegGreedy:
@@ -174,11 +177,11 @@ class TestMegGreedy:
     def test_never_beats_exact_and_always_valid(self):
         for h in _digraphs(92, 80):
             greedy = meg_greedy(h)
-            assert same_reachability(h, greedy)
+            assert _same_closure(h, greedy)
             assert len(greedy) >= len(meg_exact(h))
             # minimality: no kept arc can still be dropped
             for a in sorted(greedy):
-                assert not same_reachability(h, greedy - {a})
+                assert not _same_closure(h, greedy - {a})
 
     def test_matches_plain_lexicographic_greedy(self):
         for h in _digraphs(93, 200):
@@ -211,7 +214,7 @@ class TestCertificate:
             cert = certificate(h)
             assert cert.n == h.n
             assert cert.arcs <= h.arcs
-            assert same_reachability(h, cert.arcs)
+            assert _same_closure(h, cert.arcs)
             assert len(cert.arcs) <= 2 * (k - 1)
 
     def test_no_arcs_gives_no_arcs(self):
@@ -233,6 +236,6 @@ class TestCertificate:
         for _ in range(300):
             h, _ = _strongly_connected(rng)
             kept = meg_greedy(certificate(h))
-            assert same_reachability(h, kept)
+            assert _same_closure(h, kept)
             for a in sorted(kept):
-                assert not same_reachability(h, kept - {a})
+                assert not _same_closure(h, kept - {a})

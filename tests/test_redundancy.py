@@ -139,11 +139,9 @@ class TestMresNoZeroCycles:
                     assert is_redundant_edge_set(g, a | b)
 
     def test_is_the_unique_brute_force_maximum(self):
-        from dcsimp.verify import brute_force_max_redundant
-
         for g in oracles.positive_cycle_suite(73, 40):
             per_edge, maximum = _per_edge_and_maximum(g)
-            size, sets = brute_force_max_redundant(g)
+            size, sets = oracles.brute_force_max_redundant(g)
             assert sets == [per_edge] and size == len(per_edge)
             assert maximum == per_edge
 

@@ -10,12 +10,8 @@ import pytest
 import oracles
 from dcsimp.core import PrecedenceGraph, min_walk_weights, normalize
 from dcsimp.errors import InfeasibleSystem, LimitExceeded, NodeCountMismatch
-from dcsimp.verify import (
-    brute_force_max_redundant,
-    brute_force_redundant_edges,
-    is_redundant_edge_set,
-    systems_equivalent,
-)
+from dcsimp.verify import is_redundant_edge_set, systems_equivalent
+from oracles import brute_force_max_redundant, brute_force_redundant_edges
 from shipped import load_fixture
 
 
