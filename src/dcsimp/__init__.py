@@ -21,14 +21,11 @@ from .core import (
 )
 from .decomposition import (
     Analysis,
-    Condensation,
-    EdgePartition,
     MresResult,
     analyze,
     condensation,
     condensation_redundant_pairs,
     max_redundant_edge_set,
-    partition_edges,
     redundant_edges,
 )
 from .errors import (
@@ -54,12 +51,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Analysis",
-    "Condensation",
     "DcsError",
     "Digraph",
     "DistanceMatrix",
     "Edge",
-    "EdgePartition",
     "EquivalenceReport",
     "ExactLimitExceeded",
     "IndexOutOfRange",
@@ -94,7 +89,6 @@ __all__ = [
     "meg_greedy",
     "min_walk_weights",
     "normalize",
-    "partition_edges",
     "redundant_edges",
     "systems_equivalent",
     "walk_weight",

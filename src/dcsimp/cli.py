@@ -6,16 +6,18 @@ Commands:
 * ``redundant FILE``  list every edge the others imply, each judged alone
 * ``simplify FILE``   delete a maximum redundant edge set
 * ``reduce FILE``     synthesize the minimum equivalent system
-* ``condense FILE``   condensation of the system (or of its reduction), one
-                      node per class, represented by its smallest member
+* ``condense FILE``   condensation of the system (or of its reduction), node k
+                      for the k-th class, represented by its smallest member
 * ``check A B``       are two systems equivalent?
 
-Results go to stdout (or ``--out FILE``); summaries and diagnostics go to
-stderr.  Weights are written exactly, however many digits they need.  Exit
-codes: 0 success, 1 parse or usage error (or memory ran out), 2 infeasible
-system, 3 systems not equivalent, 4 exact limit or exact search budget
-exceeded without --allow-heuristic (``info`` still prints every line that
-needs no exact solve first).
+Each command runs one :func:`~dcsimp.decomposition.analyze` per input, and
+only ``condense`` builds the weighted condensation.  Results go to stdout
+(or ``--out FILE``); summaries and diagnostics go to stderr.  Weights are
+written exactly, however many digits they need.  Exit codes: 0 success, 1
+parse or usage error (or memory ran out), 2 infeasible system, 3 systems
+not equivalent, 4 exact limit or exact search budget exceeded without
+--allow-heuristic (``info`` still prints every line that needs no exact
+solve first).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from . import fileformat
 from .core import PrecedenceGraph
 from .decomposition import (
     Analysis,
-    Condensation,
     analyze,
+    condensation,
     max_redundant_edge_set,
     redundant_edges,
 )
@@ -77,8 +79,8 @@ def _summary(g: PrecedenceGraph, a: Analysis) -> list[str]:
         f"zero-weight cycle: {'yes' if zero_cycle else 'no'}",
         f"classes: {len(classes)}",
         f"class sizes: {' '.join(str(len(c)) for c in classes)}",
-        f"slack intra-class edges: {sum(map(len, a.edges.intra_slack.values()))}",
-        f"condensation edges: {len(a.condensation.edges)}",
+        f"slack intra-class edges: {len(a.slack)}",
+        f"condensation edges: {len(a.d.class_arcs)}",
     ]
 
 
@@ -126,13 +128,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_condense(args: argparse.Namespace) -> int:
     a = analyze(_load(args.input))
-    cond = a.condensation
+    cond = condensation(a.d)
     if args.of_reduction:
         # the reduction keeps exactly the condensation edges that stay
-        reps = cond.reps
-        gone = {(reps[x], reps[y]) for x, y in a.removed_pairs}
-        cond = Condensation(reps, {e: w for e, w in cond.edges.items() if e not in gone})
-    _emit(args, fileformat.dumps(cond.as_graph()))
+        cond = cond.without((x + 1, y + 1) for x, y in a.removed_pairs)
+    _emit(args, fileformat.dumps(cond))
     for k, members in enumerate(a.d.classes, 1):
         _note(f"class {k}: rep {members[0]}, nodes {' '.join(map(str, members))}")
     return EXIT_OK
@@ -163,6 +163,17 @@ _COMMANDS = {
 }
 
 
+def _limit(text: str) -> int:
+    """An ``--exact-limit`` value: a nonnegative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcsimp",
@@ -175,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         if limit:
             p.add_argument(
                 "--exact-limit",
-                type=int,
+                type=_limit,
                 default=DEFAULT_EXACT_LIMIT,
                 metavar="N",
                 help="max arcs per exact intra-class solve (default %(default)s)",

@@ -1,5 +1,5 @@
-"""Zero-cycle classes, edge partition, condensation, and the general
-maximum redundant edge set.
+"""Zero-cycle classes, the split of a system into independent pieces, and
+the general maximum redundant edge set.
 
 Two nodes are equivalent when some zero-weight closed walk passes through
 both.  Inside a class every minimum walk weight is pinned down rigidly
@@ -16,8 +16,10 @@ lets the redundancy problem split cleanly:
   arcs of a strongly connected digraph can go while preserving reachability.
   That piece is NP-hard and goes to the MEG solver.
 
-:func:`analyze` runs that split once per system; every solver and command
-reads its distances, classes, edge buckets and condensation from there.
+:func:`analyze` runs that split once per system, and every solver and
+command reads its distances, classes, edge pieces and redundant class pairs
+from there.  :func:`condensation` builds the weighted condensation itself,
+which only the ``condense`` command prints.
 """
 
 from __future__ import annotations
@@ -37,59 +39,27 @@ from .meg import (
 )
 
 
-class EdgePartition(_Value):
-    """Edges routed by the zero-cycle classes.
-
-    The edges inside class k split into ``intra_slack[k]`` (weight strictly
-    above the minimum walk weight; always removable) and ``intra_tight[k]``
-    (weight equal to it), each keyed only for classes that have such edges.
-    ``cross[(a, b)]`` holds the edges from class a to class b, keyed only
-    for nonempty pairs; ``cross_min[(a, b)]`` is the subset realizing the
-    cheapest crossing, and ``cross_rep[(a, b)]`` its lexicographically
-    smallest member, the pair's representing edge.
-    """
-
-    __slots__ = ("intra_slack", "intra_tight", "cross", "cross_min", "cross_rep")
-    intra_slack: Mapping[int, frozenset[Edge]]
-    intra_tight: Mapping[int, frozenset[Edge]]
-    cross: Mapping[tuple[int, int], frozenset[Edge]]
-    cross_min: Mapping[tuple[int, int], frozenset[Edge]]
-    cross_rep: Mapping[tuple[int, int], Edge]
-
-
-class Condensation(_Value):
-    """One node per class, its representative (smallest member); one edge
-    per nonempty ordered class pair, weighted by the pair's cheapest
-    rep-to-rep crossing: d(rep_a, s) + c_st + d(t, rep_b) at the cheapest
-    crossing (s, t)."""
-
-    __slots__ = ("reps", "edges")
-    reps: tuple[int, ...]
-    edges: Mapping[tuple[int, int], Fraction]
-
-    def as_graph(self) -> PrecedenceGraph:
-        """The condensation renumbered onto nodes 1..K in class order."""
-        index = {rep: k + 1 for k, rep in enumerate(self.reps)}
-        return PrecedenceGraph(
-            len(self.reps),
-            {(index[a], index[b]): w for (a, b), w in self.edges.items()},
-        )
-
-
 class Analysis(_Value):
-    """Everything the decomposition derives from one system.
+    """The decomposition of one system into its independent pieces.
 
     ``d`` holds the system's minimum walk weights (a potential, the
-    zero-cycle classes and the condensation's arcs), computed once; the
-    edge buckets and the condensation are read off it, and
-    ``removed_pairs`` holds the class-index pairs whose condensation edge
-    is redundant.
+    zero-cycle classes and the condensation's arcs), computed once, and
+    every edge is routed once by it.  ``slack`` holds the intra-class edges
+    above their minimum walk weight, always removable; ``tight[k]`` the
+    arcs of class k at it, keyed only for classes that have some, the piece
+    that goes to the MEG solver.  ``cross[(a, b)]`` holds every edge from
+    class a to class b, keyed only for nonempty pairs, and
+    ``cheapest[(a, b)]`` the pair's cheapest crossings in sorted order; the
+    first is the pair's representing edge.  ``removed_pairs`` holds the
+    class-index pairs whose condensation edge is redundant.
     """
 
-    __slots__ = ("d", "edges", "condensation", "removed_pairs")
+    __slots__ = ("d", "slack", "tight", "cross", "cheapest", "removed_pairs")
     d: DistanceMatrix
-    edges: EdgePartition
-    condensation: Condensation
+    slack: frozenset[Edge]
+    tight: Mapping[int, frozenset[Edge]]
+    cross: Mapping[tuple[int, int], frozenset[Edge]]
+    cheapest: Mapping[tuple[int, int], tuple[Edge, ...]]
     removed_pairs: frozenset[tuple[int, int]]
 
 
@@ -109,56 +79,22 @@ class MresResult(_Value):
     analysis: Analysis
 
 
-def partition_edges(g: PrecedenceGraph, d: DistanceMatrix) -> EdgePartition:
-    """Route every edge to its intra-class or cross-class bucket.
+def condensation(d: DistanceMatrix) -> PrecedenceGraph:
+    """The condensation on nodes 1..K, node k + 1 standing for class k.
 
-    ``d`` must be the distance matrix of ``g``: each edge is judged by its
-    reduced cost r, exact only for that graph's weights.  Inside a class the
-    minimum walk weight is a difference of potentials, so an edge is slack
-    exactly when r > 0.  A crossing (s, t) of a class pair costs
-    d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by the pair, so
-    the cheapest crossings are those whose r is the pair's
-    ``d.class_arcs`` entry.
-    """
-    slack: dict[int, set[Edge]] = {}
-    tight: dict[int, set[Edge]] = {}
-    cross: dict[tuple[int, int], set[Edge]] = {}
-    cheapest: dict[tuple[int, int], set[Edge]] = {}
-    for (i, j), w in g.edges.items():
-        r = d.reduced(i, j, w)
-        a, b = d.class_of[i], d.class_of[j]
-        if a == b:
-            (slack if r > 0 else tight).setdefault(a, set()).add((i, j))
-        else:
-            cross.setdefault((a, b), set()).add((i, j))
-            if r == d.class_arcs[(a, b)]:
-                cheapest.setdefault((a, b), set()).add((i, j))
-    return EdgePartition(
-        intra_slack={k: frozenset(es) for k, es in slack.items()},
-        intra_tight={k: frozenset(es) for k, es in tight.items()},
-        cross={pair: frozenset(es) for pair, es in cross.items()},
-        cross_min={pair: frozenset(es) for pair, es in cheapest.items()},
-        cross_rep={pair: min(es) for pair, es in cheapest.items()},
-    )
-
-
-def condensation(d: DistanceMatrix) -> Condensation:
-    """Collapse each class onto its smallest member.
-
-    Every cycle of the result weighs strictly more than zero: a zero-weight
-    closed walk through two representatives would have merged their
-    classes.  The weight of pair (a, b) is its ``d.class_arcs`` cost
-    r + potential[rep_b] - potential[rep_a], unscaled.  Another member as
+    Each class is represented by its smallest member, and the arc of a
+    class pair weighs the pair's cheapest rep-to-rep crossing
+    d(rep_a, s) + c_st + d(t, rep_b): its ``d.class_arcs`` cost
+    r + potential[rep_b] - potential[rep_a], unscaled.  Every cycle of the
+    result weighs strictly more than zero: a zero-weight closed walk through
+    two representatives would have merged their classes.  Another member as
     representative would shift every weight by a potential, which changes
     no cycle weight and no redundant pair.
     """
-    reps = tuple(c[0] for c in d.classes)
-    pot = d.potential
-    edges = {
-        (reps[a], reps[b]): Fraction(r + pot[reps[b]] - pot[reps[a]], d.scale)
-        for (a, b), r in d.class_arcs.items()
-    }
-    return Condensation(reps, edges)
+    pot = [d.potential[c[0]] for c in d.classes]
+    arcs = d.class_arcs.items()
+    weights = {(a + 1, b + 1): Fraction(r + pot[b] - pot[a], d.scale) for (a, b), r in arcs}
+    return PrecedenceGraph(len(pot), weights)
 
 
 def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]]:
@@ -189,11 +125,38 @@ def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]
 
 
 def analyze(g: PrecedenceGraph) -> Analysis:
-    """Distances, edge partition, condensation and its redundant pairs of
-    g, with one distance computation."""
+    """Split g into its independent pieces, with one distance computation.
+
+    Each edge is judged by its reduced cost r.  Inside a class the minimum
+    walk weight is a difference of potentials, so an edge is slack exactly
+    when r > 0.  A crossing (s, t) of a class pair costs
+    d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by the pair, so
+    the cheapest crossings are those whose r is the pair's
+    ``d.class_arcs`` entry.
+    """
     d = min_walk_weights(g)
+    slack: set[Edge] = set()
+    tight: dict[int, set[Edge]] = {}
+    cross: dict[tuple[int, int], set[Edge]] = {}
+    cheapest: dict[tuple[int, int], list[Edge]] = {}
+    for (i, j), w in g.edges.items():
+        r = d.reduced(i, j, w)
+        a, b = d.class_of[i], d.class_of[j]
+        if a != b:
+            cross.setdefault((a, b), set()).add((i, j))
+            if r == d.class_arcs[(a, b)]:
+                cheapest.setdefault((a, b), []).append((i, j))
+        elif r > 0:
+            slack.add((i, j))
+        else:
+            tight.setdefault(a, set()).add((i, j))
     return Analysis(
-        d, partition_edges(g, d), condensation(d), condensation_redundant_pairs(d)
+        d,
+        frozenset(slack),
+        {k: frozenset(es) for k, es in tight.items()},
+        {pair: frozenset(es) for pair, es in cross.items()},
+        {pair: tuple(sorted(es)) for pair, es in cheapest.items()},
+        condensation_redundant_pairs(d),
     )
 
 
@@ -206,13 +169,12 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     walks of weight d_st are the walks over tight arcs); and the cross edges
     but the sole cheapest crossing of a pair whose condensation edge stays.
     """
-    ep = a.edges
-    tight = Digraph(a.d.n, frozenset().union(*ep.intra_tight.values()))
-    out = set(redundant_arcs(tight)).union(*ep.intra_slack.values())
-    for pair, edges in ep.cross.items():
-        cheapest = ep.cross_min[pair]
+    tight = Digraph(a.d.n, frozenset().union(*a.tight.values()))
+    out = set(redundant_arcs(tight)) | a.slack
+    for pair, edges in a.cross.items():
+        cheapest = a.cheapest[pair]
         sole = len(cheapest) == 1 and pair not in a.removed_pairs
-        out |= edges - cheapest if sole else edges
+        out |= edges - {cheapest[0]} if sole else edges
     return frozenset(out)
 
 
@@ -234,18 +196,13 @@ def max_redundant_edge_set(
     greedily instead.  With every class solved exactly the result is a
     certified maximum; the greedy fallback degrades it to maximal.
     """
-    analysis = analyze(g)
-    ep = analysis.edges
-    out: set[Edge] = set()
+    a = analyze(g)
+    out = set(a.slack)
     certified = True
-    for pair, eij in ep.cross.items():
-        if pair in analysis.removed_pairs:
-            out |= eij
-        else:
-            out |= eij - {ep.cross_rep[pair]}
-    out.update(*ep.intra_slack.values())
-    for k in sorted(ep.intra_tight):
-        members, tight = analysis.d.classes[k], ep.intra_tight[k]
+    for pair, edges in a.cross.items():
+        out |= edges if pair in a.removed_pairs else edges - {a.cheapest[pair][0]}
+    for k in sorted(a.tight):
+        members, tight = a.d.classes[k], a.tight[k]
         h = Digraph(g.n, tight)
         if len(tight) > exact_limit:
             over = f"over the exact limit of {exact_limit}"
@@ -260,8 +217,8 @@ def max_redundant_edge_set(
                 f"the {len(members)}-node class of node {members[0]} has "
                 f"{len(tight)} tight edges, {over}; allow the heuristic to "
                 "accept a maximal (uncertified) result",
-                analysis=analysis,
+                analysis=a,
             )
         out |= tight - meg_greedy(certificate(h))
         certified = False
-    return MresResult(frozenset(out), certified, analysis)
+    return MresResult(frozenset(out), certified, a)

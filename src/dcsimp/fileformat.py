@@ -85,7 +85,14 @@ def dumps(g: PrecedenceGraph) -> str:
 
 
 def load(path: str | Path) -> PrecedenceGraph:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a UTF-8 file; any other bytes raise :class:`ParseError`."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line}: invalid UTF-8 at byte offset {exc.start}") from None
+    return loads(text)
 
 
 def dump(g: PrecedenceGraph, path: str | Path) -> None:

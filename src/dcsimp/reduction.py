@@ -41,7 +41,7 @@ def equivalent_reduction(g: PrecedenceGraph) -> ReductionResult:
     condensation edges, which is the minimum achievable.
     """
     analysis = analyze(g)
-    d, ep = analysis.d, analysis.edges
+    d = analysis.d
     edges: dict[Edge, Fraction] = {}
     for members in d.classes:
         if len(members) < 2:
@@ -49,10 +49,9 @@ def equivalent_reduction(g: PrecedenceGraph) -> ReductionResult:
         for q, i in enumerate(members):
             j = members[(q + 1) % len(members)]
             edges[(i, j)] = d.get(i, j)
-    for pair in ep.cross:
-        if pair in analysis.removed_pairs:
-            continue
-        s, t = ep.cross_rep[pair]
-        edges[(s, t)] = g.edges[(s, t)]
+    for pair, cheapest in analysis.cheapest.items():
+        if pair not in analysis.removed_pairs:
+            s, t = cheapest[0]
+            edges[(s, t)] = g.edges[(s, t)]
     reduced = PrecedenceGraph(g.n, edges)
     return ReductionResult(reduced, g.m - reduced.m, analysis)

@@ -18,7 +18,7 @@ import oracles
 from dcsimp import cli, meg
 from dcsimp.cli import build_parser, main
 from dcsimp.core import min_walk_weights
-from dcsimp.decomposition import analyze
+from dcsimp.decomposition import analyze, condensation
 from dcsimp.fileformat import dumps, loads
 from shipped import NAMES, load_fixture
 
@@ -106,7 +106,7 @@ def test_condense_of_reduction(paths, capsys, tmp_path):
     assert out == "p dcs 3 2\ne 1 3 2\ne 3 2 2\n"
     reduced = tmp_path / "reduced.dcs"
     assert main(["reduce", str(f), "--out", str(reduced)]) == 0
-    assert out == dumps(analyze(loads(reduced.read_text())).condensation.as_graph())
+    assert out == dumps(condensation(analyze(loads(reduced.read_text())).d))
 
 
 def test_check_not_equivalent(paths, capsys, tmp_path):
@@ -134,6 +134,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
         bad.write_text(text, encoding="utf-8")
         assert main(["info", str(bad)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    # bytes that are not UTF-8 end in one error line, not a traceback
+    bad.write_bytes(b"p dcs 2 1\ne 1 2 \xff\n")
+    assert main(["info", str(bad)]) == 1
+    assert capsys.readouterr() == ("", "error: line 2: invalid UTF-8 at byte offset 16\n")
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -411,6 +415,7 @@ def test_out_flag_writes_file(paths, tmp_path, capsys):
         "condense --allow-heuristic two_classes",
         "redundant --oracle two_classes",
         "simplify --representative largest two_classes",
+        "simplify --exact-limit -1 two_classes",
     ],
 )
 def test_usage_error_exit_code(command, paths, capsys):
@@ -449,6 +454,37 @@ def test_distances_computed_once_per_input(command, calls, paths, monkeypatch, c
             monkeypatch.setattr(module, "min_walk_weights", counting)
     assert main([paths.get(a, a) for a in command.split()]) == 0
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "command, calls",
+    [
+        ("info", 0),
+        ("simplify", 0),
+        ("reduce", 0),
+        ("redundant", 0),
+        ("check", 0),
+        ("condense", 1),
+        ("condense --of-reduction", 1),
+    ],
+)
+def test_only_condense_builds_the_condensation(command, calls, paths, monkeypatch, capsys):
+    seen = []
+
+    def guarded(d):
+        seen.append(d)
+        if len(seen) > calls:
+            raise AssertionError(f"{command} built the condensation")
+        return condensation(d)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dcsimp" and getattr(module, "condensation", None) is condensation:
+            monkeypatch.setattr(module, "condensation", guarded)
+    for path in paths.values():
+        seen.clear()
+        inputs = [path, path] if command == "check" else [path]
+        assert main([*command.split(), *inputs]) == 0
+        assert len(seen) == calls
 
 
 def test_readme_common_flags_match_parser():

@@ -1,4 +1,4 @@
-"""Classes, edge partition, condensation, and the general solver."""
+"""Classes, the analysis's edge pieces, condensation, and the general solver."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dcsimp.decomposition import (
     condensation,
     condensation_redundant_pairs,
     max_redundant_edge_set,
-    partition_edges,
     redundant_edges,
 )
 from dcsimp.errors import ExactLimitExceeded
@@ -28,8 +27,8 @@ WIDE = Fraction(10**25 + 13, 3)
 
 
 def _pipeline(g):
-    d = min_walk_weights(g)
-    return d, partition_edges(g, d), condensation(d)
+    a = analyze(g)
+    return a.d, a, condensation(a.d)
 
 
 class TestEquivalenceClasses:
@@ -73,29 +72,40 @@ class TestEquivalenceClasses:
 class TestPartitionEdges:
     def test_two_classes_fixture(self):
         g = load_fixture("two_classes")
-        d, ep, _ = _pipeline(g)
-        assert ep.intra_slack == {1: {(3, 2)}}
-        assert ep.intra_tight == {1: {(2, 5), (5, 3), (3, 4), (4, 2)}}
-        assert ep.cross == {(0, 1): frozenset({(1, 2)}), (1, 0): frozenset({(3, 1)})}
-        assert ep.cross_min == ep.cross
-        assert ep.cross_rep == {(0, 1): (1, 2), (1, 0): (3, 1)}
+        d, a, _ = _pipeline(g)
+        assert a.slack == {(3, 2)} and d.class_of[3] == d.class_of[2] == 1
+        assert a.tight == {1: {(2, 5), (5, 3), (3, 4), (4, 2)}}
+        assert a.cross == {(0, 1): frozenset({(1, 2)}), (1, 0): frozenset({(3, 1)})}
+        assert a.cheapest == {(0, 1): ((1, 2),), (1, 0): ((3, 1),)}
 
     def test_tied_optima_has_two_cheapest_crossings(self):
         g = load_fixture("tied_optima")
-        d, ep, _ = _pipeline(g)
-        assert ep.cross_min[(0, 1)] == {(1, 2), (1, 3)}
-        assert ep.cross_rep[(0, 1)] == (1, 2)
+        d, a, _ = _pipeline(g)
+        # sorted, so the first is the pair's representing edge
+        assert a.cheapest[(0, 1)] == ((1, 2), (1, 3))
+
+    def test_every_edge_in_exactly_one_piece(self):
+        for g in oracles.feasible_suite(318, 50):
+            d, a, _ = _pipeline(g)
+            pieces = [a.slack, *a.tight.values(), *a.cross.values()]
+            assert sum(map(len, pieces)) == g.m
+            assert frozenset().union(*pieces) == g.edges.keys()
+            assert a.cross.keys() == a.cheapest.keys() == d.class_arcs.keys()
+            for pair, cheapest in a.cheapest.items():
+                assert list(cheapest) == sorted(set(cheapest))
+                assert set(cheapest) <= a.cross[pair]
 
     def test_slack_never_below_distance(self):
         for g in oracles.feasible_suite(303, 50):
-            d, ep, _ = _pipeline(g)
-            for bucket, tight in ((ep.intra_tight, True), (ep.intra_slack, False)):
-                for k, edges in bucket.items():
-                    assert edges
-                    for i, j in edges:
-                        assert d.class_of[i] == d.class_of[j] == k
-                        assert (g.edges[(i, j)] == d.get(i, j)) == tight
-                        assert g.edges[(i, j)] >= d.get(i, j)
+            d, a, _ = _pipeline(g)
+            buckets = [(k, edges, True) for k, edges in a.tight.items()]
+            buckets += [(d.class_of[i], {(i, j)}, False) for i, j in a.slack]
+            for k, edges, tight in buckets:
+                assert edges
+                for i, j in edges:
+                    assert d.class_of[i] == d.class_of[j] == k
+                    assert (g.edges[(i, j)] == d.get(i, j)) == tight
+                    assert g.edges[(i, j)] >= d.get(i, j)
 
     def test_pinned_distances_inside_classes(self):
         # d_ij = -d_ji and d_ij = d_is + d_sj for class members
@@ -112,14 +122,14 @@ class TestPartitionEdges:
 
     def test_tight_subgraph_strongly_connected(self):
         for g in oracles.feasible_suite(305, 50):
-            d, ep, _ = _pipeline(g)
+            d, a, _ = _pipeline(g)
             for k, order in enumerate(d.classes):
                 if len(order) < 2:
                     continue
                 local = {v: q + 1 for q, v in enumerate(order)}
                 h = Digraph(
                     len(order),
-                    frozenset((local[s], local[t]) for s, t in ep.intra_tight[k]),
+                    frozenset((local[s], local[t]) for s, t in a.tight[k]),
                 )
                 assert len(oracles.closure(h.n, h.arcs)) == h.n * (h.n - 1)
 
@@ -128,29 +138,29 @@ class TestCondensation:
     def test_two_classes_fixture(self):
         g = load_fixture("two_classes")
         d, _, cond = _pipeline(g)
-        assert cond.reps == (1, 2)
+        assert cond.n == 2 and [c[0] for c in d.classes] == [1, 2]
         assert cond.edges == {(1, 2): Fraction(1), (2, 1): Fraction(0)}
         assert condensation_redundant_pairs(d) == frozenset()
 
     def test_shortcut_trap_fixture(self):
-        _, _, cond = _pipeline(load_fixture("shortcut_trap"))
-        assert cond.reps == (1, 2)
+        d, _, cond = _pipeline(load_fixture("shortcut_trap"))
+        # class 1 is {1, 3}, represented by node 1; class 2 is node 2
+        assert cond.n == 2 and [c[0] for c in d.classes] == [1, 2]
         assert cond.edges == {(1, 2): Fraction(3)}
 
     def test_all_singletons_is_isomorphic_to_input(self):
         for g in oracles.positive_cycle_suite(306, 20):
-            _, _, cond = _pipeline(g)
-            assert cond.reps == tuple(range(1, g.n + 1))
+            d, _, cond = _pipeline(g)
+            assert d.classes == tuple((v,) for v in range(1, g.n + 1))
             assert dict(cond.edges) == dict(g.edges)
-            assert cond.as_graph() == g
+            assert cond == g
 
     def test_cycles_strictly_positive(self):
         # zero-weight walks never straddle classes, so the condensed system
         # must pass the fast criterion's precondition every time
         for g in oracles.feasible_suite(307, 60):
             _, _, cond = _pipeline(g)
-            kg = cond.as_graph()
-            mc = oracles.min_cycle_weight(kg)
+            mc = oracles.min_cycle_weight(cond)
             assert mc is None or mc > 0
 
     def test_redundant_pairs_match_fast_criterion_on_condensation(self):
@@ -163,17 +173,20 @@ class TestCondensation:
             for h in (g, wide):
                 d, _, cond = _pipeline(h)
                 python_int_runs += h is wide and any(d.class_arcs.values())
-                want = {(a - 1, b - 1) for a, b in brute_force_redundant_edges(cond.as_graph())}
+                want = {(a - 1, b - 1) for a, b in brute_force_redundant_edges(cond)}
                 assert condensation_redundant_pairs(d) == want
         assert python_int_runs >= 40
 
     def test_weights_are_cheapest_crossings(self):
         for g in oracles.feasible_suite(308, 40):
-            d, ep, cond = _pipeline(g)
-            for (ci, cj), edges in ep.cross.items():
-                va, vb = cond.reps[ci], cond.reps[cj]
-                want = min(d.get(va, s) + g.edges[(s, t)] + d.get(t, vb) for s, t in edges)
-                assert cond.edges[(va, vb)] == want
+            d, a, cond = _pipeline(g)
+            assert cond.n == len(d.classes) and cond.m == len(a.cross)
+            for (ci, cj), edges in a.cross.items():
+                va, vb = d.classes[ci][0], d.classes[cj][0]
+                cost = {(s, t): d.get(va, s) + g.edges[(s, t)] + d.get(t, vb) for s, t in edges}
+                want = min(cost.values())
+                assert cond.edges[(ci + 1, cj + 1)] == want
+                assert a.cheapest[(ci, cj)] == tuple(sorted(e for e in edges if cost[e] == want))
 
 
 class TestMaxRedundantEdgeSet:
@@ -216,9 +229,9 @@ class TestMaxRedundantEdgeSet:
         res = max_redundant_edge_set(g, exact_limit=20, allow_heuristic=True)
         assert not res.certified
         assert is_redundant_edge_set(g, res.edges)
-        ep = res.analysis.edges
-        assert max(len(ep.intra_tight[k]) for k in ep.intra_tight) > 1000
-        for tight in ep.intra_tight.values():
+        pieces = res.analysis.tight
+        assert max(map(len, pieces.values())) > 1000
+        for tight in pieces.values():
             kept = tight - res.edges
             assert oracles.closure(g.n, kept) == oracles.closure(g.n, tight)
             # each kept tight arc is essential: its head is unreachable

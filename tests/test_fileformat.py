@@ -11,7 +11,7 @@ import pytest
 import oracles
 from dcsimp.core import PrecedenceGraph
 from dcsimp.errors import NegativeSelfLoop, ParseError, SelfLoopDropped
-from dcsimp.fileformat import dumps, loads
+from dcsimp.fileformat import dumps, load, loads
 from shipped import load_fixture
 
 
@@ -111,3 +111,16 @@ def test_long_weights_round_trip():
     assert g.edges == {(1, 2): Fraction(1 - 10**300_000, 1024)}
     assert took < 2.0
     assert dumps(g) == text
+
+
+def test_load_names_the_first_byte_that_is_not_utf8(tmp_path):
+    f = tmp_path / "bad.dcs"
+    f.write_bytes(b"p dcs 2 1\ne 1 2 \xff\n")
+    with pytest.raises(ParseError, match=r"^line 2: invalid UTF-8 at byte offset 16$"):
+        load(f)
+    # the offset counts from the start of the file, however far in it is
+    f.write_bytes(b"# " + b"x" * 20000 + b"\np dcs 0 0\n# \xc3(\n")
+    with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 at byte offset 20015$"):
+        load(f)
+    f.write_text("# caf\u00e9\np dcs 1 0\n", encoding="utf-8")
+    assert load(f) == PrecedenceGraph(1, {})

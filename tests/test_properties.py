@@ -1,4 +1,5 @@
-"""Property tests of the text format, with generated graphs and texts."""
+"""Property tests of the text format and the solver, with generated graphs
+and texts; the solver is checked against the brute-force oracles."""
 
 from __future__ import annotations
 
@@ -13,8 +14,20 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dcsimp.core import PrecedenceGraph  # noqa: E402
+from dcsimp.decomposition import (  # noqa: E402
+    analyze,
+    condensation,
+    max_redundant_edge_set,
+    redundant_edges,
+)
 from dcsimp.errors import NegativeSelfLoop, ParseError  # noqa: E402
 from dcsimp.fileformat import dumps, loads  # noqa: E402
+from dcsimp.reduction import equivalent_reduction  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_max_redundant,
+    brute_force_redundant_edges,
+    dense_min_walk_weights,
+)
 
 SETTINGS = settings(deadline=None, database=None)
 
@@ -80,3 +93,56 @@ def test_any_text_parses_or_raises_parse_error(text):
             loads(text)
         except (ParseError, NegativeSelfLoop):
             pass
+
+
+# distinct primes, so the scale of a system is their product, far past int64
+_DENOMINATORS = (1, 2, 3, 999983, 1000003, 2**61 - 1, 2**89 - 1)
+
+
+@st.composite
+def _feasible_systems(draw) -> PrecedenceGraph:
+    """c_ij = x_i - x_j + slack over a potential x and slack >= 0, so x is a
+    solution.  Zero slack (drawn about half the time) breeds zero-weight
+    cycles, and a node that no edge touches stays isolated; n and m may be
+    0.  At most 10 edges keep the brute-force maximum small."""
+    n = draw(st.integers(0, 6))
+    den = st.sampled_from(_DENOMINATORS)
+    x = [Fraction(0)] + [Fraction(draw(st.integers(-9, 9)), draw(den)) for _ in range(n)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    slack = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(1, 3), den))
+    return PrecedenceGraph(n, {(i, j): x[i] - x[j] + draw(slack) for i, j in chosen})
+
+
+@SETTINGS
+@given(_feasible_systems())
+def test_redundant_edges_match_brute_force(g):
+    assert redundant_edges(analyze(g)) == brute_force_redundant_edges(g)
+
+
+@SETTINGS
+@given(_feasible_systems())
+def test_max_redundant_edge_set_is_a_certified_maximum(g):
+    res = max_redundant_edge_set(g)
+    size, maxima = brute_force_max_redundant(g)
+    assert res.certified
+    assert len(res.edges) == size and res.edges in maxima
+
+
+@SETTINGS
+@given(_feasible_systems())
+def test_equivalent_reduction_is_equivalent_and_minimum(g):
+    r = equivalent_reduction(g)
+    a = r.analysis
+    assert dense_min_walk_weights(r.reduced) == dense_min_walk_weights(g)
+    multi = sum(len(c) for c in a.d.classes if len(c) >= 2)
+    assert r.reduced.m == multi + len(a.d.class_arcs) - len(a.removed_pairs)
+
+
+@SETTINGS
+@given(_feasible_systems())
+def test_reduction_condenses_to_the_surviving_pairs(g):
+    r = equivalent_reduction(g)
+    a = r.analysis
+    survivors = condensation(a.d).without((x + 1, y + 1) for x, y in a.removed_pairs)
+    assert condensation(analyze(r.reduced).d) == survivors

@@ -6,16 +6,17 @@ from fractions import Fraction
 from random import Random
 
 import oracles
-from dcsimp.core import Walk, normalize, walk_weight
-from dcsimp.decomposition import Condensation, analyze
+from dcsimp.core import PrecedenceGraph, Walk, normalize, walk_weight
+from dcsimp.decomposition import analyze, condensation
 from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import systems_equivalent
 from shipped import load_fixture
 
 
 def _er_condensation(rr):
-    """The condensation of the reduced system."""
-    return analyze(rr.reduced).condensation
+    """The classes and the condensation of the reduced system."""
+    d = analyze(rr.reduced).d
+    return d.classes, condensation(d)
 
 
 class TestEquivalentReduction:
@@ -66,7 +67,7 @@ class TestEquivalentReduction:
             rr = equivalent_reduction(g)
             a = rr.analysis
             want = sum(len(c) for c in a.d.classes if len(c) >= 2)
-            want += len(a.condensation.edges) - len(a.removed_pairs)
+            want += len(a.d.class_arcs) - len(a.removed_pairs)
             assert rr.reduced.m == want
             assert rr.removed_count == g.m - rr.reduced.m
 
@@ -88,30 +89,30 @@ class TestErCondensation:
     def test_two_classes_fixture(self):
         g = load_fixture("two_classes")
         rr = equivalent_reduction(g)
-        erc = _er_condensation(rr)
-        assert erc.reps == (1, 2)
+        classes, erc = _er_condensation(rr)
+        assert classes == ((1,), (2, 3, 4, 5)) and erc.n == 2
         assert erc.edges == {(1, 2): Fraction(1), (2, 1): Fraction(0)}
 
     def test_single_class_collapses_to_one_bare_node(self):
         g = normalize(3, [(i, j, 0) for i in (1, 2, 3) for j in (1, 2, 3) if i != j])
-        erc = _er_condensation(equivalent_reduction(g))
-        assert erc.reps == (1,) and erc.edges == {}
+        classes, erc = _er_condensation(equivalent_reduction(g))
+        assert classes == ((1, 2, 3),) and erc.n == 1 and erc.edges == {}
 
     def test_all_singletons_matches_reduced_graph(self):
         for g in oracles.positive_cycle_suite(406, 20):
             rr = equivalent_reduction(g)
-            erc = _er_condensation(rr)
-            assert erc.reps == tuple(range(1, g.n + 1))
+            classes, erc = _er_condensation(rr)
+            assert classes == tuple((v,) for v in range(1, g.n + 1))
             assert dict(erc.edges) == dict(rr.reduced.edges)
 
     def test_equals_condensation_minus_redundant_pairs(self):
         for g in oracles.feasible_suite(407, 60):
             rr = equivalent_reduction(g)
             a = rr.analysis
-            reps, cond = a.condensation.reps, a.condensation
+            cond = condensation(a.d)
             survivors = {
-                (reps[x], reps[y]): cond.edges[(reps[x], reps[y])]
-                for (x, y) in a.edges.cross
+                (x + 1, y + 1): cond.edges[(x + 1, y + 1)]
+                for (x, y) in a.cross
                 if (x, y) not in a.removed_pairs
             }
-            assert _er_condensation(rr) == Condensation(reps, survivors)
+            assert _er_condensation(rr) == (a.d.classes, PrecedenceGraph(cond.n, survivors))

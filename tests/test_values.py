@@ -18,8 +18,6 @@ from dcsimp.core import (
 )
 from dcsimp.decomposition import (
     Analysis,
-    Condensation,
-    EdgePartition,
     MresResult,
     analyze,
     max_redundant_edge_set,
@@ -43,8 +41,6 @@ def values():
         Walk: walk,
         DistanceMatrix: a.d,
         WalkDecomposition: decompose_walk(g, walk),
-        EdgePartition: a.edges,
-        Condensation: a.condensation,
         Analysis: a,
         MresResult: max_redundant_edge_set(g),
         Digraph: Digraph(3, frozenset({(1, 2), (2, 3)})),
