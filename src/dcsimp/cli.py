@@ -29,6 +29,7 @@ import warnings
 from . import fileformat
 from .core import PrecedenceGraph
 from .decomposition import (
+    DEFAULT_EXACT_LIMIT,
     Analysis,
     analyze,
     condensation,
@@ -36,7 +37,6 @@ from .decomposition import (
     redundant_edges,
 )
 from .errors import DcsError, ExactLimitExceeded, InfeasibleSystem
-from .meg import DEFAULT_EXACT_LIMIT
 from .reduction import equivalent_reduction
 from .verify import systems_equivalent
 

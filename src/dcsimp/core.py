@@ -14,7 +14,8 @@ entry through :meth:`DistanceMatrix.get`.  They are stored factored: a
 potential from one Bellman-Ford pass makes every reduced cost
 non-negative, the arcs of reduced cost zero split the nodes into the
 zero-cycle classes, and a distance between classes is found by a Dijkstra
-search over the condensation, one node per class, on demand.
+search over the condensation, one node per class, on demand.  The search
+for the classes also records the MEG fallback's sparse certificate.
 
 Feasibility is a walk statement: the system has a solution precisely when no
 closed walk has negative weight, and then the tightest derivable bound on
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 import sys
 import warnings
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import groupby
@@ -65,13 +66,41 @@ def _int(digits: str) -> int:
     return _int(digits[:-k]) * 10**k + _int(digits[-k:])
 
 
+def _decimal(value: int) -> Decimal:
+    """``Decimal(value)`` in subquadratic time: the halves of its bits are
+    converted alone and recombined as ``hi * 2**k + lo`` in exact decimal
+    arithmetic, each power of two once (as CPython's ``_pylong`` does)."""
+    powers: dict[int, Decimal] = {}
+
+    def power(k: int) -> Decimal:
+        p = powers.get(k)
+        if p is None:
+            half = k >> 1
+            p = Decimal(2) ** k if k <= 128 else power(half) * power(k - half)
+            powers[k] = p
+        return p
+
+    def convert(x: int, bits: int) -> Decimal:
+        if bits <= 128:
+            return Decimal(x)
+        half = bits >> 1
+        hi = x >> half
+        return convert(x - (hi << half), half) + convert(hi, bits - half) * power(half)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        result = convert(abs(value), value.bit_length())
+        return -result if value < 0 else result
+
+
 def weight_text(w: Fraction) -> str:
     """``w`` as ``p`` or ``p/q``, also past Python's limit on decimal digits."""
     try:
         return str(w)
     except ValueError:  # over the limit, which Decimal does not have
-        text = str(Decimal(w.numerator))
-        return text if w.denominator == 1 else f"{text}/{Decimal(w.denominator)}"
+        text = str(_decimal(w.numerator))
+        return text if w.denominator == 1 else f"{text}/{_decimal(w.denominator)}"
 
 
 def as_weight(value: WeightLike) -> Fraction:
@@ -174,7 +203,7 @@ class PrecedenceGraph(_Value):
     immutable; the edge mapping is copied defensively.
     """
 
-    __slots__ = ("n", "edges", "_out")
+    __slots__ = ("n", "edges")
     n: int
     edges: Mapping[Edge, Fraction]
 
@@ -191,22 +220,10 @@ class PrecedenceGraph(_Value):
                 )
             clean[(i, j)] = as_weight(w)
         object.__setattr__(self, "edges", clean)
-        object.__setattr__(self, "_out", None)
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def successors(self, i: int) -> tuple[tuple[int, Fraction], ...]:
-        """Out-edges of node i as (target, weight) pairs, sorted by target."""
-        if self._out is None:
-            out: dict[int, list[tuple[int, Fraction]]] = {
-                v: [] for v in range(1, self.n + 1)
-            }
-            for (u, v), w in sorted(self.edges.items()):
-                out[u].append((v, w))
-            object.__setattr__(self, "_out", {u: tuple(vs) for u, vs in out.items()})
-        return self._out[i]
 
     def without(self, remove: Iterable[Edge]) -> "PrecedenceGraph":
         """A copy with the given edges deleted; node set unchanged."""
@@ -470,15 +487,22 @@ def _bellman_ford(n: int, scaled: dict[Edge, int]) -> tuple[list[int], Walk | No
     return dist, Walk(tuple(cycle))
 
 
-def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
+def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int, list[Edge]]:
     """Strongly connected components of the arcs on nodes 1..n (Tarjan 1972),
-    as a class index per node (``[0]`` is padding) and the class count.
+    as a class index per node (``[0]`` is padding), the class count and the
+    arcs of a strong-connectivity certificate of every component.
 
     Classes are numbered by smallest member.  The depth-first search keeps
     its own stack of (node, next successor position), so it needs no
     recursion.  A node is on Tarjan's stack exactly while it has a visit
     number and no class yet.  A root without arcs is its own class at once,
     so a system of isolated nodes costs one pass.
+
+    The certificate is the tree arcs plus, per node v that does not root
+    its component, ``back[v]``: the first arc found out of v's subtree with
+    the earliest-visited head, which set v's low link.  That head precedes
+    v in v's component, so by induction every node reaches its root over
+    the kept arcs: at most 2(|C| - 1) arcs inside a component C.
     """
     succ: dict[int, list[int]] = {}
     for i, j in arcs:
@@ -486,6 +510,8 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
     comp = [-1] * (n + 1)
     index: dict[int, int] = {}
     low: dict[int, int] = {}
+    back: dict[int, Edge] = {}
+    kept: list[Edge] = []
     stack: list[int] = []
     count = 0
     for root in range(1, n + 1):
@@ -507,12 +533,15 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
                 if comp[w] >= 0:
                     continue
                 if w in index:
-                    low[v] = min(low[v], index[w])
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                        back[v] = (v, w)
                 else:
                     work[-1] = (v, pos)
                     index[w] = low[w] = len(index)
                     stack.append(w)
                     work.append((w, 0))
+                    kept.append((v, w))
                     break
             else:
                 work.pop()
@@ -520,6 +549,7 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
                     u = work[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
+                        back[u] = back[v]
                 if low[v] == index[v]:
                     while True:
                         w = stack.pop()
@@ -527,6 +557,8 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
                         if w == v:
                             break
                     count += 1
+                else:
+                    kept.append(back[v])
     # renumber by smallest member
     order = [-1] * count
     k = 0
@@ -536,7 +568,7 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
             order[c] = k
             k += 1
         comp[v] = order[c]
-    return comp, count
+    return comp, count, kept
 
 
 def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
@@ -568,7 +600,7 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
             cycle=witness,
         )
     zero = [(i, j) for (i, j), w in scaled.items() if w + potential[i] == potential[j]]
-    class_of, k = _components(n, zero)
+    class_of, k, _ = _components(n, zero)
     crossing: dict[tuple[int, int], int] = {}
     for (i, j), w in scaled.items():
         a, b = class_of[i], class_of[j]

@@ -29,14 +29,9 @@ from typing import Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, _Value, min_walk_weights
 from .errors import ExactLimitExceeded, LimitExceeded
-from .meg import (
-    DEFAULT_EXACT_LIMIT,
-    Digraph,
-    certificate,
-    meg_exact,
-    meg_greedy,
-    redundant_arcs,
-)
+from .meg import Digraph, certificate, meg_exact, meg_greedy, redundant_arcs
+
+DEFAULT_EXACT_LIMIT = 20  # tight arcs of a class that meg_exact may try
 
 
 class Analysis(_Value):
@@ -208,7 +203,7 @@ def max_redundant_edge_set(
             over = f"over the exact limit of {exact_limit}"
         else:
             try:
-                out |= tight - meg_exact(h, exact_limit)
+                out |= tight - meg_exact(h)
                 continue
             except LimitExceeded as exc:
                 over = f"and {exc}"

@@ -47,7 +47,8 @@ class NodeCountMismatch(DcsError):
 
 
 class LimitExceeded(DcsError):
-    """An exhaustive search was asked to exceed its configured size limit."""
+    """An exhaustive search passed its bound, as :func:`~dcsimp.meg.meg_exact`
+    does past :data:`~dcsimp.meg.SEARCH_BUDGET` search nodes."""
 
 
 class ExactLimitExceeded(LimitExceeded):

@@ -9,7 +9,8 @@ One system per file::
 with exactly m constraint lines, 1-based node ids, and weights written as
 decimals (``-2``, ``0.5``) or rationals (``-3/2``): digits with an optional
 sign, and either a fraction part or a nonzero denominator, of any length.
-Sizes and node ids are ASCII digits with an optional sign.
+Sizes and node ids are ASCII digits with an optional sign; a size must
+be below ``sys.maxsize``.
 Serialization is canonical: header first, edges sorted by ``(i, j)``, each
 weight rendered as an integer when whole and ``p/q`` otherwise.  Parsing a
 canonical file and serializing it again reproduces the bytes exactly.
@@ -17,21 +18,32 @@ canonical file and serializing it again reproduces the bytes exactly.
 
 from __future__ import annotations
 
+import re
+import sys
 from pathlib import Path
 
+from . import core
 from .core import PrecedenceGraph, as_weight, normalize, weight_text
 from .errors import IndexOutOfRange, ParseError
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int(field: str) -> int:
-    """``int(field)`` for ASCII ``[+-]digits`` only, else ValueError.
+    """``int(field)`` for ASCII ``[+-]digits`` only, of any length, else
+    ValueError.
 
     ``int`` alone also takes digit separators (``1_0``) and non-ASCII digits
-    (``١``); on ASCII text without ``_`` it reads exactly ``[+-]digits``.
+    (``١``), and refuses more digits than Python's limit.
     """
-    if not field.isascii() or "_" in field:
-        raise ValueError(f"not an integer: {field!r}")
-    return int(field)
+    if field.isascii() and "_" not in field:
+        try:
+            return int(field)
+        except ValueError:  # not digits, or more of them than the limit
+            if _INTEGER.fullmatch(field):
+                return core._int(field)
+    raise ValueError(f"not an integer: {field!r}")
 
 
 def loads(text: str) -> PrecedenceGraph:
@@ -52,6 +64,8 @@ def loads(text: str) -> PrecedenceGraph:
                 raise ParseError(f"line {lineno}: non-integer size in header") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: sizes must be nonnegative")
+            if max(n, m) >= sys.maxsize:  # n + 1 list entries must fit
+                raise ParseError(f"line {lineno}: size too large in header")
             continue
         if fields[0] != "e":
             raise ParseError(f"line {lineno}: unknown line type {fields[0]!r}")
@@ -61,6 +75,8 @@ def loads(text: str) -> PrecedenceGraph:
             i, j = _int(fields[1]), _int(fields[2])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer node id") from None
+        if abs(i) >= sys.maxsize or abs(j) >= sys.maxsize:  # past any header's n
+            raise ParseError(f"line {lineno}: node id out of range 1..{n}")
         try:
             w = as_weight(fields[3])
         except ValueError as exc:

@@ -6,10 +6,9 @@ problem is NP-hard in general (Moyles & Thompson 1969), so the exact solver
 is a bounded search and a greedy maximal fallback is provided.
 
 Over the exact limit, the decomposition runs the greedy on a
-strong-connectivity :func:`certificate` of the class's tight arcs: a
-depth-first out-tree plus one arc per node reaching back to the earliest
-preorder, at most 2(|C| - 1) arcs for a class C.  That is a fraction of a
-dense class's arcs, so the greedy has fewer arcs to test and fewer to keep.
+strong-connectivity :func:`certificate` of the class's tight arcs, the one
+the class search records: at most 2(|C| - 1) arcs for a class C, a
+fraction of a dense class's, so the greedy has fewer to test and to keep.
 The greedy itself keeps an arc that is its head's only live in-arc or its
 tail's only live out-arc without a search, since no digraph can drop it.
 
@@ -25,19 +24,18 @@ tail, so a branch needs at least as many more arcs as the larger count of
 nodes still lacking a kept in-arc or out-arc.  It runs on an explicit
 stack, so deep searches do not depend on Python's recursion limit, and
 it gives up after :data:`SEARCH_BUDGET` search nodes, so no input keeps it
-running for hours.
+running for hours; which classes it gets is the decomposition's choice.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .core import _Value
+from .core import _components, _Value
 from .errors import LimitExceeded
 
 Arc = tuple[int, int]
 
-DEFAULT_EXACT_LIMIT = 20
 # Search nodes meg_exact may visit before it gives up.  The benchmark's
 # planted classes (18 tight arcs each) need at most a few hundred; the
 # whole budget takes about 4 s on a 1,454-arc class on a 2-vCPU Xeon.
@@ -124,57 +122,15 @@ def certificate(h: Digraph) -> Digraph:
     """A subgraph of at most 2(n' - 1) arcs, n' the nodes h touches, with
     the reachability of h, for h strongly connected on those nodes.
 
-    One depth-first search from the smallest node with an arc keeps its
-    tree arcs, and for each other node v the first arc found out of v's
-    subtree whose head comes earliest in preorder (Tarjan 1972).  That
-    head precedes v, so by induction on preorder every node reaches the
-    root over the kept arcs, and the tree takes the root to every node.
-    Raises ``ValueError`` when h is not strongly connected on the nodes it
-    touches: a node other than the root whose subtree has no arc to an
-    earlier node, or a node with an arc that the search never reaches.
+    The class search (:func:`dcsimp.core._components`) records it: on
+    sorted arcs, from the smallest node with an arc, the depth-first tree
+    plus per other node the first arc out of its subtree whose head comes
+    earliest.  Raises ``ValueError`` when h is not strongly connected on
+    the nodes it touches.
     """
-    adj: list[list[int]] = [[] for _ in range(h.n + 1)]
-    touched = set()
-    for i, j in sorted(h.arcs):
-        adj[i].append(j)
-        touched.update((i, j))
-    if not touched:
-        return h
-    root = min(touched)
-    pre = [0] * (h.n + 1)
-    # low[v]: (preorder, arc) of the arc out of v's subtree with the
-    # earliest head found so far; starts at v itself with no arc
-    low: list[tuple[int, Arc | None]] = [(0, None)] * (h.n + 1)
-    kept = []
-    count = pre[root] = 1
-    low[root] = (1, None)
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        v, rest = stack[-1]
-        for w in rest:
-            if pre[w]:
-                if pre[w] < low[v][0]:
-                    low[v] = (pre[w], (v, w))
-                continue
-            kept.append((v, w))
-            count += 1
-            pre[w] = count
-            low[w] = (count, None)
-            stack.append((w, iter(adj[w])))
-            break
-        else:
-            stack.pop()
-            if stack:
-                if low[v][1] is None:
-                    raise ValueError(
-                        f"node {v} reaches no node before it: not strongly connected"
-                    )
-                kept.append(low[v][1])
-                u = stack[-1][0]
-                if low[v][0] < low[u][0]:
-                    low[u] = low[v]
-    if count < len(touched):
-        raise ValueError("the search misses a node with an arc: not strongly connected")
+    comp, _, kept = _components(h.n, sorted(h.arcs))
+    if len({comp[v] for arc in h.arcs for v in arc}) > 1:
+        raise ValueError("the arcs are not strongly connected on the nodes they touch")
     return Digraph(h.n, frozenset(kept))
 
 
@@ -191,7 +147,7 @@ def redundant_arcs(h: Digraph) -> frozenset[Arc]:
     return frozenset(out)
 
 
-def meg_exact(h: Digraph, limit: int = DEFAULT_EXACT_LIMIT) -> frozenset[Arc]:
+def meg_exact(h: Digraph) -> frozenset[Arc]:
     """A minimum-cardinality arc subset preserving all reachabilities.
 
     Branch and bound over drop/keep decisions per arc in lexicographic
@@ -217,14 +173,9 @@ def meg_exact(h: Digraph, limit: int = DEFAULT_EXACT_LIMIT) -> frozenset[Arc]:
     is bounded by memory rather than by the interpreter's recursion limit.
     The live arcs (kept or undecided) are one set of successor bitsets;
     the drop branch clears a bit and an undo entry on the stack restores it
-    before the keep branch runs.  Raises :class:`LimitExceeded` when h has
-    more than ``limit`` arcs, or when the search would visit more than
-    :data:`SEARCH_BUDGET` nodes.
+    before the keep branch runs.  Raises :class:`LimitExceeded` when the
+    search would visit more than :data:`SEARCH_BUDGET` nodes, its one bound.
     """
-    if len(h.arcs) > limit:
-        raise LimitExceeded(
-            f"{len(h.arcs)} arcs exceed the exact search limit of {limit}"
-        )
     arcs = sorted(h.arcs)
     m = len(arcs)
     best = meg_greedy(h)

@@ -134,6 +134,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
         bad.write_text(text, encoding="utf-8")
         assert main(["info", str(bad)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a size no list can hold, and a node id past Python's digit limit,
+    # end in one error line from every command, not a traceback
+    huge = "9" * 5001
+    for text, message in [
+        ("p dcs 100000000000000000000 0\n", "line 1: size too large in header"),
+        (f"p dcs 2 {huge}\n", "line 1: size too large in header"),
+        (f"p dcs 2 1\ne {huge} 1 0\n", "line 2: node id out of range 1..2"),
+        (f"p dcs 2 1\ne 1 -{huge} 0\n", "line 2: node id out of range 1..2"),
+    ]:
+        bad.write_text(text)
+        single = [[c, str(bad)] for c in ("info", "simplify", "reduce", "redundant", "condense")]
+        for argv in single + [["check", str(bad), str(bad)]]:
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
     # bytes that are not UTF-8 end in one error line, not a traceback
     bad.write_bytes(b"p dcs 2 1\ne 1 2 \xff\n")
     assert main(["info", str(bad)]) == 1

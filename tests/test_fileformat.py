@@ -65,11 +65,20 @@ def test_negative_self_loop_surfaces_as_infeasible():
         "p dcs 20 1\ne 1_0 2 3\n",        # digit separator in a node id
         "p dcs 2 1\ne \u0661 +2 3\n",     # non-ASCII digit in a node id
         "p dcs \uff12 1\ne 1 2 3\n",      # fullwidth digit in a size
+        "p dcs 1" + "0" * 19 + " 0\n",     # a size no list can hold
+        "p dcs 2 1\ne 1 " + "9" * 5001 + " 3\n",  # node id past the digit limit
     ],
 )
 def test_rejects_malformed_input(text):
     with pytest.raises(ParseError):
         loads(text)
+
+
+def test_sizes_and_node_ids_read_any_number_of_digits():
+    # zeros in front, past Python's 4300-digit limit on int()
+    zeros = "0" * 5000
+    g = loads(f"p dcs {zeros}2 {zeros}1\ne {zeros}1 +{zeros}2 0\n")
+    assert g == PrecedenceGraph(2, {(1, 2): 0})
 
 
 def test_serialization_is_canonical_and_round_trips():
@@ -102,15 +111,20 @@ def test_weights_past_the_digit_limit_round_trip():
 
 def test_long_weights_round_trip():
     # 300,000 digits, far past Python's 4300-digit limit on int(): read in
-    # halves it parses in well under a second, where one conversion of the
-    # whole string (or Decimal) takes seconds
+    # halves and written by halves of its bits, it parses and serializes in
+    # well under a second each, where one conversion of the whole string
+    # (or Decimal) takes seconds
     text = f"p dcs 2 1\ne 1 2 -{'9' * 300_000}/1024\n"
     start = time.perf_counter()
     g = loads(text)
     took = time.perf_counter() - start
     assert g.edges == {(1, 2): Fraction(1 - 10**300_000, 1024)}
     assert took < 2.0
-    assert dumps(g) == text
+    start = time.perf_counter()
+    out = dumps(g)
+    took = time.perf_counter() - start
+    assert out == text
+    assert took < 2.0
 
 
 def test_load_names_the_first_byte_that_is_not_utf8(tmp_path):

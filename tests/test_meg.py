@@ -130,10 +130,11 @@ class TestMegExact:
     def test_single_arc(self):
         assert meg_exact(Digraph(2, frozenset({(1, 2)}))) == {(1, 2)}
 
-    def test_limit(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(meg, "SEARCH_BUDGET", 0)
         h = Digraph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
         with pytest.raises(LimitExceeded):
-            meg_exact(h, limit=2)
+            meg_exact(h)
 
     def test_matches_brute_force_size(self):
         for h in _digraphs(90, 80):
@@ -160,7 +161,7 @@ class TestMegExact:
     def test_complete_six_node_digraph_keeps_six_arcs(self):
         nodes = range(1, 7)
         h = Digraph(6, frozenset((i, j) for i in nodes for j in nodes if i != j))
-        kept = meg_exact(h, limit=30)
+        kept = meg_exact(h)
         assert len(kept) == 6
         assert _same_closure(h, kept)
 
@@ -216,6 +217,42 @@ class TestCertificate:
             assert cert.arcs <= h.arcs
             assert _same_closure(h, cert.arcs)
             assert len(cert.arcs) <= 2 * (k - 1)
+
+    @pytest.mark.parametrize(
+        "n, arcs, kept",
+        [
+            # ties: every subtree reaches node 1, over its first arc found
+            (
+                4,
+                {(i, j) for i in range(1, 5) for j in range(1, 5) if i != j},
+                {(1, 2), (2, 1), (2, 3), (3, 1), (3, 4), (4, 1)},
+            ),
+            # the search roots at node 2, the smallest with an arc, not at
+            # node 1 (isolated) nor at node 5, the first tail as listed here
+            (
+                6,
+                {(5, 3), (3, 5), (3, 4), (4, 2), (2, 3), (5, 4)},
+                {(2, 3), (3, 4), (3, 5), (4, 2), (5, 3)},
+            ),
+            # node 3 keeps (3, 2), into a finished sibling subtree, over its
+            # child's (4, 2), which ties and is found later
+            (
+                4,
+                {(1, 2), (2, 1), (1, 3), (3, 2), (3, 4), (4, 2), (4, 3)},
+                {(1, 2), (1, 3), (2, 1), (3, 2), (3, 4), (4, 2)},
+            ),
+            # node 2 meets node 4 first through its child's (3, 4), then over
+            # its own (2, 4); the tie keeps (3, 4), so (2, 4) goes
+            (
+                4,
+                {(1, 4), (4, 1), (4, 2), (2, 3), (3, 4), (2, 4)},
+                {(1, 4), (2, 3), (3, 4), (4, 1), (4, 2)},
+            ),
+        ],
+        ids=["complete-4", "isolated-smallest", "cross-arc-tie", "own-arc-tie"],
+    )
+    def test_exact_arcs(self, n, arcs, kept):
+        assert certificate(Digraph(n, frozenset(arcs))) == Digraph(n, frozenset(kept))
 
     def test_no_arcs_gives_no_arcs(self):
         assert certificate(Digraph(3, frozenset())) == Digraph(3, frozenset())

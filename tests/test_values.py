@@ -137,13 +137,6 @@ def test_fields_are_coerced_and_copied():
     assert type(Digraph(2, {(1, 2)}).arcs) is frozenset
 
 
-def test_successors_are_sorted_and_kept():
-    g = PrecedenceGraph(3, {(1, 3): 2, (1, 2): 1, (3, 1): 0})
-    assert g.successors(1) == ((2, Fraction(1)), (3, Fraction(2)))
-    assert g.successors(2) == ()
-    assert g.successors(1) is g.successors(1)
-
-
 def test_pickle_round_trip(values):
     for t, value in values.items():
         copy = pickle.loads(pickle.dumps(value))

@@ -129,8 +129,8 @@ class TestBruteForceRedundantEdges:
             fast = {
                 (i, j)
                 for (i, j), c in g.edges.items()
-                for k, cik in g.successors(i)
-                if k != j and d[(k, j)] is not None and cik + d[(k, j)] <= c
+                for (t, k), cik in g.edges.items()
+                if t == i and k != j and d[(k, j)] is not None and cik + d[(k, j)] <= c
             }
             assert brute_force_redundant_edges(g) == fast
 
