@@ -13,9 +13,11 @@ their denominators, and a Fraction is made only when a caller reads an
 entry through :meth:`DistanceMatrix.get`.  They are stored factored: a
 potential from one Bellman-Ford pass makes every reduced cost
 non-negative, the arcs of reduced cost zero split the nodes into the
-zero-cycle classes, and a distance between classes is found by a Dijkstra
-search over the condensation, one node per class, on demand.  The search
-for the classes also records the MEG fallback's sparse certificate.
+zero-cycle classes, and a distance between classes is found on demand by
+the one Dijkstra search over the condensation, one node per class.  That
+search is bounded by the costs the caller asks about and settles each of
+them when it relaxes an arc into its class.  The search for the classes
+also records the MEG fallback's sparse certificate.
 
 Feasibility is a walk statement: the system has a solution precisely when no
 closed walk has negative weight, and then the tightest derivable bound on
@@ -27,12 +29,13 @@ from __future__ import annotations
 import re
 import sys
 import warnings
+from bisect import bisect_left
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import groupby
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     IndexOutOfRange,
@@ -124,6 +127,8 @@ def as_weight(value: WeightLike) -> Fraction:
         whole, frac, den = m.groups("")
         if den:
             return Fraction(_int(whole), _int(den))
+        if not frac:
+            return Fraction(_int(whole))
         return Fraction(_int(whole + frac), 10 ** len(frac))
     if isinstance(value, float):
         raise TypeError(
@@ -274,8 +279,10 @@ class DistanceMatrix(_Value):
     connect it, so for i in class a and j in class b the least weight over
     all walks ``i ~> j`` is exactly
     ``(potential[j] - potential[i] + D) / scale``, with D the least reduced
-    cost of a walk from class a to class b over the condensation arcs, as
-    :meth:`search` finds it.  Instances compare by identity.
+    cost of a walk from class a to class b over the condensation arcs.  One
+    bounded Dijkstra search finds D for :meth:`get`, answers
+    :meth:`unimplied`, and decides condensation redundancy.  Instances
+    compare by identity.
     """
 
     __slots__ = (
@@ -303,31 +310,52 @@ class DistanceMatrix(_Value):
     def __post_init__(self):
         object.__setattr__(self, "_rows", {})
 
-    def search(self, a: int, radius: int) -> Iterator[tuple[int, int]]:
-        """Each class reachable from class a at a least reduced cost of at
-        most ``radius``, as (class, cost), in cost order, class a itself
-        first at cost 0.
+    def _reach(self, a: int, want: dict[int, list[int]], radius: int) -> dict[int, int]:
+        """The least reduced cost from class a of each class it settles,
+        searching no further than ``radius``.
 
-        A Dijkstra search, as reduced costs are non-negative (Johnson 1977),
-        whose heap holds each tentative cost once with the list of classes
-        reached at it, since many walks tie on small costs.  A caller stops
-        consuming it once it has its answer.
+        ``want`` maps a class b to its pending bounds, ascending, and the
+        search updates it in place.  A Dijkstra search, as reduced costs are
+        non-negative (Johnson 1977), whose heap holds each tentative cost
+        once with the list of classes reached at it, since many walks tie on
+        small costs.  Each arc (u, b) relaxed from a settled class u other
+        than a, at cost c = D(a, u) + r_ub, meets every bound of b that is
+        at least c: those leave ``want``, and b too once it has none.  The
+        radius then shrinks to the largest bound still pending, and the
+        search ends once none is.  So a bound left in ``want`` has no walk
+        to its class within it but, perhaps, the direct arc (a, b).
+        ``class_succ`` lists arcs cheapest first, so a relaxation stops at
+        the first arc past the radius.
         """
         succ = self.class_succ
         beyond = radius + 1
         best = {a: 0}
+        settled = {}
         reached = {0: [a]}
         costs = [0]
         while costs:
             cost = heappop(costs)
+            if cost > radius:
+                break
             for u in reached.pop(cost):
                 if best[u] != cost:
                     continue
-                yield u, cost
+                settled[u] = cost
                 for v, r in succ.get(u, ()):
                     c = cost + r
-                    if c >= beyond:
+                    if c > radius:
                         break
+                    if v in want and u != a:
+                        bounds = want[v]
+                        top = bounds[-1]
+                        if top >= c:
+                            del bounds[bisect_left(bounds, c) :]
+                            if not bounds:
+                                del want[v]
+                                if not want:
+                                    return settled
+                            if top == radius:
+                                radius = max(bs[-1] for bs in want.values())
                     if c < best.get(v, beyond):
                         best[v] = c
                         if c in reached:
@@ -335,26 +363,7 @@ class DistanceMatrix(_Value):
                         else:
                             reached[c] = [v]
                             heappush(costs, c)
-
-    def settle(self, a: int, bounds: Iterable[tuple[int, int]]) -> dict[int, int]:
-        """The least reduced cost from class a of each class named in
-        ``bounds``, (class, bound) pairs, that is at most the largest bound
-        given for that class.  The search stops once every class named is
-        settled or past the largest bound still pending."""
-        pending: dict[int, int] = {}
-        for b, bound in bounds:
-            pending[b] = max(bound, pending.get(b, bound))
-        found = {}
-        radius = max(pending.values(), default=-1)
-        for u, cost in self.search(a, radius):
-            if cost > radius:
-                break
-            bound = pending.pop(u, -1)
-            if cost <= bound:
-                found[u] = cost
-            if bound == radius:
-                radius = max(pending.values(), default=-1)
-        return found
+        return settled
 
     def unimplied(
         self, constraints: Iterable[tuple[Edge, Fraction]]
@@ -363,19 +372,33 @@ class DistanceMatrix(_Value):
         system does not force, or None when it forces them all.
 
         ``x_i - x_j <= c`` is forced exactly when some walk i ~> j weighs at
-        most c, that is when the least reduced cost D from i's class to j's
-        has D <= floor(c·scale) - potential[j] + potential[i].  One search
-        from i's class settles every constraint on tail i.
+        most c, that is when the least reduced cost D from i's class a to
+        j's class b has D <= x = floor(c·scale) - potential[j] + potential[i].
+        Inside a class D = 0, and across classes the direct arc settles
+        x >= ``class_arcs[(a, b)]`` without a search.  The other bounds on
+        tail i go to one search from a, which settles each when it relaxes
+        an arc into its class.
         """
-        p, of = self.potential, self.class_of
+        p, of, arcs, scale = self.potential, self.class_of, self.class_arcs, self.scale
         for i, tail in groupby(sorted(constraints), key=lambda e: e[0][0]):
-            bounds = [
-                (j, c, c.numerator * self.scale // c.denominator - p[j] + p[i])
-                for (_, j), c in tail
-            ]
-            cost = self.settle(of[i], ((of[j], x) for j, _, x in bounds))
-            for j, c, x in bounds:
-                if cost.get(of[j], x + 1) > x:
+            a = of[i]
+            left = []  # constraints that neither test meets, in order
+            want: dict[int, list[int]] = {}
+            for (_, j), c in tail:
+                x = c.numerator * scale // c.denominator - p[j] + p[i]
+                b = of[j]
+                if b == a:
+                    if x < 0:
+                        left.append((j, c, b, x))
+                elif arcs.get((a, b), x + 1) > x:
+                    left.append((j, c, b, x))
+                    want.setdefault(b, []).append(x)
+            if want:
+                for xs in want.values():
+                    xs.sort()
+                self._reach(a, want, max(xs[-1] for xs in want.values()))
+            for j, c, b, x in left:
+                if b == a or b in want and x <= want[b][-1]:
                     return (i, j), c
         return None
 
@@ -393,7 +416,7 @@ class DistanceMatrix(_Value):
         row = self._rows.get(a)
         if row is None:
             # all the arcs together cost at least any cheapest walk
-            row = self._rows[a] = dict(self.search(a, sum(self.class_arcs.values())))
+            row = self._rows[a] = self._reach(a, {}, sum(self.class_arcs.values()))
         cost = row.get(b)
         return None if cost is None else Fraction(p[j] - p[i] + cost, self.scale)
 

@@ -103,19 +103,18 @@ def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]
     The test runs on the reduced costs r of ``d.class_arcs``, where the
     potentials cancel, and it is local: (a, b) goes when a class u other
     than a, at least reduced cost D from a, has an arc (u, b) with
-    D + r_ub <= r_ab (no such walk to u uses (a, b): it would close a
-    positive cycle through b).  One search from each class a settles it.
+    D + r_ub <= r_ab, a tie included (no such walk to u uses (a, b): it
+    would close a positive cycle through b).  One search from each class a
+    with two or more out-arcs, within its dearest one, settles each (a, b)
+    when it first relaxes such an arc (u, b).
     """
-    into: dict[int, list[tuple[int, int]]] = {}
-    for (u, b), r in d.class_arcs.items():
-        into.setdefault(b, []).append((u, r))
     removed = set()
     for a, arcs in d.class_succ.items():
         if len(arcs) < 2:
             continue
-        detours = [(u, b, rab - rub) for b, rab in arcs for u, rub in into[b] if u != a]
-        cost = d.settle(a, ((u, bound) for u, _, bound in detours))
-        removed.update((a, b) for u, b, bound in detours if cost.get(u, bound + 1) <= bound)
+        want = {b: [r] for b, r in arcs}
+        d._reach(a, want, arcs[-1][1])
+        removed.update((a, b) for b, _ in arcs if b not in want)
     return frozenset(removed)
 
 
@@ -198,22 +197,27 @@ def max_redundant_edge_set(
         out |= edges if pair in a.removed_pairs else edges - {a.cheapest[pair][0]}
     for k in sorted(a.tight):
         members, tight = a.d.classes[k], a.tight[k]
-        h = Digraph(g.n, tight)
+        # the class's members as nodes 1..|C|, in order, so each solve is
+        # sized by the class; the map is monotone, so no arc order changes
+        local = {v: q for q, v in enumerate(members, 1)}
+        h = Digraph(len(members), {(local[s], local[t]) for s, t in tight})
+        kept = None
         if len(tight) > exact_limit:
             over = f"over the exact limit of {exact_limit}"
         else:
             try:
-                out |= tight - meg_exact(h)
-                continue
+                kept = meg_exact(h)
             except LimitExceeded as exc:
                 over = f"and {exc}"
-        if not allow_heuristic:
-            raise ExactLimitExceeded(
-                f"the {len(members)}-node class of node {members[0]} has "
-                f"{len(tight)} tight edges, {over}; allow the heuristic to "
-                "accept a maximal (uncertified) result",
-                analysis=a,
-            )
-        out |= tight - meg_greedy(certificate(h))
-        certified = False
+        if kept is None:
+            if not allow_heuristic:
+                raise ExactLimitExceeded(
+                    f"the {len(members)}-node class of node {members[0]} has "
+                    f"{len(tight)} tight edges, {over}; allow the heuristic to "
+                    "accept a maximal (uncertified) result",
+                    analysis=a,
+                )
+            kept = meg_greedy(certificate(h))
+            certified = False
+        out |= tight - {(members[s - 1], members[t - 1]) for s, t in kept}
     return MresResult(frozenset(out), certified, a)

@@ -249,6 +249,21 @@ def test_path_of_classes_reduce_and_check_stay_fast(tmp_path):
     assert time.perf_counter() - start < 10.0
 
 
+def test_many_small_classes_simplify_stays_fast(tmp_path, capsys):
+    # 20,000 nodes in 10,000 zero-weight 2-cycles: each class's MEG is
+    # solved on its own two nodes, not on bitsets over all 20,000
+    n = 20_000
+    f = tmp_path / "pairs.dcs"
+    f.write_text(
+        f"p dcs {n} {n}\n"
+        + "".join(f"e {k} {k + 1} 1\ne {k + 1} {k} -1\n" for k in range(1, n, 2))
+    )
+    start = time.perf_counter()
+    assert main(["simplify", str(f), "--out", str(tmp_path / "out.dcs")]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == "removed 0, certified\n"
+
+
 def test_deep_exact_search_is_certified(tmp_path, capsys):
     # a 600-node zero path in both directions: all 1198 tight arcs are
     # essential, and the exact search goes one level deeper per arc

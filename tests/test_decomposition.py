@@ -177,6 +177,55 @@ class TestCondensation:
                 assert condensation_redundant_pairs(d) == want
         assert python_int_runs >= 40
 
+    # Hand-made condensations, each pinning one case of the search.  Every
+    # cycle weighs more than zero, so node k + 1 is class k and the
+    # potential is zero: the reduced costs are the weights.
+
+    def test_a_detour_that_ties_the_edge_removes_it(self):
+        d = min_walk_weights(normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 3)]))
+        assert condensation_redundant_pairs(d) == {(0, 1)}
+        d = min_walk_weights(normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 4)]))
+        assert condensation_redundant_pairs(d) == frozenset()
+
+    def test_zero_cost_condensation_arcs(self):
+        d = min_walk_weights(normalize(4, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 0), (1, 4, 1)]))
+        assert len(d.classes) == 4 and set(d.class_arcs.values()) == {0, 1}
+        assert condensation_redundant_pairs(d) == {(0, 2), (0, 3)}
+
+    def test_a_target_out_of_reach_stays(self):
+        # class 1's other in-arc comes from class 3, which class 0 never reaches
+        d = min_walk_weights(normalize(4, [(1, 2, 9), (1, 3, 1), (4, 2, 0), (3, 1, 1)]))
+        assert d.get(1, 4) is None
+        assert condensation_redundant_pairs(d) == frozenset()
+
+    def test_a_sole_out_arc_is_not_searched(self):
+        # class 0's only out-arc has no alternative; class 1's dearer arc
+        # has the detour 2 -> 3 -> 4
+        d = min_walk_weights(normalize(4, [(1, 2, 1), (2, 3, 1), (2, 4, 5), (3, 4, 1)]))
+        assert d.class_succ[0] == [(1, 1)]
+        assert condensation_redundant_pairs(d) == {(1, 3)}
+
+    def test_redundant_pairs_match_networkx_dijkstra(self):
+        # K = n = 150, where the brute-force oracles are too slow: (a, b)
+        # goes when some out-neighbour k != b of a has r_ak + D(k, b) <= r_ab,
+        # with D from networkx's Dijkstra on the reduced costs
+        nx = pytest.importorskip("networkx")
+        rng = Random(319)
+        for zero_slack in (0.0, 0.1):
+            g = oracles.random_potential_system(rng, 150, 1500, zero_slack)
+            d = min_walk_weights(g)
+            assert len(d.classes) > 100
+            h = nx.DiGraph()
+            h.add_weighted_edges_from((a, b, r) for (a, b), r in d.class_arcs.items())
+            dist = {k: nx.single_source_dijkstra_path_length(h, k) for k in h}
+            want = {
+                (a, b)
+                for (a, b), rab in d.class_arcs.items()
+                for k, rak in d.class_succ[a]
+                if k != b and rak + dist[k].get(b, rab + 1) <= rab
+            }
+            assert want and condensation_redundant_pairs(d) == want
+
     def test_weights_are_cheapest_crossings(self):
         for g in oracles.feasible_suite(308, 40):
             d, a, cond = _pipeline(g)

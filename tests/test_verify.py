@@ -8,11 +8,18 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp.core import PrecedenceGraph, min_walk_weights, normalize
+from dcsimp.core import PrecedenceGraph, implies, min_walk_weights, normalize
 from dcsimp.errors import InfeasibleSystem, LimitExceeded, NodeCountMismatch
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
 from oracles import brute_force_max_redundant, brute_force_redundant_edges
 from shipped import load_fixture
+
+# P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64
+WIDE = Fraction(10**25 + 13, 3)
+
+
+def _wide(g):
+    return PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()})
 
 
 class TestSystemsEquivalent:
@@ -112,6 +119,79 @@ class TestSystemsEquivalent:
             checked += 1
             unequal += want is not None
         assert 50 < unequal < 190
+
+
+class TestUnimplied:
+    # hand-made condensations, each pinning one case of the search; with no
+    # negative weights the potential is zero
+
+    def test_a_detour_that_ties_the_bound_forces_it(self):
+        d = min_walk_weights(normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 3)]))
+        assert d.unimplied([((1, 2), Fraction(5))]) is None
+        assert d.unimplied([((1, 2), Fraction(9, 2))]) == ((1, 2), Fraction(9, 2))
+
+    def test_zero_cost_arcs(self):
+        d = min_walk_weights(normalize(4, [(1, 2, 0), (2, 3, 0), (3, 4, 0)]))
+        assert d.unimplied([((1, 3), Fraction(0)), ((1, 4), Fraction(0))]) is None
+        assert d.unimplied([((1, 4), Fraction(-1, 3))]) == ((1, 4), Fraction(-1, 3))
+
+    def test_a_head_out_of_reach(self):
+        d = min_walk_weights(normalize(4, [(1, 2, 1), (2, 3, 1), (4, 3, 0)]))
+        constraints = [((1, 3), Fraction(2)), ((1, 4), Fraction(10**9))]
+        assert d.unimplied(constraints) == ((1, 4), Fraction(10**9))
+        assert not implies(d, 3, 1, 10**9)
+
+    def test_a_sole_out_arc_meets_its_bound_directly(self):
+        d = min_walk_weights(normalize(3, [(1, 2, 4), (2, 3, 1)]))
+        assert d.class_succ[0] == [(1, 4)]
+        assert d.unimplied([((1, 2), Fraction(4)), ((1, 3), Fraction(5))]) is None
+        assert d.unimplied([((1, 2), Fraction(7, 2))]) == ((1, 2), Fraction(7, 2))
+        assert d.unimplied([((1, 3), Fraction(9, 2))]) == ((1, 3), Fraction(9, 2))
+
+    def test_the_tighter_of_two_bounds_into_one_class_is_the_witness(self):
+        # class {2, 3} is reached from 1 at 2 through node 4, and at 5 over
+        # the direct arc; the bound 2 on (1, 2) is met, the bound 1 on
+        # (1, 3), later in sorted order, is not
+        g = normalize(4, [(1, 3, 5), (1, 4, 1), (2, 3, 0), (3, 2, 0), (4, 2, 1)])
+        d = min_walk_weights(g)
+        assert d.class_of[2] == d.class_of[3] != d.class_of[4]
+        loose, tight = ((1, 2), Fraction(2)), ((1, 3), Fraction(1))
+        assert d.unimplied([loose, tight]) == tight
+        assert d.unimplied([loose, ((1, 3), Fraction(2))]) is None
+
+    def test_matches_the_dense_oracle(self):
+        # bounds at, just below and just above each pair's minimum walk
+        # weight, several on one tail and pair, on each system and its copy
+        # scaled by P / 3; the witness is the first unmet one in sorted order
+        rng = Random(506)
+        unmet = 0
+        for _ in range(60):
+            g = oracles.random_potential_system(rng, rng.randint(2, 9), rng.randint(1, 24), 0.4)
+            pairs = [(i, j) for i in range(1, g.n + 1) for j in range(1, g.n + 1) if i != j]
+            for h, unit in ((g, Fraction(1, 7)), (_wide(g), WIDE / 7)):
+                dense = oracles.dense_min_walk_weights(h)
+                constraints = []
+                for _ in range(rng.randint(1, 12)):
+                    e = rng.choice(pairs)
+                    base = dense[e] if dense[e] is not None else rng.randint(-5, 5) * unit
+                    constraints.append((e, base + rng.randint(-1, 1) * unit))
+                want = next(
+                    ((e, c) for e, c in sorted(constraints) if dense[e] is None or dense[e] > c),
+                    None,
+                )
+                assert min_walk_weights(h).unimplied(constraints) == want
+                unmet += want is not None
+        assert 30 < unmet < 110
+
+    def test_get_across_classes_matches_the_dense_oracle(self):
+        rng = Random(507)
+        for q in range(12):
+            g = oracles.random_potential_system(rng, rng.randint(10, 30), rng.randint(10, 90), 0.3)
+            h = _wide(g) if q % 3 == 0 else g
+            dense = oracles.dense_min_walk_weights(h)
+            d = min_walk_weights(h)
+            for (i, j), dij in dense.items():
+                assert d.get(i, j) == dij
 
 
 class TestBruteForceRedundantEdges:
