@@ -6,8 +6,8 @@ Commands:
 * ``redundant FILE``  list every edge the others imply, each judged alone
 * ``simplify FILE``   delete a maximum redundant edge set
 * ``reduce FILE``     synthesize the minimum equivalent system
-* ``condense FILE``   condensation of the system (or of its reduction), node k
-                      for the k-th class, represented by its smallest member
+* ``condense FILE``   condensation of the system, node k for the k-th class,
+                      represented by its smallest member
 * ``check A B``       are two systems equivalent?
 
 Each command runs one :func:`~dcsimp.decomposition.analyze` per input, and
@@ -17,7 +17,7 @@ written exactly, however many digits they need.  Exit codes: 0 success, 1
 parse or usage error (or memory ran out), 2 infeasible system, 3 systems
 not equivalent, 4 exact limit or exact search budget exceeded without
 --allow-heuristic (``info`` still prints every line that needs no exact
-solve first).
+solve first; the limit is :data:`~dcsimp.decomposition.EXACT_LIMIT`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import warnings
 from . import fileformat
 from .core import PrecedenceGraph
 from .decomposition import (
-    DEFAULT_EXACT_LIMIT,
     Analysis,
     analyze,
     condensation,
@@ -87,9 +86,7 @@ def _summary(g: PrecedenceGraph, a: Analysis) -> list[str]:
 def _cmd_info(args: argparse.Namespace) -> int:
     g = _load(args.input)
     try:
-        res = max_redundant_edge_set(
-            g, exact_limit=args.exact_limit, allow_heuristic=args.allow_heuristic
-        )
+        res = max_redundant_edge_set(g, allow_heuristic=args.allow_heuristic)
     except ExactLimitExceeded as exc:
         _emit(args, "\n".join(_summary(g, exc.analysis)) + "\n")
         raise
@@ -109,9 +106,7 @@ def _cmd_redundant(args: argparse.Namespace) -> int:
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
     g = _load(args.input)
-    res = max_redundant_edge_set(
-        g, exact_limit=args.exact_limit, allow_heuristic=args.allow_heuristic
-    )
+    res = max_redundant_edge_set(g, allow_heuristic=args.allow_heuristic)
     _emit(args, fileformat.dumps(g.without(res.edges)))
     grade = "certified" if res.certified else "maximal (not certified)"
     _note(f"removed {len(res.edges)}, {grade}")
@@ -128,11 +123,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_condense(args: argparse.Namespace) -> int:
     a = analyze(_load(args.input))
-    cond = condensation(a.d)
-    if args.of_reduction:
-        # the reduction keeps exactly the condensation edges that stay
-        cond = cond.without((x + 1, y + 1) for x, y in a.removed_pairs)
-    _emit(args, fileformat.dumps(cond))
+    _emit(args, fileformat.dumps(condensation(a.d)))
     for k, members in enumerate(a.d.classes, 1):
         _note(f"class {k}: rep {members[0]}, nodes {' '.join(map(str, members))}")
     return EXIT_OK
@@ -163,17 +154,6 @@ _COMMANDS = {
 }
 
 
-def _limit(text: str) -> int:
-    """An ``--exact-limit`` value: a nonnegative integer, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcsimp",
@@ -184,13 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, limit: bool = False) -> None:
         p.add_argument("--out", metavar="FILE", help="write results here instead of stdout")
         if limit:
-            p.add_argument(
-                "--exact-limit",
-                type=_limit,
-                default=DEFAULT_EXACT_LIMIT,
-                metavar="N",
-                help="max arcs per exact intra-class solve (default %(default)s)",
-            )
             p.add_argument(
                 "--allow-heuristic",
                 action="store_true",
@@ -215,11 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cond = sub.add_parser("condense", help="condense each class onto its smallest member")
     p_cond.add_argument("input")
-    p_cond.add_argument(
-        "--of-reduction",
-        action="store_true",
-        help="condense the equivalent reduction instead of the input",
-    )
     common(p_cond)
 
     p_check = sub.add_parser("check", help="are two systems equivalent?")

@@ -25,13 +25,13 @@ which only the ``condense`` command prints.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, _Value, min_walk_weights
 from .errors import ExactLimitExceeded, LimitExceeded
 from .meg import Digraph, certificate, meg_exact, meg_greedy, redundant_arcs
 
-DEFAULT_EXACT_LIMIT = 20  # tight arcs of a class that meg_exact may try
+EXACT_LIMIT = 20  # tight arcs of a class that meg_exact may try
 
 
 class Analysis(_Value):
@@ -154,6 +154,19 @@ def analyze(g: PrecedenceGraph) -> Analysis:
     )
 
 
+def _class_digraphs(a: Analysis) -> Iterator[tuple[tuple[int, ...], Digraph]]:
+    """Each class with tight arcs, in class order, as its members and the
+    MEG instance on them.
+
+    The members become nodes 1..|C|, in order, so each question is sized by
+    the class, not the system; the map is monotone, so no arc order changes.
+    """
+    for k in sorted(a.tight):
+        members = a.d.classes[k]
+        local = {v: q for q, v in enumerate(members, 1)}
+        yield members, Digraph(len(members), {(local[s], local[t]) for s, t in a.tight[k]})
+
+
 def redundant_edges(a: Analysis) -> frozenset[Edge]:
     """Every edge that the other edges imply, each judged alone: together
     they need not be removable (tied_optima's (1, 2) and (1, 3)).
@@ -163,8 +176,9 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     walks of weight d_st are the walks over tight arcs); and the cross edges
     but the sole cheapest crossing of a pair whose condensation edge stays.
     """
-    tight = Digraph(a.d.n, frozenset().union(*a.tight.values()))
-    out = set(redundant_arcs(tight)) | a.slack
+    out = set(a.slack)
+    for members, h in _class_digraphs(a):
+        out |= {(members[s - 1], members[t - 1]) for s, t in redundant_arcs(h)}
     for pair, edges in a.cross.items():
         cheapest = a.cheapest[pair]
         sole = len(cheapest) == 1 and pair not in a.removed_pairs
@@ -172,19 +186,14 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def max_redundant_edge_set(
-    g: PrecedenceGraph,
-    *,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-    allow_heuristic: bool = False,
-) -> MresResult:
+def max_redundant_edge_set(g: PrecedenceGraph, *, allow_heuristic: bool = False) -> MresResult:
     """A maximum redundant edge set of an arbitrary feasible system.
 
     Assembled per the decomposition (see module docstring): all slack
     intra-class edges, all non-representing cross edges, the representing
     edges of pairs found redundant on the condensation, and per class the
     complement of a minimum equivalent graph of its tight edges.  A class
-    with more than ``exact_limit`` tight edges, or whose exact search
+    with more than :data:`EXACT_LIMIT` tight edges, or whose exact search
     visits more than :data:`~dcsimp.meg.SEARCH_BUDGET` nodes, raises
     :class:`ExactLimitExceeded` unless ``allow_heuristic``, which solves it
     greedily instead.  With every class solved exactly the result is a
@@ -195,15 +204,10 @@ def max_redundant_edge_set(
     certified = True
     for pair, edges in a.cross.items():
         out |= edges if pair in a.removed_pairs else edges - {a.cheapest[pair][0]}
-    for k in sorted(a.tight):
-        members, tight = a.d.classes[k], a.tight[k]
-        # the class's members as nodes 1..|C|, in order, so each solve is
-        # sized by the class; the map is monotone, so no arc order changes
-        local = {v: q for q, v in enumerate(members, 1)}
-        h = Digraph(len(members), {(local[s], local[t]) for s, t in tight})
+    for members, h in _class_digraphs(a):
         kept = None
-        if len(tight) > exact_limit:
-            over = f"over the exact limit of {exact_limit}"
+        if len(h.arcs) > EXACT_LIMIT:
+            over = f"over the exact limit of {EXACT_LIMIT}"
         else:
             try:
                 kept = meg_exact(h)
@@ -213,11 +217,11 @@ def max_redundant_edge_set(
             if not allow_heuristic:
                 raise ExactLimitExceeded(
                     f"the {len(members)}-node class of node {members[0]} has "
-                    f"{len(tight)} tight edges, {over}; allow the heuristic to "
+                    f"{len(h.arcs)} tight edges, {over}; allow the heuristic to "
                     "accept a maximal (uncertified) result",
                     analysis=a,
                 )
             kept = meg_greedy(certificate(h))
             certified = False
-        out |= tight - {(members[s - 1], members[t - 1]) for s, t in kept}
+        out |= {(members[s - 1], members[t - 1]) for s, t in h.arcs - kept}
     return MresResult(frozenset(out), certified, a)

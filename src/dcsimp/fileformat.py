@@ -10,7 +10,8 @@ with exactly m constraint lines, 1-based node ids, and weights written as
 decimals (``-2``, ``0.5``) or rationals (``-3/2``): digits with an optional
 sign, and either a fraction part or a nonzero denominator, of any length.
 Sizes and node ids are ASCII digits with an optional sign; a size must
-be below ``sys.maxsize``.
+be below ``sys.maxsize``.  Lines end at ``\n``, ``\r\n`` or ``\r`` only,
+so a form feed or U+2028 in a comment stays in the comment.
 Serialization is canonical: header first, edges sorted by ``(i, j)``, each
 weight rendered as an integer when whole and ``p/q`` otherwise.  Parsing a
 canonical file and serializing it again reproduces the bytes exactly.
@@ -50,7 +51,9 @@ def loads(text: str) -> PrecedenceGraph:
     """Parse a constraint system from text; raw entries are normalized."""
     n = m = None
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # str.splitlines would also break at \f, \x1c-\x1e, U+0085, U+2028, U+2029
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -106,7 +109,8 @@ def load(path: str | Path) -> PrecedenceGraph:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1  # the breaks loads counts
         raise ParseError(f"line {line}: invalid UTF-8 at byte offset {exc.start}") from None
     return loads(text)
 

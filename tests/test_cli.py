@@ -15,7 +15,7 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import cli, meg
+from dcsimp import cli, decomposition, meg
 from dcsimp.cli import build_parser, main
 from dcsimp.core import min_walk_weights
 from dcsimp.decomposition import analyze, condensation
@@ -65,12 +65,11 @@ def test_simplify(paths, capsys):
     assert "removed 1, certified" in captured.err
 
 
-def test_simplify_exact_limit_and_heuristic(paths, capsys):
-    assert main(["simplify", "--exact-limit", "3", paths["two_classes"]]) == 4
+def test_simplify_exact_limit_and_heuristic(paths, monkeypatch, capsys):
+    monkeypatch.setattr(decomposition, "EXACT_LIMIT", 3)
+    assert main(["simplify", paths["two_classes"]]) == 4
     assert "exact limit" in capsys.readouterr().err
-    rc = main(
-        ["simplify", "--exact-limit", "3", "--allow-heuristic", paths["two_classes"]]
-    )
+    rc = main(["simplify", "--allow-heuristic", paths["two_classes"]])
     assert rc == 0
     captured = capsys.readouterr()
     assert "removed 1, maximal (not certified)" in captured.err
@@ -95,18 +94,20 @@ def test_condense(paths, capsys):
 
 
 def test_condense_of_reduction(paths, capsys, tmp_path):
-    assert main(["condense", "--of-reduction", paths["two_classes"]]) == 0
+    reduced = tmp_path / "reduced.dcs"
+    assert main(["reduce", paths["two_classes"], "--out", str(reduced)]) == 0
+    assert main(["condense", str(reduced)]) == 0
     assert capsys.readouterr().out == "p dcs 2 2\ne 1 2 1\ne 2 1 0\n"
-    # the detour drops the condensation edge (1, 2); the reduction's own
-    # condensation agrees
+    # the detour drops the condensation edge (1, 2) from the reduction's
+    # condensation, which is the input's without its redundant pairs
     f = tmp_path / "detour.dcs"
     f.write_text("p dcs 3 3\ne 1 2 5\ne 1 3 2\ne 3 2 2\n")
-    assert main(["condense", "--of-reduction", str(f)]) == 0
+    assert main(["reduce", str(f), "--out", str(reduced)]) == 0
+    assert main(["condense", str(reduced)]) == 0
     out = capsys.readouterr().out
     assert out == "p dcs 3 2\ne 1 3 2\ne 3 2 2\n"
-    reduced = tmp_path / "reduced.dcs"
-    assert main(["reduce", str(f), "--out", str(reduced)]) == 0
-    assert out == dumps(condensation(analyze(loads(reduced.read_text())).d))
+    a = analyze(loads(f.read_text()))
+    assert out == dumps(condensation(a.d).without((x + 1, y + 1) for x, y in a.removed_pairs))
 
 
 def test_check_not_equivalent(paths, capsys, tmp_path):
@@ -250,8 +251,9 @@ def test_path_of_classes_reduce_and_check_stay_fast(tmp_path):
 
 
 def test_many_small_classes_simplify_stays_fast(tmp_path, capsys):
-    # 20,000 nodes in 10,000 zero-weight 2-cycles: each class's MEG is
-    # solved on its own two nodes, not on bitsets over all 20,000
+    # 20,000 nodes in 10,000 zero-weight 2-cycles: each class's MEG
+    # question, in simplify and in redundant, is asked on its own two
+    # nodes, not on bitsets over all 20,000
     n = 20_000
     f = tmp_path / "pairs.dcs"
     f.write_text(
@@ -262,9 +264,13 @@ def test_many_small_classes_simplify_stays_fast(tmp_path, capsys):
     assert main(["simplify", str(f), "--out", str(tmp_path / "out.dcs")]) == 0
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().err == "removed 0, certified\n"
+    start = time.perf_counter()
+    assert main(["redundant", str(f)]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr() == ("", "")
 
 
-def test_deep_exact_search_is_certified(tmp_path, capsys):
+def test_deep_exact_search_is_certified(tmp_path, monkeypatch, capsys):
     # a 600-node zero path in both directions: all 1198 tight arcs are
     # essential, and the exact search goes one level deeper per arc
     n = 600
@@ -273,7 +279,8 @@ def test_deep_exact_search_is_certified(tmp_path, capsys):
         f"p dcs {n} {2 * (n - 1)}\n"
         + "".join(f"e {i} {i + 1} 0\ne {i + 1} {i} 0\n" for i in range(1, n))
     )
-    assert main(["simplify", str(f), "--exact-limit", "2000"]) == 0
+    monkeypatch.setattr(decomposition, "EXACT_LIMIT", 2000)
+    assert main(["simplify", str(f)]) == 0
     captured = capsys.readouterr()
     assert captured.err == "removed 0, certified\n"
     assert loads(captured.out) == loads(f.read_text())
@@ -338,7 +345,7 @@ def _every_command(paths, tmp_path):
             ["simplify", inp, "--allow-heuristic"],
             ["reduce", inp],
             ["condense", inp],
-            ["condense", "--of-reduction", inp],
+            ["condense", str(reduced)],
             ["check", inp, str(reduced)],
         ):
             yield command
@@ -445,6 +452,8 @@ def test_out_flag_writes_file(paths, tmp_path, capsys):
         "redundant --oracle two_classes",
         "simplify --representative largest two_classes",
         "simplify --exact-limit -1 two_classes",
+        "simplify --exact-limit 3 two_classes",
+        "condense --of-reduction two_classes",
     ],
 )
 def test_usage_error_exit_code(command, paths, capsys):
@@ -465,7 +474,6 @@ def test_help_exits_zero(capsys):
         ("simplify two_classes", 1),
         ("reduce two_classes", 1),
         ("condense two_classes", 1),
-        ("condense --of-reduction two_classes", 1),
         ("redundant weight_sensitive", 1),
         ("redundant two_classes", 1),
         ("check two_classes two_classes", 2),
@@ -494,7 +502,6 @@ def test_distances_computed_once_per_input(command, calls, paths, monkeypatch, c
         ("redundant", 0),
         ("check", 0),
         ("condense", 1),
-        ("condense --of-reduction", 1),
     ],
 )
 def test_only_condense_builds_the_condensation(command, calls, paths, monkeypatch, capsys):

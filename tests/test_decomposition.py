@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import oracles
+from dcsimp import decomposition
 from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights, normalize, walk_weight
 from dcsimp.decomposition import (
     analyze,
@@ -259,14 +261,16 @@ class TestMaxRedundantEdgeSet:
             size, _ = brute_force_max_redundant(g)
             assert len(res.edges) == size
 
-    def test_exact_limit_raises_without_heuristic(self):
+    def test_exact_limit_raises_without_heuristic(self, monkeypatch):
         g = load_fixture("two_classes")  # 4 tight intra-class edges
+        monkeypatch.setattr(decomposition, "EXACT_LIMIT", 3)
         with pytest.raises(ExactLimitExceeded):
-            max_redundant_edge_set(g, exact_limit=3)
+            max_redundant_edge_set(g)
 
-    def test_heuristic_fallback_flags_result(self):
+    def test_heuristic_fallback_flags_result(self, monkeypatch):
         g = load_fixture("two_classes")
-        res = max_redundant_edge_set(g, exact_limit=3, allow_heuristic=True)
+        monkeypatch.setattr(decomposition, "EXACT_LIMIT", 3)
+        res = max_redundant_edge_set(g, allow_heuristic=True)
         assert not res.certified
         assert res.edges == {(3, 2)}  # greedy finds the optimum here
         assert is_redundant_edge_set(g, res.edges)
@@ -275,7 +279,7 @@ class TestMaxRedundantEdgeSet:
         # 1500-odd zero-slack arcs over 300 nodes: one class far over the
         # exact limit, solved by greedy on a strong-connectivity certificate
         g = oracles.random_potential_system(Random(317), 300, 3000, 0.5)
-        res = max_redundant_edge_set(g, exact_limit=20, allow_heuristic=True)
+        res = max_redundant_edge_set(g, allow_heuristic=True)
         assert not res.certified
         assert is_redundant_edge_set(g, res.edges)
         pieces = res.analysis.tight
@@ -326,3 +330,34 @@ class TestRedundantEdges:
     def test_positive_cycles_match_fast_criterion(self):
         for g in oracles.positive_cycle_suite(316, 60):
             assert redundant_edges(analyze(g)) == brute_force_redundant_edges(g)
+
+
+def test_no_meg_question_is_sized_by_the_system(monkeypatch):
+    # 60 nodes, most of them isolated, and three small zero-weight classes
+    # joined by crossings: each MEG instance is built on one class's nodes
+    g = normalize(
+        60,
+        [
+            (3, 4, 0), (4, 3, 0),
+            (10, 11, 0), (11, 12, 0), (12, 10, 0), (10, 12, 0),
+            (20, 21, 1), (21, 20, -1), (21, 22, 2), (22, 20, -3),
+            (4, 10, 2), (12, 20, 5), (3, 20, 1), (22, 50, 0),
+        ],
+    )
+    sizes = []
+
+    def recording(*args, **kwargs):
+        h = Digraph(*args, **kwargs)
+        sizes.append(h.n)
+        return h
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dcsimp" and getattr(module, "Digraph", None) is Digraph:
+            monkeypatch.setattr(module, "Digraph", recording)
+    largest = max(map(len, min_walk_weights(g).classes))
+    assert largest == 3
+    redundant_edges(analyze(g))
+    max_redundant_edge_set(g)
+    monkeypatch.setattr(decomposition, "EXACT_LIMIT", 0)  # greedy on a certificate
+    max_redundant_edge_set(g, allow_heuristic=True)
+    assert sizes and max(sizes) <= largest

@@ -138,3 +138,19 @@ def test_load_names_the_first_byte_that_is_not_utf8(tmp_path):
         load(f)
     f.write_text("# caf\u00e9\np dcs 1 0\n", encoding="utf-8")
     assert load(f) == PrecedenceGraph(1, {})
+
+
+def test_lines_break_only_at_newline_and_carriage_return(tmp_path):
+    # str.splitlines would also break at \f, \x1c-\x1e, U+0085, U+2028 and
+    # U+2029, which would end a comment early and parse its tail
+    text = "# note\u2028 more\np dcs 2 1 # form\x0cfeed\x85\ne 1 2 3 # \u2029tail\n"
+    assert loads(text) == PrecedenceGraph(2, {(1, 2): 3})
+    assert loads(text.replace("\n", "\r\n")) == loads(text.replace("\n", "\r")) == loads(text)
+    # the error names the line an editor shows, the same one load counts
+    bad = "p dcs 2 1\n# a\x1c b\x1d\r\ne 1 2\n"
+    with pytest.raises(ParseError, match=r"^line 3: expected 'e <i> <j> <c>'$"):
+        loads(bad)
+    f = tmp_path / "bad.dcs"
+    f.write_bytes(b"p dcs 2 1\r# a\x1c b\re 1 2 \xff\n")
+    with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 at byte offset 23$"):
+        load(f)

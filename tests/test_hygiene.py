@@ -1,0 +1,98 @@
+"""What a deletion leaves behind: imports nothing uses, and module-level
+names nothing references.  Read from the sources with ``ast`` alone."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dcsimp"
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _exported(trees: dict[str, ast.Module]) -> set[str]:
+    """The names listed in any module's ``__all__``."""
+    out = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                out.update(ast.literal_eval(node.value))
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name read in a module, annotations included, as a bare name, an
+    attribute or an imported name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unused_imports(tree: ast.Module, exported: set[str]) -> list[str]:
+    """Names a module-level import binds that the module never reads."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(name)
+    return unused
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    """Module-level defs, classes and assigned names, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level names that no module reads and no ``__all__`` lists."""
+    seen = _exported(trees).union(*map(_references, trees.values()))
+    return [f"{mod}:{name}" for mod, tree in trees.items() for name in _defined(tree) if name not in seen]
+
+
+def test_every_import_is_used():
+    trees = _trees()
+    exported = _exported(trees)
+    unused = {mod: names for mod, tree in trees.items() if (names := unused_imports(tree, exported))}
+    assert unused == {}
+
+
+def test_every_module_level_name_is_referenced():
+    assert unreferenced(_trees()) == []
+
+
+def test_the_guard_finds_leftovers():
+    # what removing a flag could leave: its default's import and its validator
+    leftover = ast.parse(
+        "from __future__ import annotations\n"
+        "from typing import Mapping\n"
+        "from .decomposition import DEFAULT_EXACT_LIMIT, analyze\n"
+        "__all__ = ['run']\n"
+        "LIMIT = 3\n"
+        "def _limit(text): return int(text)\n"
+        "def run(x: Mapping) -> int: return analyze(x)\n"
+    )
+    assert unused_imports(leftover, set()) == ["DEFAULT_EXACT_LIMIT"]
+    assert unreferenced({"m.py": leftover}) == ["m.py:LIMIT", "m.py:_limit"]
