@@ -8,16 +8,10 @@ equivalence and redundancy.
 
 from .core import (
     DistanceMatrix,
-    Edge,
     PrecedenceGraph,
     Walk,
-    WalkDecomposition,
-    as_weight,
-    decompose_walk,
     implies,
     min_walk_weights,
-    normalize,
-    walk_weight,
 )
 from .decomposition import (
     Analysis,
@@ -37,12 +31,11 @@ from .errors import (
     NegativeSelfLoop,
     NodeCountMismatch,
     NotASubset,
-    NotAWalk,
     ParseError,
     SameNode,
     SelfLoopDropped,
 )
-from .fileformat import dump, dumps, load, loads
+from .fileformat import dumps, load, loads
 from .meg import Digraph, meg_exact, meg_greedy
 from .reduction import ReductionResult, equivalent_reduction
 from .verify import EquivalenceReport, is_redundant_edge_set, systems_equivalent
@@ -54,7 +47,6 @@ __all__ = [
     "DcsError",
     "Digraph",
     "DistanceMatrix",
-    "Edge",
     "EquivalenceReport",
     "ExactLimitExceeded",
     "IndexOutOfRange",
@@ -64,20 +56,15 @@ __all__ = [
     "NegativeSelfLoop",
     "NodeCountMismatch",
     "NotASubset",
-    "NotAWalk",
     "ParseError",
     "PrecedenceGraph",
     "ReductionResult",
     "SameNode",
     "SelfLoopDropped",
     "Walk",
-    "WalkDecomposition",
     "analyze",
-    "as_weight",
     "condensation",
     "condensation_redundant_pairs",
-    "decompose_walk",
-    "dump",
     "dumps",
     "equivalent_reduction",
     "implies",
@@ -88,8 +75,6 @@ __all__ = [
     "meg_exact",
     "meg_greedy",
     "min_walk_weights",
-    "normalize",
     "redundant_edges",
     "systems_equivalent",
-    "walk_weight",
 ]

@@ -41,7 +41,6 @@ from .errors import (
     IndexOutOfRange,
     InfeasibleSystem,
     NegativeSelfLoop,
-    NotAWalk,
     SameNode,
     SelfLoopDropped,
 )
@@ -430,14 +429,6 @@ class DistanceMatrix(_Value):
         return f"DistanceMatrix(n={self.n}, classes={len(self.classes)})"
 
 
-class WalkDecomposition(_Value):
-    """A walk split into a simple path plus simple cycles (order of peeling)."""
-
-    __slots__ = ("path", "cycles")
-    path: Walk
-    cycles: tuple[Walk, ...]
-
-
 def normalize(
     n: int, raw_edges: Iterable[tuple[int, int, WeightLike]]
 ) -> PrecedenceGraph:
@@ -616,10 +607,11 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     scaled = {e: w.numerator * (scale // w.denominator) for e, w in g.edges.items()}
     potential, witness = _bellman_ford(n, scaled)
     if witness is not None:
+        weight = Fraction(sum(map(scaled.get, witness.steps)), scale)
         raise InfeasibleSystem(
             "no solution: negative-weight closed walk "
             f"{'-'.join(map(str, witness.nodes))} "
-            f"has weight {weight_text(walk_weight(g, witness))}",
+            f"has weight {weight_text(weight)}",
             cycle=witness,
         )
     zero = [(i, j) for (i, j), w in scaled.items() if w + potential[i] == potential[j]]
@@ -648,24 +640,6 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     )
 
 
-def _check_walk(g: PrecedenceGraph, walk: Walk) -> None:
-    for node in walk.nodes:
-        if not (1 <= node <= g.n):
-            raise NotAWalk(f"node {node} outside 1..{g.n}")
-    for i, j in walk.steps:
-        if (i, j) not in g.edges:
-            raise NotAWalk(f"({i},{j}) is not an edge")
-
-
-def walk_weight(g: PrecedenceGraph, walk: Walk) -> Fraction:
-    """Total weight of a walk; the degenerate single-node walk weighs zero."""
-    _check_walk(g, walk)
-    total = Fraction(0)
-    for step in walk.steps:
-        total += g.edges[step]
-    return total
-
-
 def implies(d: DistanceMatrix, u: int, v: int, bound: WeightLike) -> bool:
     """Does the system force ``x_u - x_v <= bound``?
 
@@ -677,31 +651,3 @@ def implies(d: DistanceMatrix, u: int, v: int, bound: WeightLike) -> bool:
     if not (1 <= u <= d.n and 1 <= v <= d.n):
         raise IndexOutOfRange(f"nodes ({u},{v}) outside 1..{d.n}")
     return d.unimplied([((u, v), as_weight(bound))]) is None
-
-
-def decompose_walk(g: PrecedenceGraph, walk: Walk) -> WalkDecomposition:
-    """Split a walk into a simple path plus simple cycles.
-
-    Scans the walk once, keeping a stack of nodes not yet known to repeat.
-    Whenever the next node already sits on the stack, the segment from its
-    earlier occurrence is peeled off as a cycle; stack nodes are pairwise
-    distinct, so every peeled cycle is simple, and the surviving stack is a
-    simple path from first to last node (degenerate when they coincide).
-    Each input edge lands in exactly one output piece, so total weight and
-    the edge multiset are both conserved.
-    """
-    _check_walk(g, walk)
-    stack = [walk.nodes[0]]
-    pos = {walk.nodes[0]: 0}
-    cycles: list[Walk] = []
-    for x in walk.nodes[1:]:
-        at = pos.get(x)
-        if at is None:
-            pos[x] = len(stack)
-            stack.append(x)
-            continue
-        cycles.append(Walk(tuple(stack[at:]) + (x,)))
-        for y in stack[at + 1 :]:
-            del pos[y]
-        del stack[at + 1 :]
-    return WalkDecomposition(Walk(tuple(stack)), tuple(cycles))

@@ -34,10 +34,6 @@ class SameNode(DcsError):
     """An implication query needs two distinct nodes."""
 
 
-class NotAWalk(DcsError):
-    """A node sequence steps over a pair that is not an edge of the graph."""
-
-
 class NotASubset(DcsError):
     """An edge (or arc) set refers to members outside the host graph."""
 

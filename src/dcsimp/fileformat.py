@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import core
 from .core import PrecedenceGraph, as_weight, normalize, weight_text
-from .errors import IndexOutOfRange, ParseError
+from .errors import ParseError
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -78,7 +78,7 @@ def loads(text: str) -> PrecedenceGraph:
             i, j = _int(fields[1]), _int(fields[2])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer node id") from None
-        if abs(i) >= sys.maxsize or abs(j) >= sys.maxsize:  # past any header's n
+        if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"line {lineno}: node id out of range 1..{n}")
         try:
             w = as_weight(fields[3])
@@ -89,10 +89,7 @@ def loads(text: str) -> PrecedenceGraph:
         raise ParseError("missing 'p dcs <n> <m>' header")
     if len(entries) != m:
         raise ParseError(f"header promises {m} constraints, found {len(entries)}")
-    try:
-        return normalize(n, entries)
-    except IndexOutOfRange as exc:
-        raise ParseError(str(exc)) from None
+    return normalize(n, entries)
 
 
 def dumps(g: PrecedenceGraph) -> str:
@@ -113,7 +110,3 @@ def load(path: str | Path) -> PrecedenceGraph:
         line = head.count(b"\n") + 1  # the breaks loads counts
         raise ParseError(f"line {line}: invalid UTF-8 at byte offset {exc.start}") from None
     return loads(text)
-
-
-def dump(g: PrecedenceGraph, path: str | Path) -> None:
-    Path(path).write_text(dumps(g), encoding="utf-8")

@@ -4,6 +4,11 @@ Everything here enumerates (simple paths, simple cycles, arc and edge
 subsets) or runs a dense Floyd-Warshall over every node.  Only the graph
 containers and the error types are imported from the package, and no
 solver module, so agreement between an oracle and a solver is a real check.
+
+The walk tools price a walk edge by edge and split it into a simple path
+plus simple cycles, the step the paper's proofs take from walks to simple
+paths; the tests use them on the solver's infeasibility witnesses and on
+random walks.
 """
 
 from __future__ import annotations
@@ -265,6 +270,51 @@ def random_walk(rng: Random, g: PrecedenceGraph, max_steps: int = 25) -> Walk:
             break
         nodes.append(rng.choice(nxt)[0])
     return Walk(tuple(nodes))
+
+
+def _check_walk(g: PrecedenceGraph, walk: Walk) -> None:
+    for node in walk.nodes:
+        if not (1 <= node <= g.n):
+            raise ValueError(f"node {node} outside 1..{g.n}")
+    for i, j in walk.steps:
+        if (i, j) not in g.edges:
+            raise ValueError(f"({i},{j}) is not an edge")
+
+
+def walk_weight(g: PrecedenceGraph, walk: Walk) -> Fraction:
+    """Total weight of a walk; the degenerate single-node walk weighs zero.
+    ValueError when the walk leaves 1..n or steps over a non-edge."""
+    _check_walk(g, walk)
+    return sum((g.edges[step] for step in walk.steps), Fraction(0))
+
+
+def decompose_walk(g: PrecedenceGraph, walk: Walk) -> tuple[Walk, tuple[Walk, ...]]:
+    """Split a walk into a simple path plus simple cycles (order of peeling).
+
+    Scans the walk once, keeping a stack of nodes not yet known to repeat.
+    Whenever the next node already sits on the stack, the segment from its
+    earlier occurrence is peeled off as a cycle; stack nodes are pairwise
+    distinct, so every peeled cycle is simple, and the surviving stack is a
+    simple path from first to last node (degenerate when they coincide).
+    Each input edge lands in exactly one output piece, so total weight and
+    the edge multiset are both conserved.  ValueError as for
+    :func:`walk_weight`.
+    """
+    _check_walk(g, walk)
+    stack = [walk.nodes[0]]
+    pos = {walk.nodes[0]: 0}
+    cycles: list[Walk] = []
+    for x in walk.nodes[1:]:
+        at = pos.get(x)
+        if at is None:
+            pos[x] = len(stack)
+            stack.append(x)
+            continue
+        cycles.append(Walk(tuple(stack[at:]) + (x,)))
+        for y in stack[at + 1 :]:
+            del pos[y]
+        del stack[at + 1 :]
+    return Walk(tuple(stack)), tuple(cycles)
 
 
 def random_potential_system(

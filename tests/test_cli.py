@@ -19,6 +19,7 @@ from dcsimp import cli, decomposition, meg
 from dcsimp.cli import build_parser, main
 from dcsimp.core import min_walk_weights
 from dcsimp.decomposition import analyze, condensation
+from dcsimp.errors import InfeasibleSystem
 from dcsimp.fileformat import dumps, loads
 from shipped import NAMES, load_fixture
 
@@ -136,13 +137,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
         assert main(["info", str(bad)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
     # a size no list can hold, and a node id past Python's digit limit,
-    # end in one error line from every command, not a traceback
+    # end in one error line from every command, not a traceback; a node id
+    # out of range names its own line, ahead of a later bad line
     huge = "9" * 5001
     for text, message in [
         ("p dcs 100000000000000000000 0\n", "line 1: size too large in header"),
         (f"p dcs 2 {huge}\n", "line 1: size too large in header"),
         (f"p dcs 2 1\ne {huge} 1 0\n", "line 2: node id out of range 1..2"),
         (f"p dcs 2 1\ne 1 -{huge} 0\n", "line 2: node id out of range 1..2"),
+        ("p dcs 2 1\ne 1 3 0\n", "line 2: node id out of range 1..2"),
+        ("p dcs 2 2\ne 1 3 1\ne 1 2 x\n", "line 2: node id out of range 1..2"),
+        ("p dcs 0 1\ne 1 1 0\n", "line 2: node id out of range 1..0"),
     ]:
         bad.write_text(text)
         single = [[c, str(bad)] for c in ("info", "simplify", "reduce", "redundant", "condense")]
@@ -165,6 +170,34 @@ def test_infeasible_exit_code(tmp_path, capsys):
     bad.write_text("p dcs 2 2\ne 1 2 -1\ne 2 1 0\n")
     assert main(["info", str(bad)]) == 2
     assert "negative-weight closed walk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p dcs 3 3\ne 1 2 -1\ne 2 3 -1\ne 3 1 1\n", "walk 1-2-3-1 has weight -1"),
+        (
+            "p dcs 4 5\ne 1 2 -1/3\ne 2 3 -1/7\ne 3 1 1/3\ne 3 4 1\ne 4 2 5\n",
+            "walk 3-1-2-3 has weight -1/7",
+        ),
+    ],
+)
+def test_infeasible_message_prices_the_witness(text, message, tmp_path, capsys):
+    bad = tmp_path / "infeasible.dcs"
+    bad.write_text(text)
+    single = [[c, str(bad)] for c in ("info", "simplify", "reduce", "redundant", "condense")]
+    for argv in single + [["check", str(bad), str(bad)]]:
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: no solution: negative-weight closed {message}\n",
+        )
+    # the weight is the witness's own, priced edge by edge
+    g = loads(text)
+    with pytest.raises(InfeasibleSystem) as info:
+        min_walk_weights(g)
+    weight = oracles.walk_weight(g, info.value.cycle)
+    assert weight < 0 and str(info.value).endswith(f" has weight {weight}")
 
 
 @pytest.mark.parametrize(

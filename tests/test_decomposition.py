@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from dcsimp import decomposition
-from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights, normalize, walk_weight
+from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights, normalize
 from dcsimp.decomposition import (
     analyze,
     condensation,

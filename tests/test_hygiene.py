@@ -1,12 +1,15 @@
-"""What a deletion leaves behind: imports nothing uses, and module-level
-names nothing references.  Read from the sources with ``ast`` alone."""
+"""What a deletion leaves behind: imports nothing uses, module-level names
+nothing references, and exports the README does not name.  Read from the
+sources with ``ast`` alone."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dcsimp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dcsimp"
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -81,6 +84,11 @@ def test_every_import_is_used():
 
 def test_every_module_level_name_is_referenced():
     assert unreferenced(_trees()) == []
+
+
+def test_every_export_is_named_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert sorted(n for n in _exported(_trees()) if not re.search(rf"\b{n}\b", readme)) == []
 
 
 def test_the_guard_finds_leftovers():

@@ -12,8 +12,6 @@ from dcsimp.core import (
     DistanceMatrix,
     PrecedenceGraph,
     Walk,
-    WalkDecomposition,
-    decompose_walk,
     min_walk_weights,
 )
 from dcsimp.decomposition import (
@@ -40,7 +38,6 @@ def values():
         PrecedenceGraph: g,
         Walk: walk,
         DistanceMatrix: a.d,
-        WalkDecomposition: decompose_walk(g, walk),
         Analysis: a,
         MresResult: max_redundant_edge_set(g),
         Digraph: Digraph(3, frozenset({(1, 2), (2, 3)})),
