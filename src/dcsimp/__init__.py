@@ -24,7 +24,6 @@ from .decomposition import (
 )
 from .errors import (
     DcsError,
-    ExactLimitExceeded,
     IndexOutOfRange,
     InfeasibleSystem,
     LimitExceeded,
@@ -48,7 +47,6 @@ __all__ = [
     "Digraph",
     "DistanceMatrix",
     "EquivalenceReport",
-    "ExactLimitExceeded",
     "IndexOutOfRange",
     "InfeasibleSystem",
     "LimitExceeded",

@@ -15,9 +15,9 @@ only ``condense`` builds the weighted condensation.  Results go to stdout
 (or ``--out FILE``); summaries and diagnostics go to stderr.  Weights are
 written exactly, however many digits they need.  Exit codes: 0 success, 1
 parse or usage error (or memory ran out), 2 infeasible system, 3 systems
-not equivalent, 4 exact limit or exact search budget exceeded without
---allow-heuristic (``info`` still prints every line that needs no exact
-solve first; the limit is :data:`~dcsimp.decomposition.EXACT_LIMIT`).
+not equivalent.  ``info`` and ``simplify`` always answer: a class too large
+for the exact search is solved greedily and the result graded "not
+certified".
 """
 
 from __future__ import annotations
@@ -28,14 +28,8 @@ import warnings
 
 from . import fileformat
 from .core import PrecedenceGraph
-from .decomposition import (
-    Analysis,
-    analyze,
-    condensation,
-    max_redundant_edge_set,
-    redundant_edges,
-)
-from .errors import DcsError, ExactLimitExceeded, InfeasibleSystem
+from .decomposition import analyze, condensation, max_redundant_edge_set, redundant_edges
+from .errors import DcsError, InfeasibleSystem
 from .reduction import equivalent_reduction
 from .verify import systems_equivalent
 
@@ -43,7 +37,6 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_EQUIVALENT = 3
-EXIT_LIMIT = 4
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -67,11 +60,13 @@ def _load(path: str) -> PrecedenceGraph:
     return g
 
 
-def _summary(g: PrecedenceGraph, a: Analysis) -> list[str]:
-    """The ``info`` lines that need no MEG solve."""
+def _cmd_info(args: argparse.Namespace) -> int:
+    g = _load(args.input)
+    res = max_redundant_edge_set(g)
+    a = res.analysis
     classes = a.d.classes
     zero_cycle = any(len(c) > 1 for c in classes)
-    return [
+    lines = [
         f"nodes: {g.n}",
         f"constraints: {g.m}",
         "feasible: yes",
@@ -80,17 +75,6 @@ def _summary(g: PrecedenceGraph, a: Analysis) -> list[str]:
         f"class sizes: {' '.join(str(len(c)) for c in classes)}",
         f"slack intra-class edges: {len(a.slack)}",
         f"condensation edges: {len(a.d.class_arcs)}",
-    ]
-
-
-def _cmd_info(args: argparse.Namespace) -> int:
-    g = _load(args.input)
-    try:
-        res = max_redundant_edge_set(g, allow_heuristic=args.allow_heuristic)
-    except ExactLimitExceeded as exc:
-        _emit(args, "\n".join(_summary(g, exc.analysis)) + "\n")
-        raise
-    lines = _summary(g, res.analysis) + [
         f"removable edges (max): {len(res.edges)}",
         f"certified maximum: {'yes' if res.certified else 'no'}",
     ]
@@ -106,7 +90,7 @@ def _cmd_redundant(args: argparse.Namespace) -> int:
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
     g = _load(args.input)
-    res = max_redundant_edge_set(g, allow_heuristic=args.allow_heuristic)
+    res = max_redundant_edge_set(g)
     _emit(args, fileformat.dumps(g.without(res.edges)))
     grade = "certified" if res.certified else "maximal (not certified)"
     _note(f"removed {len(res.edges)}, {grade}")
@@ -161,18 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, limit: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, heuristic: bool = False) -> None:
         p.add_argument("--out", metavar="FILE", help="write results here instead of stdout")
-        if limit:
-            p.add_argument(
-                "--allow-heuristic",
-                action="store_true",
-                help="fall back to a greedy (maximal, uncertified) solve over the limit",
-            )
+        if heuristic:  # accepted and ignored: the greedy fallback always runs
+            p.add_argument("--allow-heuristic", action="store_true", help=argparse.SUPPRESS)
 
     p_info = sub.add_parser("info", help="summary statistics")
     p_info.add_argument("input")
-    common(p_info, limit=True)
+    common(p_info, heuristic=True)
 
     p_red = sub.add_parser("redundant", help="list every edge the others imply")
     p_red.add_argument("input")
@@ -180,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_simp = sub.add_parser("simplify", help="delete a maximum redundant edge set")
     p_simp.add_argument("input")
-    common(p_simp, limit=True)
+    common(p_simp, heuristic=True)
 
     p_reduce = sub.add_parser("reduce", help="synthesize the minimum equivalent system")
     p_reduce.add_argument("input")
@@ -205,9 +185,6 @@ def run(args: argparse.Namespace) -> int:
     except InfeasibleSystem as exc:
         _note(f"error: {exc}")
         return EXIT_INFEASIBLE
-    except ExactLimitExceeded as exc:
-        _note(f"error: {exc}")
-        return EXIT_LIMIT
     except (DcsError, OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_PARSE

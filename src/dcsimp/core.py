@@ -17,7 +17,8 @@ zero-cycle classes, and a distance between classes is found on demand by
 the one Dijkstra search over the condensation, one node per class.  That
 search is bounded by the costs the caller asks about and settles each of
 them when it relaxes an arc into its class.  The search for the classes
-also records the MEG fallback's sparse certificate.
+can also record a sparse strong-connectivity certificate; the MEG fallback
+runs it again on each fallback class's own sorted arcs to get one.
 
 Feasibility is a walk statement: the system has a solution precisely when no
 closed walk has negative weight, and then the tightest derivable bound on

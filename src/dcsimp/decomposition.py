@@ -14,7 +14,8 @@ lets the redundancy problem split cleanly:
   criterion applies;
 * the tight intra-class edges form an unweighted reachability problem: which
   arcs of a strongly connected digraph can go while preserving reachability.
-  That piece is NP-hard and goes to the MEG solver.
+  That piece is NP-hard and goes to the MEG solver: exactly on a class of at
+  most :data:`EXACT_LIMIT` tight arcs, greedily and uncertified otherwise.
 
 :func:`analyze` runs that split once per system, and every solver and
 command reads its distances, classes, edge pieces and redundant class pairs
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, _Value, min_walk_weights
-from .errors import ExactLimitExceeded, LimitExceeded
+from .errors import LimitExceeded
 from .meg import Digraph, certificate, meg_exact, meg_greedy, redundant_arcs
 
 EXACT_LIMIT = 20  # tight arcs of a class that meg_exact may try
@@ -186,7 +187,7 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def max_redundant_edge_set(g: PrecedenceGraph, *, allow_heuristic: bool = False) -> MresResult:
+def max_redundant_edge_set(g: PrecedenceGraph) -> MresResult:
     """A maximum redundant edge set of an arbitrary feasible system.
 
     Assembled per the decomposition (see module docstring): all slack
@@ -194,8 +195,7 @@ def max_redundant_edge_set(g: PrecedenceGraph, *, allow_heuristic: bool = False)
     edges of pairs found redundant on the condensation, and per class the
     complement of a minimum equivalent graph of its tight edges.  A class
     with more than :data:`EXACT_LIMIT` tight edges, or whose exact search
-    visits more than :data:`~dcsimp.meg.SEARCH_BUDGET` nodes, raises
-    :class:`ExactLimitExceeded` unless ``allow_heuristic``, which solves it
+    visits more than :data:`~dcsimp.meg.SEARCH_BUDGET` nodes, is solved
     greedily instead.  With every class solved exactly the result is a
     certified maximum; the greedy fallback degrades it to maximal.
     """
@@ -206,21 +206,12 @@ def max_redundant_edge_set(g: PrecedenceGraph, *, allow_heuristic: bool = False)
         out |= edges if pair in a.removed_pairs else edges - {a.cheapest[pair][0]}
     for members, h in _class_digraphs(a):
         kept = None
-        if len(h.arcs) > EXACT_LIMIT:
-            over = f"over the exact limit of {EXACT_LIMIT}"
-        else:
+        if len(h.arcs) <= EXACT_LIMIT:
             try:
                 kept = meg_exact(h)
-            except LimitExceeded as exc:
-                over = f"and {exc}"
+            except LimitExceeded:
+                pass
         if kept is None:
-            if not allow_heuristic:
-                raise ExactLimitExceeded(
-                    f"the {len(members)}-node class of node {members[0]} has "
-                    f"{len(h.arcs)} tight edges, {over}; allow the heuristic to "
-                    "accept a maximal (uncertified) result",
-                    analysis=a,
-                )
             kept = meg_greedy(certificate(h))
             certified = False
         out |= {(members[s - 1], members[t - 1]) for s, t in h.arcs - kept}

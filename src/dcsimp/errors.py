@@ -43,20 +43,8 @@ class NodeCountMismatch(DcsError):
 
 
 class LimitExceeded(DcsError):
-    """An exhaustive search passed its bound, as :func:`~dcsimp.meg.meg_exact`
-    does past :data:`~dcsimp.meg.SEARCH_BUDGET` search nodes."""
-
-
-class ExactLimitExceeded(LimitExceeded):
-    """An exact intra-class solve was refused and no fallback was allowed.
-
-    When available, ``analysis`` carries the decomposition the refused solve
-    came from, so a caller can still report what needed no solve.
-    """
-
-    def __init__(self, message: str, analysis=None):
-        super().__init__(message)
-        self.analysis = analysis
+    """:func:`~dcsimp.meg.meg_exact` passed its budget of
+    :data:`~dcsimp.meg.SEARCH_BUDGET` search nodes."""
 
 
 class SelfLoopDropped(UserWarning):

@@ -5,12 +5,13 @@ intra-class subproblem of the decomposition reduces to exactly this.  The
 problem is NP-hard in general (Moyles & Thompson 1969), so the exact solver
 is a bounded search and a greedy maximal fallback is provided.
 
-Over the exact limit, the decomposition runs the greedy on a
-strong-connectivity :func:`certificate` of the class's tight arcs, the one
-the class search records: at most 2(|C| - 1) arcs for a class C, a
-fraction of a dense class's, so the greedy has fewer to test and to keep.
-The greedy itself keeps an arc that is its head's only live in-arc or its
-tail's only live out-arc without a search, since no digraph can drop it.
+Over the exact limit or the search budget, the decomposition runs the
+greedy on a strong-connectivity :func:`certificate` of the class's tight
+arcs, which runs the class search (:func:`dcsimp.core._components`) again
+on those arcs alone: at most 2(|C| - 1) arcs for a class C, a fraction of
+a dense class's, so the greedy has fewer to test and to keep.  The greedy
+itself keeps an arc that is its head's only live in-arc or its tail's
+only live out-arc without a search, since no digraph can drop it.
 
 Every solver works on successor bitsets: ``succ[i]`` is a Python int whose
 bit j is set when the arc (i, j) is present.  Dropping or restoring an arc
@@ -122,11 +123,11 @@ def certificate(h: Digraph) -> Digraph:
     """A subgraph of at most 2(n' - 1) arcs, n' the nodes h touches, with
     the reachability of h, for h strongly connected on those nodes.
 
-    The class search (:func:`dcsimp.core._components`) records it: on
-    sorted arcs, from the smallest node with an arc, the depth-first tree
-    plus per other node the first arc out of its subtree whose head comes
-    earliest.  Raises ``ValueError`` when h is not strongly connected on
-    the nodes it touches.
+    The class search (:func:`dcsimp.core._components`) records it when run
+    on h's own sorted arcs: from the smallest node with an arc, the
+    depth-first tree plus per other node the first arc out of its subtree
+    whose head comes earliest.  Raises ``ValueError`` when h is not
+    strongly connected on the nodes it touches.
     """
     comp, _, kept = _components(h.n, sorted(h.arcs))
     if len({comp[v] for arc in h.arcs for v in arc}) > 1:

@@ -18,7 +18,6 @@ from dcsimp.decomposition import (
     max_redundant_edge_set,
     redundant_edges,
 )
-from dcsimp.errors import ExactLimitExceeded
 from dcsimp.meg import Digraph, redundant_arcs
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
 from oracles import brute_force_max_redundant, brute_force_redundant_edges
@@ -261,16 +260,10 @@ class TestMaxRedundantEdgeSet:
             size, _ = brute_force_max_redundant(g)
             assert len(res.edges) == size
 
-    def test_exact_limit_raises_without_heuristic(self, monkeypatch):
+    def test_heuristic_fallback_flags_result(self, monkeypatch):
         g = load_fixture("two_classes")  # 4 tight intra-class edges
         monkeypatch.setattr(decomposition, "EXACT_LIMIT", 3)
-        with pytest.raises(ExactLimitExceeded):
-            max_redundant_edge_set(g)
-
-    def test_heuristic_fallback_flags_result(self, monkeypatch):
-        g = load_fixture("two_classes")
-        monkeypatch.setattr(decomposition, "EXACT_LIMIT", 3)
-        res = max_redundant_edge_set(g, allow_heuristic=True)
+        res = max_redundant_edge_set(g)
         assert not res.certified
         assert res.edges == {(3, 2)}  # greedy finds the optimum here
         assert is_redundant_edge_set(g, res.edges)
@@ -279,7 +272,7 @@ class TestMaxRedundantEdgeSet:
         # 1500-odd zero-slack arcs over 300 nodes: one class far over the
         # exact limit, solved by greedy on a strong-connectivity certificate
         g = oracles.random_potential_system(Random(317), 300, 3000, 0.5)
-        res = max_redundant_edge_set(g, allow_heuristic=True)
+        res = max_redundant_edge_set(g)
         assert not res.certified
         assert is_redundant_edge_set(g, res.edges)
         pieces = res.analysis.tight
@@ -290,6 +283,18 @@ class TestMaxRedundantEdgeSet:
             # each kept tight arc is essential: its head is unreachable
             # from its tail over the other kept arcs
             assert not redundant_arcs(Digraph(g.n, kept))
+
+    def test_heuristic_fallback_is_maximal_on_the_feasible_suite(self, monkeypatch):
+        # every class goes greedy: no edge of what is left can go, and the
+        # set is no larger than the maximum; only a system without tight
+        # arcs keeps its certificate
+        monkeypatch.setattr(decomposition, "EXACT_LIMIT", 0)
+        for g in oracles.feasible_suite(318, 80):
+            res = max_redundant_edge_set(g)
+            assert is_redundant_edge_set(g, res.edges)
+            assert not redundant_edges(analyze(g.without(res.edges)))
+            assert len(res.edges) <= brute_force_max_redundant(g)[0]
+            assert res.certified == (not res.analysis.tight)
 
     def test_class_preservation(self):
         # removing the set keeps the node partition intact
@@ -359,5 +364,5 @@ def test_no_meg_question_is_sized_by_the_system(monkeypatch):
     redundant_edges(analyze(g))
     max_redundant_edge_set(g)
     monkeypatch.setattr(decomposition, "EXACT_LIMIT", 0)  # greedy on a certificate
-    max_redundant_edge_set(g, allow_heuristic=True)
+    max_redundant_edge_set(g)
     assert sizes and max(sizes) <= largest

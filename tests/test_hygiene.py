@@ -104,3 +104,22 @@ def test_the_guard_finds_leftovers():
     )
     assert unused_imports(leftover, set()) == ["DEFAULT_EXACT_LIMIT"]
     assert unreferenced({"m.py": leftover}) == ["m.py:LIMIT", "m.py:_limit"]
+
+
+def _exit_codes(text: str) -> list[int]:
+    """The codes listed in the sentence that starts ``Exit codes:``."""
+    sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", text, re.DOTALL)
+    assert sentence, "no 'Exit codes:' sentence"
+    return sorted(int(code) for code in re.findall(r"\b\d+\b", sentence.group(1)))
+
+
+def test_exit_codes_are_the_documented_ones():
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    codes = sorted(
+        node.value.value
+        for node in cli.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id.startswith("EXIT_") for t in node.targets)
+    )
+    assert codes == _exit_codes(ast.get_docstring(cli))
+    assert codes == _exit_codes((ROOT / "README.md").read_text(encoding="utf-8"))
