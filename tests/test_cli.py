@@ -239,6 +239,22 @@ def test_info_over_the_exact_limit_prints_the_graded_summary(arcs, tmp_path, cap
     )
 
 
+def test_info_over_the_exact_limit_prints_the_summary_first(tmp_path, monkeypatch, capsys):
+    # the summary comes first and does not depend on the limit: raised so the
+    # exact search certifies, only the last line, the grade, changes
+    f = _zero_class(tmp_path / "complete.dcs", COMPLETE_6)
+    assert main(["info", f]) == 0
+    greedy = capsys.readouterr()
+    monkeypatch.setattr(decomposition, "EXACT_LIMIT", len(COMPLETE_6))
+    assert main(["info", f]) == 0
+    exact = capsys.readouterr()
+    assert greedy.err == exact.err == ""
+    summary, grade = greedy.out.rsplit("certified maximum: ", 1)
+    assert summary.startswith("nodes: 6\nconstraints: 30\n")
+    assert exact.out == summary + "certified maximum: yes\n"
+    assert grade == "no\n"
+
+
 @pytest.mark.parametrize("name", ["two_classes", "complete-6"])
 @pytest.mark.parametrize("command", ["info", "simplify"])
 def test_allow_heuristic_is_accepted_and_ignored(name, command, paths, tmp_path, capsys):
