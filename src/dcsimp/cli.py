@@ -10,14 +10,14 @@ Commands:
                       represented by its smallest member
 * ``check A B``       are two systems equivalent?
 
-Each command runs one :func:`~dcsimp.decomposition.analyze` per input, and
-only ``condense`` builds the weighted condensation.  Results go to stdout
-(or ``--out FILE``); summaries and diagnostics go to stderr.  Weights are
-written exactly, however many digits they need.  Exit codes: 0 success, 1
-parse or usage error (or memory ran out), 2 infeasible system, 3 systems
-not equivalent.  ``info`` and ``simplify`` always answer: a class too large
-for the exact search is solved greedily and the result graded "not
-certified".
+Each command computes the distances once per input; ``condense`` and
+``check`` need nothing more, and only ``condense`` builds the weighted
+condensation.  Results go to stdout (or ``--out FILE``); summaries and
+diagnostics go to stderr.  Weights are written exactly, however many
+digits they need.  Exit codes: 0 success, 1 parse or usage error (or
+memory ran out), 2 infeasible system, 3 systems not equivalent.  ``info``
+and ``simplify`` always answer: a class too large for the exact search is
+solved greedily and the result graded "not certified".
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import warnings
 
 from . import fileformat
-from .core import PrecedenceGraph
+from .core import PrecedenceGraph, min_walk_weights
 from .decomposition import analyze, condensation, max_redundant_edge_set, redundant_edges
 from .errors import DcsError, InfeasibleSystem
 from .reduction import equivalent_reduction
@@ -106,9 +106,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_condense(args: argparse.Namespace) -> int:
-    a = analyze(_load(args.input))
-    _emit(args, fileformat.dumps(condensation(a.d)))
-    for k, members in enumerate(a.d.classes, 1):
+    d = min_walk_weights(_load(args.input))
+    _emit(args, fileformat.dumps(condensation(d)))
+    for k, members in enumerate(d.classes, 1):
         _note(f"class {k}: rep {members[0]}, nodes {' '.join(map(str, members))}")
     return EXIT_OK
 

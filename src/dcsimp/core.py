@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 import sys
-import warnings
 from bisect import bisect_left
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -38,13 +37,7 @@ from itertools import groupby
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .errors import (
-    IndexOutOfRange,
-    InfeasibleSystem,
-    NegativeSelfLoop,
-    SameNode,
-    SelfLoopDropped,
-)
+from .errors import IndexOutOfRange, InfeasibleSystem, SameNode
 
 Edge = tuple[int, int]
 WeightLike = Union[Fraction, int, str]
@@ -204,8 +197,8 @@ class PrecedenceGraph(_Value):
 
     Nodes are ``1..n``.  ``edges`` maps ordered pairs ``(i, j)`` to exact
     weights; self-loops and parallel edges are excluded by construction
-    (collapse raw input through :func:`normalize` first).  Instances are
-    immutable; the edge mapping is copied defensively.
+    (:func:`~dcsimp.fileformat.loads` collapses raw constraints).
+    Instances are immutable; the edge mapping is copied defensively.
     """
 
     __slots__ = ("n", "edges")
@@ -221,7 +214,7 @@ class PrecedenceGraph(_Value):
                 raise IndexOutOfRange(f"edge ({i},{j}) outside nodes 1..{self.n}")
             if i == j:
                 raise ValueError(
-                    f"self-loop ({i},{i}); feed raw constraints through normalize()"
+                    f"self-loop ({i},{i}); feed raw constraints through loads()"
                 )
             clean[(i, j)] = as_weight(w)
         object.__setattr__(self, "edges", clean)
@@ -428,38 +421,6 @@ class DistanceMatrix(_Value):
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n}, classes={len(self.classes)})"
-
-
-def normalize(
-    n: int, raw_edges: Iterable[tuple[int, int, WeightLike]]
-) -> PrecedenceGraph:
-    """Collapse raw constraint entries into a precedence graph.
-
-    Parallel constraints on the same pair keep the tightest (minimum) weight,
-    since every one of them must hold.  A self-loop with nonnegative weight
-    says nothing (``0 <= c``) and is dropped with a :class:`SelfLoopDropped`
-    warning; a negative self-loop is unsatisfiable outright.
-    """
-    edges: dict[Edge, Fraction] = {}
-    for i, j, raw in raw_edges:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexOutOfRange(f"constraint ({i},{j}) outside nodes 1..{n}")
-        w = as_weight(raw)
-        if i == j:
-            if w < 0:
-                raise NegativeSelfLoop(
-                    f"constraint x_{i} - x_{i} <= {weight_text(w)} is unsatisfiable"
-                )
-            warnings.warn(
-                f"dropping vacuous self-loop ({i},{i}) of weight {weight_text(w)}",
-                SelfLoopDropped,
-                stacklevel=2,
-            )
-            continue
-        cur = edges.get((i, j))
-        if cur is None or w < cur:
-            edges[(i, j)] = w
-    return PrecedenceGraph(n, edges)
 
 
 def _bellman_ford(n: int, scaled: dict[Edge, int]) -> tuple[list[int], Walk | None]:

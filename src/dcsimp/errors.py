@@ -48,4 +48,4 @@ class LimitExceeded(DcsError):
 
 
 class SelfLoopDropped(UserWarning):
-    """A vacuous self-loop constraint (0 <= c) was dropped during normalization."""
+    """A vacuous self-loop constraint (0 <= c) was dropped while parsing."""

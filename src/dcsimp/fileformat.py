@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import re
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 from . import core
-from .core import PrecedenceGraph, as_weight, normalize, weight_text
-from .errors import ParseError
+from .core import Edge, PrecedenceGraph, as_weight, weight_text
+from .errors import NegativeSelfLoop, ParseError, SelfLoopDropped
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -48,9 +50,19 @@ def _int(field: str) -> int:
 
 
 def loads(text: str) -> PrecedenceGraph:
-    """Parse a constraint system from text; raw entries are normalized."""
+    """Parse a constraint system from text, one inequality per ordered pair.
+
+    Parallel constraints on a pair keep the tightest (minimum) weight, since
+    every one of them must hold.  A self-loop ``x_i - x_i <= c`` with c >= 0
+    says nothing and is dropped with a :class:`SelfLoopDropped` warning; one
+    with c < 0 is unsatisfiable and raises :class:`NegativeSelfLoop`.  The
+    self-loops are judged in file order once every line has parsed and the
+    header's count has matched.
+    """
     n = m = None
-    entries = []
+    count = 0
+    edges: dict[Edge, Fraction] = {}
+    loops: list[tuple[int, Fraction]] = []
     # str.splitlines would also break at \f, \x1c-\x1e, U+0085, U+2028, U+2029
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, 1):
@@ -84,12 +96,26 @@ def loads(text: str) -> PrecedenceGraph:
             w = as_weight(fields[3])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        entries.append((i, j, w))
+        count += 1
+        if i == j:
+            loops.append((i, w))
+        elif (i, j) not in edges or w < edges[(i, j)]:
+            edges[(i, j)] = w
     if n is None:
         raise ParseError("missing 'p dcs <n> <m>' header")
-    if len(entries) != m:
-        raise ParseError(f"header promises {m} constraints, found {len(entries)}")
-    return normalize(n, entries)
+    if count != m:
+        raise ParseError(f"header promises {m} constraints, found {count}")
+    for i, w in loops:
+        if w < 0:
+            raise NegativeSelfLoop(
+                f"constraint x_{i} - x_{i} <= {weight_text(w)} is unsatisfiable"
+            )
+        warnings.warn(
+            f"dropping vacuous self-loop ({i},{i}) of weight {weight_text(w)}",
+            SelfLoopDropped,
+            stacklevel=2,
+        )
+    return PrecedenceGraph(n, edges)
 
 
 def dumps(g: PrecedenceGraph) -> str:

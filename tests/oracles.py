@@ -2,8 +2,9 @@
 
 Everything here enumerates (simple paths, simple cycles, arc and edge
 subsets) or runs a dense Floyd-Warshall over every node.  Only the graph
-containers and the error types are imported from the package, and no
-solver module, so agreement between an oracle and a solver is a real check.
+containers, the error types and the text format are imported from the
+package, and no solver module, so agreement between an oracle and a solver
+is a real check.
 
 The walk tools price a walk edge by edge and split it into a simple path
 plus simple cycles, the step the paper's proofs take from walks to simple
@@ -19,10 +20,19 @@ from itertools import combinations
 from math import lcm
 from random import Random
 
-from dcsimp.core import Edge, PrecedenceGraph, Walk, normalize
+from dcsimp.core import Edge, PrecedenceGraph, Walk, weight_text
 from dcsimp.errors import LimitExceeded
+from dcsimp.fileformat import loads
 
 DEFAULT_ORACLE_LIMIT = 16
+
+
+def normalize(n: int, entries) -> PrecedenceGraph:
+    """The system of raw ``(i, j, weight)`` entries, written out as file
+    text and parsed, so a test graph takes the path a file does."""
+    entries = list(entries)
+    body = "".join(f"e {i} {j} {weight_text(w)}\n" for i, j, w in entries)
+    return loads(f"p dcs {n} {len(entries)}\n{body}")
 
 
 def _out_neighbors(g: PrecedenceGraph) -> dict[int, list[tuple[int, Fraction]]]:

@@ -25,13 +25,13 @@ from dcsimp import (
     redundant_edges,
     systems_equivalent,
 )
-from dcsimp.core import normalize
 from oracles import (
     brute_force_max_redundant,
     brute_force_redundant_edges,
     brute_meg_size,
     decompose_walk,
     feasible_suite,
+    normalize,
     positive_cycle_suite,
     random_potential_system,
     random_system,

@@ -18,7 +18,7 @@ import oracles
 from dcsimp import cli, decomposition, meg
 from dcsimp.cli import build_parser, main
 from dcsimp.core import min_walk_weights
-from dcsimp.decomposition import analyze, condensation
+from dcsimp.decomposition import analyze, condensation, condensation_redundant_pairs
 from dcsimp.errors import InfeasibleSystem
 from dcsimp.fileformat import dumps, loads
 from shipped import NAMES, load_fixture
@@ -148,6 +148,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
         ("p dcs 2 1\ne 1 3 0\n", "line 2: node id out of range 1..2"),
         ("p dcs 2 2\ne 1 3 1\ne 1 2 x\n", "line 2: node id out of range 1..2"),
         ("p dcs 0 1\ne 1 1 0\n", "line 2: node id out of range 1..0"),
+        # every line parses and the count matches before a self-loop is judged
+        ("p dcs 2 3\ne 1 1 -1\ne 1 2 x\n", "line 3: not a rational constant: 'x'"),
+        ("p dcs 2 3\ne 1 1 -1\ne 1 2 1\n", "header promises 3 constraints, found 2"),
     ]:
         bad.write_text(text)
         single = [[c, str(bad)] for c in ("info", "simplify", "reduce", "redundant", "condense")]
@@ -485,9 +488,9 @@ def test_out_of_memory_is_one_error_line(paths, monkeypatch, capsys):
 
 def test_self_loop_warning_reaches_stderr(tmp_path, capsys):
     f = tmp_path / "loop.dcs"
-    f.write_text("p dcs 2 2\ne 1 1 0\ne 1 2 1\n")
+    f.write_text("p dcs 2 3\ne 1 1 0\ne 1 2 1\ne 1 1 0\n")
     assert main(["redundant", str(f)]) == 0
-    assert "warning:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "warning: dropping vacuous self-loop (1,1) of weight 0\n" * 2
 
 
 def test_out_flag_writes_file(paths, tmp_path, capsys):
@@ -524,6 +527,14 @@ def test_help_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def _replace(monkeypatch, original, replacement) -> None:
+    """Patch ``original`` by its own name in every dcsimp module holding it."""
+    name = original.__name__
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "dcsimp" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 @pytest.mark.parametrize(
     "command, calls",
     [
@@ -543,9 +554,7 @@ def test_distances_computed_once_per_input(command, calls, paths, monkeypatch, c
         seen.append(g)
         return min_walk_weights(g)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "dcsimp" and getattr(module, "min_walk_weights", None) is min_walk_weights:
-            monkeypatch.setattr(module, "min_walk_weights", counting)
+    _replace(monkeypatch, min_walk_weights, counting)
     assert main([paths.get(a, a) for a in command.split()]) == 0
     assert len(seen) == calls
 
@@ -570,13 +579,39 @@ def test_only_condense_builds_the_condensation(command, calls, paths, monkeypatc
             raise AssertionError(f"{command} built the condensation")
         return condensation(d)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "dcsimp" and getattr(module, "condensation", None) is condensation:
-            monkeypatch.setattr(module, "condensation", guarded)
+    _replace(monkeypatch, condensation, guarded)
     for path in paths.values():
         seen.clear()
         inputs = [path, path] if command == "check" else [path]
         assert main([*command.split(), *inputs]) == 0
+        assert len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "command, calls",
+    [
+        ("info", 1),
+        ("simplify", 1),
+        ("reduce", 1),
+        ("redundant", 1),
+        ("check", 0),
+        ("condense", 0),
+    ],
+)
+def test_only_the_solving_commands_judge_condensation_arcs(command, calls, paths, monkeypatch, capsys):
+    # condense prints the distances' classes and arcs, check compares
+    # distances: neither needs the redundant condensation pairs
+    seen = []
+
+    def counting(d):
+        seen.append(d)
+        return condensation_redundant_pairs(d)
+
+    _replace(monkeypatch, condensation_redundant_pairs, counting)
+    for path in paths.values():
+        seen.clear()
+        inputs = [path, path] if command == "check" else [path]
+        assert main([command, *inputs]) == 0
         assert len(seen) == calls
 
 

@@ -1,4 +1,4 @@
-"""Core types: normalization, distances, implication, walks."""
+"""Core types: distances, implication, walks."""
 
 from __future__ import annotations
 
@@ -8,21 +8,9 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp.core import (
-    PrecedenceGraph,
-    Walk,
-    as_weight,
-    implies,
-    min_walk_weights,
-    normalize,
-)
-from dcsimp.errors import (
-    IndexOutOfRange,
-    InfeasibleSystem,
-    NegativeSelfLoop,
-    SameNode,
-    SelfLoopDropped,
-)
+from dcsimp.core import PrecedenceGraph, Walk, as_weight, implies, min_walk_weights
+from dcsimp.errors import InfeasibleSystem, SameNode
+from oracles import normalize
 from shipped import load_fixture
 
 # P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64
@@ -53,22 +41,8 @@ class TestAsWeight:
 
 
 class TestNormalize:
-    def test_parallel_entries_keep_the_minimum(self):
-        g = normalize(2, [(1, 2, 5), (1, 2, 3), (1, 2, 4)])
-        assert g.edges == {(1, 2): Fraction(3)}
-
-    def test_vacuous_self_loop_dropped_with_warning(self):
-        with pytest.warns(SelfLoopDropped):
-            g = normalize(2, [(1, 1, 0), (1, 2, 1)])
-        assert g.edges == {(1, 2): Fraction(1)}
-
-    def test_negative_self_loop_is_infeasible(self):
-        with pytest.raises(NegativeSelfLoop):
-            normalize(2, [(1, 1, -1)])
-
-    def test_out_of_range_node(self):
-        with pytest.raises(IndexOutOfRange):
-            normalize(2, [(1, 3, 0)])
+    """Raw entries collapse in ``loads`` (see test_fileformat); the
+    constructor takes only the collapsed mapping."""
 
     def test_graph_constructor_rejects_self_loop(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from dcsimp import decomposition
-from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights, normalize
+from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights
 from dcsimp.decomposition import (
     analyze,
     condensation,
@@ -20,7 +20,7 @@ from dcsimp.decomposition import (
 )
 from dcsimp.meg import Digraph, redundant_arcs
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
-from oracles import brute_force_max_redundant, brute_force_redundant_edges
+from oracles import brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import NAMES, load_fixture
 
 # P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64

@@ -37,6 +37,10 @@ def test_parallel_and_self_loop_entries_normalize():
     with pytest.warns(SelfLoopDropped):
         g = loads("p dcs 2 3\ne 1 2 4\ne 1 2 2\ne 2 2 0\n")
     assert g.edges == {(1, 2): Fraction(2)}
+    # a self-loop between them does not end the pair's collapse
+    with pytest.warns(SelfLoopDropped):
+        g = loads("p dcs 2 3\ne 1 2 1\ne 2 2 3\ne 1 2 0\n")
+    assert g.edges == {(1, 2): Fraction(0)}
 
 
 def test_negative_self_loop_surfaces_as_infeasible():
@@ -51,6 +55,8 @@ def test_negative_self_loop_surfaces_as_infeasible():
         "p dcs 2\ne 1 2 3\n",             # short header
         "p sat 2 1\ne 1 2 3\n",           # wrong tag
         "p dcs 2 2\ne 1 2 3\n",           # count mismatch
+        "p dcs 2 3\ne 1 1 -1\ne 1 2 1\n",  # count mismatch ahead of a negative self-loop
+        "p dcs 2 3\ne 1 1 -1\ne 1 2 x\n",  # bad weight ahead of a negative self-loop
         "p dcs 2 1\ne 1 2\n",             # short edge line
         "p dcs 2 1\ne 1 2 x\n",           # bad weight
         "p dcs 2 1\ne 1 2 1/0\n",         # zero denominator

@@ -106,6 +106,30 @@ def test_the_guard_finds_leftovers():
     assert unreferenced({"m.py": leftover}) == ["m.py:LIMIT", "m.py:_limit"]
 
 
+def test_oracles_import_no_solver_module():
+    # the README's claim: the test suite's references share nothing with the
+    # solver but the graph containers, the errors and the text format
+    allowed = {
+        "dcsimp.core": {"Edge", "PrecedenceGraph", "Walk", "weight_text"},
+        "dcsimp.fileformat": {"loads"},
+    }
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module, alias.name) for alias in node.names)
+    banned = {
+        (module, name)
+        for module, name in imported
+        if module.split(".")[0] == "dcsimp"
+        and module != "dcsimp.errors"
+        and name not in allowed.get(module, ())
+    }
+    assert banned == set()
+
+
 def _exit_codes(text: str) -> list[int]:
     """The codes listed in the sentence that starts ``Exit codes:``."""
     sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", text, re.DOTALL)

@@ -6,10 +6,11 @@ from fractions import Fraction
 from random import Random
 
 import oracles
-from dcsimp.core import PrecedenceGraph, Walk, normalize
+from dcsimp.core import PrecedenceGraph, Walk
 from dcsimp.decomposition import analyze, condensation
 from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import systems_equivalent
+from oracles import normalize
 from shipped import load_fixture
 
 

@@ -13,10 +13,11 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp.core import min_walk_weights, normalize
+from dcsimp.core import min_walk_weights
 from dcsimp.decomposition import analyze, max_redundant_edge_set, redundant_edges
 from dcsimp.errors import NotASubset
 from dcsimp.verify import is_redundant_edge_set
+from oracles import normalize
 from shipped import load_fixture
 
 

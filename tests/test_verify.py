@@ -8,10 +8,10 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp.core import PrecedenceGraph, implies, min_walk_weights, normalize
+from dcsimp.core import PrecedenceGraph, implies, min_walk_weights
 from dcsimp.errors import InfeasibleSystem, LimitExceeded, NodeCountMismatch
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
-from oracles import brute_force_max_redundant, brute_force_redundant_edges
+from oracles import brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import load_fixture
 
 # P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64
