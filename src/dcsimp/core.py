@@ -107,13 +107,7 @@ def as_weight(value: WeightLike) -> Fraction:
     had in mind, and the error would surface much later as a misclassified
     zero-weight cycle.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("weights must be rational numbers, not bool")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str):  # first: the parser's case, and Fraction's is an ABC check
         m = _WEIGHT.fullmatch(value)
         if m is None:
             raise ValueError(f"not a rational constant: {value!r}")
@@ -123,6 +117,12 @@ def as_weight(value: WeightLike) -> Fraction:
         if not frac:
             return Fraction(_int(whole))
         return Fraction(_int(whole + frac), 10 ** len(frac))
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("weights must be rational numbers, not bool")
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, float):
         raise TypeError(
             f"refusing float weight {value!r}; pass a string or Fraction instead"

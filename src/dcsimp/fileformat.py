@@ -58,53 +58,12 @@ def loads(text: str) -> PrecedenceGraph:
     with c < 0 is unsatisfiable and raises :class:`NegativeSelfLoop`.  The
     self-loops are judged in file order once every line has parsed and the
     header's count has matched.
+
+    Each distinct node id or weight token is converted once per call, and
+    equal weight tokens share one ``Fraction``.  The lines and those memos
+    are freed before the graph copies the edge map.
     """
-    n = m = None
-    count = 0
-    edges: dict[Edge, Fraction] = {}
-    loops: list[tuple[int, Fraction]] = []
-    # str.splitlines would also break at \f, \x1c-\x1e, U+0085, U+2028, U+2029
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 4 or fields[0] != "p" or fields[1] != "dcs":
-                raise ParseError(f"line {lineno}: expected 'p dcs <n> <m>' header")
-            try:
-                n, m = _int(fields[2]), _int(fields[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer size in header") from None
-            if n < 0 or m < 0:
-                raise ParseError(f"line {lineno}: sizes must be nonnegative")
-            if max(n, m) >= sys.maxsize:  # n + 1 list entries must fit
-                raise ParseError(f"line {lineno}: size too large in header")
-            continue
-        if fields[0] != "e":
-            raise ParseError(f"line {lineno}: unknown line type {fields[0]!r}")
-        if len(fields) != 4:
-            raise ParseError(f"line {lineno}: expected 'e <i> <j> <c>'")
-        try:
-            i, j = _int(fields[1]), _int(fields[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer node id") from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"line {lineno}: node id out of range 1..{n}")
-        try:
-            w = as_weight(fields[3])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        count += 1
-        if i == j:
-            loops.append((i, w))
-        elif (i, j) not in edges or w < edges[(i, j)]:
-            edges[(i, j)] = w
-    if n is None:
-        raise ParseError("missing 'p dcs <n> <m>' header")
-    if count != m:
-        raise ParseError(f"header promises {m} constraints, found {count}")
+    n, edges, loops = _parse(text)
     for i, w in loops:
         if w < 0:
             raise NegativeSelfLoop(
@@ -118,6 +77,73 @@ def loads(text: str) -> PrecedenceGraph:
     return PrecedenceGraph(n, edges)
 
 
+def _parse(text: str) -> tuple[int, dict[Edge, Fraction], list[tuple[int, Fraction]]]:
+    """The node count, the tightest weight per ordered pair and the
+    self-loops in file order; the first bad line raises :class:`ParseError`.
+
+    A function of its own so that the lines and the memos die on return,
+    before the caller builds the graph: held longer, they raise peak memory.
+    """
+    # str.splitlines would also break at \f, \x1c-\x1e, U+0085, U+2028, U+2029
+    lines = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1)
+    for lineno, raw in lines:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != 4 or fields[0] != "p" or fields[1] != "dcs":
+            raise ParseError(f"line {lineno}: expected 'p dcs <n> <m>' header")
+        try:
+            n, m = _int(fields[2]), _int(fields[3])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer size in header") from None
+        if n < 0 or m < 0:
+            raise ParseError(f"line {lineno}: sizes must be nonnegative")
+        if max(n, m) >= sys.maxsize:  # n + 1 list entries must fit
+            raise ParseError(f"line {lineno}: size too large in header")
+        break
+    else:
+        raise ParseError("missing 'p dcs <n> <m>' header")
+    count = 0
+    edges: dict[Edge, Fraction] = {}
+    loops: list[tuple[int, Fraction]] = []
+    ids: dict[str, int] = {}  # token -> node id, once it passed the range check
+    weights: dict[str, Fraction] = {}
+    for lineno, raw in lines:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if fields[0] != "e":
+            raise ParseError(f"line {lineno}: unknown line type {fields[0]!r}")
+        if len(fields) != 4:
+            raise ParseError(f"line {lineno}: expected 'e <i> <j> <c>'")
+        _, a, b, c = fields
+        i, j = ids.get(a), ids.get(b)
+        if i is None or j is None:
+            try:
+                i, j = _int(a), _int(b)
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer node id") from None
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ParseError(f"line {lineno}: node id out of range 1..{n}")
+            ids[a], ids[b] = i, j
+        w = weights.get(c)
+        if w is None:
+            try:
+                w = weights[c] = as_weight(c)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+        count += 1
+        if i == j:
+            loops.append((i, w))
+        else:
+            old = edges.get((i, j))
+            if old is None or w < old:
+                edges[(i, j)] = w
+    if count != m:
+        raise ParseError(f"header promises {m} constraints, found {count}")
+    return n, edges, loops
+
+
 def dumps(g: PrecedenceGraph) -> str:
     """Canonical text for a graph (see module docstring)."""
     lines = [f"p dcs {g.n} {g.m}"]
@@ -127,7 +153,8 @@ def dumps(g: PrecedenceGraph) -> str:
 
 
 def load(path: str | Path) -> PrecedenceGraph:
-    """Parse a UTF-8 file; any other bytes raise :class:`ParseError`."""
+    """Parse a UTF-8 file, with or without a leading byte-order mark; any
+    other bytes raise :class:`ParseError`."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -135,4 +162,6 @@ def load(path: str | Path) -> PrecedenceGraph:
         head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         line = head.count(b"\n") + 1  # the breaks loads counts
         raise ParseError(f"line {line}: invalid UTF-8 at byte offset {exc.start}") from None
-    return loads(text)
+    # a leading byte-order mark is skipped after decoding, so that an offset
+    # above still counts the mark's 3 bytes ("utf-8-sig" would not)
+    return loads(text.removeprefix("\ufeff"))

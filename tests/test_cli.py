@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from random import Random
@@ -17,11 +20,11 @@ import pytest
 import oracles
 from dcsimp import cli, decomposition, meg
 from dcsimp.cli import build_parser, main
-from dcsimp.core import min_walk_weights
+from dcsimp.core import PrecedenceGraph, min_walk_weights
 from dcsimp.decomposition import analyze, condensation, condensation_redundant_pairs
 from dcsimp.errors import InfeasibleSystem
 from dcsimp.fileformat import dumps, loads
-from shipped import NAMES, load_fixture
+from shipped import FIXTURE_DIR, NAMES, load_fixture
 
 
 @pytest.fixture
@@ -474,6 +477,54 @@ def test_no_command_loads_dataclasses_or_inspect(paths, tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def _cli_outputs(paths, tmp_path):
+    """Exit code, stdout and stderr of every command, plus ``check`` of each
+    input against its reduction with the first constraint loosened by 1,
+    keyed by the argv, with each file named by its base name there and in
+    the output."""
+    commands = list(_every_command(paths, tmp_path))
+    for inp in (paths["two_classes"], str(tmp_path / "generated.dcs")):
+        reduced = loads((tmp_path / f"{Path(inp).stem}.reduced.dcs").read_text())
+        (i, j), w = min(reduced.edges.items())
+        tampered = tmp_path / f"{Path(inp).stem}.tampered.dcs"
+        tampered.write_text(dumps(PrecedenceGraph(reduced.n, {**reduced.edges, (i, j): w + 1})))
+        commands.append(["check", inp, str(tampered)])
+    runs = {}
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command)
+        out, err = out.getvalue(), err.getvalue()
+        for arg in command[1:]:  # a message names a file by the path it was given
+            out, err = out.replace(arg, Path(arg).name), err.replace(arg, Path(arg).name)
+        argv = " ".join([command[0]] + [Path(arg).name for arg in command[1:]])
+        runs[argv] = {"exit": code, "stdout": out, "stderr": err}
+    return runs
+
+
+def _record_golden() -> None:
+    """Rewrite ``golden_cli.json`` from the current code, after a deliberate
+    change of output: ``PYTHONPATH=src:tests python -c "import test_cli;
+    test_cli._record_golden()"``."""
+    paths = {name: str(FIXTURE_DIR / f"{name}.dcs") for name in NAMES}
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = _cli_outputs(paths, Path(tmp))
+    GOLDEN.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def test_every_command_prints_the_recorded_bytes(paths, tmp_path):
+    # a change of speed must not change a byte of any command's output
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = _cli_outputs(paths, tmp_path)
+    assert list(got) == list(want)
+    for argv in want:
+        assert got[argv] == want[argv], argv
+    assert [run["exit"] for argv, run in got.items() if "tampered" in argv] == [3, 3]
 
 
 def test_out_of_memory_is_one_error_line(paths, monkeypatch, capsys):

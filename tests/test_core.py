@@ -39,6 +39,18 @@ class TestAsWeight:
             with pytest.raises(ValueError):
                 as_weight(text)
 
+    def test_every_other_type_keeps_its_answer(self):
+        w = Fraction(-3, 7)
+        assert as_weight(w) is w
+        with pytest.raises(TypeError, match=r"^weights must be rational numbers, not bool$"):
+            as_weight(True)
+        with pytest.raises(
+            TypeError, match=r"^refusing float weight 0\.5; pass a string or Fraction instead$"
+        ):
+            as_weight(0.5)
+        with pytest.raises(TypeError, match=r"^cannot interpret object as a weight$"):
+            as_weight(object())
+
 
 class TestNormalize:
     """Raw entries collapse in ``loads`` (see test_fileformat); the

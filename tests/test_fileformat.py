@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import re
 import time
+import warnings
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import oracles
+from dcsimp import fileformat
 from dcsimp.core import PrecedenceGraph
 from dcsimp.errors import NegativeSelfLoop, ParseError, SelfLoopDropped
 from dcsimp.fileformat import dumps, load, loads
@@ -46,6 +49,65 @@ def test_parallel_and_self_loop_entries_normalize():
 def test_negative_self_loop_surfaces_as_infeasible():
     with pytest.raises(NegativeSelfLoop):
         loads("p dcs 1 1\ne 1 1 -1\n")
+
+
+def test_each_distinct_weight_token_is_converted_once(monkeypatch):
+    seen = []
+
+    def counting(value):
+        seen.append(value)
+        return fileformat.core.as_weight(value)
+
+    monkeypatch.setattr(fileformat, "as_weight", counting)
+    tokens = ["1/2", "-3", "1/2", "0.5", "-3", "1/2", "7"]
+    pairs = [(1, 2), (2, 3), (3, 1), (1, 3), (3, 2), (2, 1), (1, 4)]
+    text = "p dcs 4 7\n" + "".join(f"e {i} {j} {c}\n" for (i, j), c in zip(pairs, tokens))
+    g = loads(text)
+    assert sorted(seen) == sorted(set(tokens))
+    assert g.edges == {(i, j): Fraction(c) for (i, j), c in zip(pairs, tokens)}
+
+
+def test_edges_that_share_a_weight_token_share_one_fraction():
+    g = loads("p dcs 3 4\ne 1 2 -5/3\ne 2 3 -5/3\ne 3 1 10/3\ne 3 2 -10/6\n")
+    assert g.edges[(1, 2)] is g.edges[(2, 3)]
+    # an equal value spelled otherwise is its own token
+    assert g.edges[(3, 2)] == g.edges[(1, 2)]
+
+
+def test_one_value_spelled_many_ways_collapses_to_the_tightest():
+    lines = [f"e 1 2 {c}\n" for c in ("1", "+1", "01", "1.0", "2/2")]
+    assert loads("p dcs 2 5\n" + "".join(lines)).edges == {(1, 2): 1}
+    # a tighter weight wins whether it comes after them or before
+    for body in (lines + ["e 1 2 3/4\n"], ["e 1 2 3/4\n"] + lines):
+        assert loads("p dcs 2 6\n" + "".join(body)).edges == {(1, 2): Fraction(3, 4)}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("e 1 2 x", "not a rational constant: 'x'"),
+        ("e 2 1 1/0", "not a rational constant: '1/0'"),
+        ("e 1 3 1", "node id out of range 1..2"),
+        ("e 3 2 1", "node id out of range 1..2"),
+        ("e 1 x 1", "non-integer node id"),
+    ],
+)
+def test_a_bad_token_repeated_is_reported_at_its_first_line(bad, message):
+    text = f"p dcs 2 4\ne 1 2 1\n{bad}\ne 2 1 1\n{bad}\n"
+    with pytest.raises(ParseError, match=rf"^line 3: {re.escape(message)}$"):
+        loads(text)
+
+
+def test_self_loops_warn_in_file_order():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = loads("p dcs 3 5\ne 2 2 1\ne 1 2 0\ne 1 1 3/2\ne 2 2 1\ne 3 3 0\n")
+    assert g.edges == {(1, 2): 0}
+    assert [str(w.message) for w in caught] == [
+        f"dropping vacuous self-loop ({i},{i}) of weight {c}"
+        for i, c in [(2, "1"), (1, "3/2"), (2, "1"), (3, "0")]
+    ]
+    assert {w.category for w in caught} == {SelfLoopDropped}
 
 
 @pytest.mark.parametrize(
@@ -159,4 +221,18 @@ def test_lines_break_only_at_newline_and_carriage_return(tmp_path):
     f = tmp_path / "bad.dcs"
     f.write_bytes(b"p dcs 2 1\r# a\x1c b\re 1 2 \xff\n")
     with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 at byte offset 23$"):
+        load(f)
+
+
+def test_load_skips_a_leading_byte_order_mark(tmp_path):
+    f = tmp_path / "bom.dcs"
+    f.write_bytes(b"\xef\xbb\xbfp dcs 2 1\ne 1 2 3\n")
+    assert load(f) == PrecedenceGraph(2, {(1, 2): 3})
+    # the offset of a bad byte still counts the mark's three bytes
+    f.write_bytes(b"\xef\xbb\xbfp dcs 2 1\ne 1 2 \xff\n")
+    with pytest.raises(ParseError, match=r"^line 2: invalid UTF-8 at byte offset 19$"):
+        load(f)
+    # only one mark, and only at the start
+    f.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfp dcs 2 1\ne 1 2 3\n")
+    with pytest.raises(ParseError, match=r"^line 1: expected 'p dcs <n> <m>' header$"):
         load(f)
