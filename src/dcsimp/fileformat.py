@@ -135,10 +135,8 @@ def _parse(text: str) -> tuple[int, dict[Edge, Fraction], list[tuple[int, Fracti
         count += 1
         if i == j:
             loops.append((i, w))
-        else:
-            old = edges.get((i, j))
-            if old is None or w < old:
-                edges[(i, j)] = w
+        elif (i, j) not in edges or w < edges[(i, j)]:
+            edges[(i, j)] = w
     if count != m:
         raise ParseError(f"header promises {m} constraints, found {count}")
     return n, edges, loops
