@@ -18,8 +18,8 @@ lets the redundancy problem split cleanly:
   most :data:`EXACT_LIMIT` tight arcs, greedily and uncertified otherwise.
 
 :func:`analyze` runs that split once per system, and every solver and
-command reads its distances, classes, edge pieces and redundant class pairs
-from there.  :func:`condensation` builds the weighted condensation itself,
+command reads its distances, classes, edge pieces and kept crossings from
+there.  :func:`condensation` builds the weighted condensation itself,
 which only the ``condense`` command prints.
 """
 
@@ -43,20 +43,20 @@ class Analysis(_Value):
     every edge is routed once by it.  ``slack`` holds the intra-class edges
     above their minimum walk weight, always removable; ``tight[k]`` the
     arcs of class k at it, keyed only for classes that have some, the piece
-    that goes to the MEG solver.  ``cross[(a, b)]`` holds every edge from
-    class a to class b, keyed only for nonempty pairs, and
-    ``cheapest[(a, b)]`` the pair's cheapest crossings in sorted order; the
-    first is the pair's representing edge.  ``removed_pairs`` holds the
-    class-index pairs whose condensation edge is redundant.
+    that goes to the MEG solver.  ``cross`` holds every edge between
+    classes; ``keep`` the smallest cheapest crossing of each class pair
+    whose condensation edge survives, the pair's representing edge; and
+    ``sole`` the members of ``keep`` that are their pair's only cheapest
+    crossing, the cross edges that nothing else implies.
     """
 
-    __slots__ = ("d", "slack", "tight", "cross", "cheapest", "removed_pairs")
+    __slots__ = ("d", "slack", "tight", "cross", "keep", "sole")
     d: DistanceMatrix
     slack: frozenset[Edge]
     tight: Mapping[int, frozenset[Edge]]
-    cross: Mapping[tuple[int, int], frozenset[Edge]]
-    cheapest: Mapping[tuple[int, int], tuple[Edge, ...]]
-    removed_pairs: frozenset[tuple[int, int]]
+    cross: frozenset[Edge]
+    keep: frozenset[Edge]
+    sole: frozenset[Edge]
 
 
 class MresResult(_Value):
@@ -127,31 +127,38 @@ def analyze(g: PrecedenceGraph) -> Analysis:
     when r > 0.  A crossing (s, t) of a class pair costs
     d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by the pair, so
     the cheapest crossings are those whose r is the pair's
-    ``d.class_arcs`` entry.
+    ``d.class_arcs`` entry.  Of a pair whose condensation edge survives,
+    the smallest of them is kept, whatever the input order.
     """
     d = min_walk_weights(g)
+    removed = condensation_redundant_pairs(d)
     slack: set[Edge] = set()
     tight: dict[int, set[Edge]] = {}
-    cross: dict[tuple[int, int], set[Edge]] = {}
-    cheapest: dict[tuple[int, int], list[Edge]] = {}
-    for (i, j), w in g.edges.items():
+    cross: set[Edge] = set()
+    keep: dict[tuple[int, int], Edge] = {}
+    tied: set[tuple[int, int]] = set()
+    for e, w in g.edges.items():
+        i, j = e
         r = d.reduced(i, j, w)
         a, b = d.class_of[i], d.class_of[j]
         if a != b:
-            cross.setdefault((a, b), set()).add((i, j))
-            if r == d.class_arcs[(a, b)]:
-                cheapest.setdefault((a, b), []).append((i, j))
+            cross.add(e)
+            pair = (a, b)
+            if r == d.class_arcs[pair] and pair not in removed:
+                if pair in keep:
+                    tied.add(pair)
+                keep[pair] = min(keep.get(pair, e), e)
         elif r > 0:
-            slack.add((i, j))
+            slack.add(e)
         else:
-            tight.setdefault(a, set()).add((i, j))
+            tight.setdefault(a, set()).add(e)
     return Analysis(
         d,
         frozenset(slack),
         {k: frozenset(es) for k, es in tight.items()},
-        {pair: frozenset(es) for pair, es in cross.items()},
-        {pair: tuple(sorted(es)) for pair, es in cheapest.items()},
-        condensation_redundant_pairs(d),
+        frozenset(cross),
+        frozenset(keep.values()),
+        frozenset(e for pair, e in keep.items() if pair not in tied),
     )
 
 
@@ -175,15 +182,12 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     These are the slack intra-class edges; the tight arcs (s, t) whose head
     stays reachable over the other tight arcs (between class members, the
     walks of weight d_st are the walks over tight arcs); and the cross edges
-    but the sole cheapest crossing of a pair whose condensation edge stays.
+    outside ``sole``, which drops the only cheapest crossing of a pair whose
+    condensation edge survives and nothing else.
     """
-    out = set(a.slack)
+    out = set(a.slack | (a.cross - a.sole))
     for members, h in _class_digraphs(a):
         out |= {(members[s - 1], members[t - 1]) for s, t in redundant_arcs(h)}
-    for pair, edges in a.cross.items():
-        cheapest = a.cheapest[pair]
-        sole = len(cheapest) == 1 and pair not in a.removed_pairs
-        out |= edges - {cheapest[0]} if sole else edges
     return frozenset(out)
 
 
@@ -200,10 +204,8 @@ def max_redundant_edge_set(g: PrecedenceGraph) -> MresResult:
     certified maximum; the greedy fallback degrades it to maximal.
     """
     a = analyze(g)
-    out = set(a.slack)
+    out = set(a.slack | (a.cross - a.keep))
     certified = True
-    for pair, edges in a.cross.items():
-        out |= edges if pair in a.removed_pairs else edges - {a.cheapest[pair][0]}
     for members, h in _class_digraphs(a):
         kept = None
         if len(h.arcs) <= EXACT_LIMIT:

@@ -35,9 +35,9 @@ def equivalent_reduction(g: PrecedenceGraph) -> ReductionResult:
     Per class with at least two nodes, a cycle through the members in
     ascending order, each edge weighted by the minimum walk weight between
     its endpoints; the class identities force those weights to telescope to
-    exactly zero.  Per ordered class pair whose condensation edge is not
-    redundant, the pair's representing edge at its original weight.  The
-    edge count is therefore sum of multi-class sizes plus surviving
+    exactly zero.  Then the analysis's ``keep`` at its input weights: the
+    representing edge of each class pair whose condensation edge survives.
+    The edge count is therefore sum of multi-class sizes plus surviving
     condensation edges, which is the minimum achievable.
     """
     analysis = analyze(g)
@@ -49,9 +49,7 @@ def equivalent_reduction(g: PrecedenceGraph) -> ReductionResult:
         for q, i in enumerate(members):
             j = members[(q + 1) % len(members)]
             edges[(i, j)] = d.get(i, j)
-    for pair, cheapest in analysis.cheapest.items():
-        if pair not in analysis.removed_pairs:
-            s, t = cheapest[0]
-            edges[(s, t)] = g.edges[(s, t)]
+    for e in analysis.keep:
+        edges[e] = g.edges[e]
     reduced = PrecedenceGraph(g.n, edges)
     return ReductionResult(reduced, g.m - reduced.m, analysis)

@@ -18,6 +18,7 @@ from dcsimp import (
     PrecedenceGraph,
     analyze,
     condensation,
+    condensation_redundant_pairs,
     equivalent_reduction,
     is_redundant_edge_set,
     max_redundant_edge_set,
@@ -143,7 +144,7 @@ def test_criterion_07_reduction_size_and_condensation(criterion, suite_feasible)
     with criterion(7, "reduction edge-count formula and condensation agreement"):
         for g in suite_feasible:
             a = analyze(g)
-            cond, removed = condensation(a.d), a.removed_pairs
+            cond, removed = condensation(a.d), condensation_redundant_pairs(a.d)
             r = equivalent_reduction(g)
             multi = sum(len(c) for c in a.d.classes if len(c) >= 2)
             assert r.reduced.m == multi + len(cond.edges) - len(removed)
@@ -208,7 +209,7 @@ def test_criterion_09_representative_independence(criterion, suite_feasible):
                     weights[(x + 1, y + 1)] = min(w, weights.get((x + 1, y + 1), w))
             kg = PrecedenceGraph(len(d.classes), weights)
             found = brute_force_redundant_edges(kg)
-            assert {(x - 1, y - 1) for x, y in found} == a.removed_pairs
+            assert {(x - 1, y - 1) for x, y in found} == condensation_redundant_pairs(d)
 
 
 def test_criterion_10_walk_decomposition(criterion):

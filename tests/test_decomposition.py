@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -76,25 +77,41 @@ class TestPartitionEdges:
         d, a, _ = _pipeline(g)
         assert a.slack == {(3, 2)} and d.class_of[3] == d.class_of[2] == 1
         assert a.tight == {1: {(2, 5), (5, 3), (3, 4), (4, 2)}}
-        assert a.cross == {(0, 1): frozenset({(1, 2)}), (1, 0): frozenset({(3, 1)})}
-        assert a.cheapest == {(0, 1): ((1, 2),), (1, 0): ((3, 1),)}
+        assert a.cross == {(1, 2), (3, 1)} and d.class_of[1] == 0
+        # one crossing each way, and neither condensation edge is redundant
+        assert a.keep == a.sole == {(1, 2), (3, 1)}
 
     def test_tied_optima_has_two_cheapest_crossings(self):
         g = load_fixture("tied_optima")
         d, a, _ = _pipeline(g)
-        # sorted, so the first is the pair's representing edge
-        assert a.cheapest[(0, 1)] == ((1, 2), (1, 3))
+        # (1, 2) and (1, 3) tie: the smaller represents the pair, and
+        # neither is the pair's only cheapest crossing
+        assert d.classes == ((1,), (2, 3)) and a.cross == {(1, 2), (1, 3)}
+        assert a.keep == {(1, 2)} and a.sole == frozenset()
 
     def test_every_edge_in_exactly_one_piece(self):
         for g in oracles.feasible_suite(318, 50):
             d, a, _ = _pipeline(g)
-            pieces = [a.slack, *a.tight.values(), *a.cross.values()]
+            pieces = [a.slack, *a.tight.values(), a.cross]
             assert sum(map(len, pieces)) == g.m
             assert frozenset().union(*pieces) == g.edges.keys()
-            assert a.cross.keys() == a.cheapest.keys() == d.class_arcs.keys()
-            for pair, cheapest in a.cheapest.items():
-                assert list(cheapest) == sorted(set(cheapest))
-                assert set(cheapest) <= a.cross[pair]
+            assert {(d.class_of[s], d.class_of[t]) for s, t in a.cross} == d.class_arcs.keys()
+            assert a.sole <= a.keep <= a.cross
+            # one representing edge per pair at most
+            assert len({(d.class_of[s], d.class_of[t]) for s, t in a.keep}) == len(a.keep)
+
+    def test_peak_memory_at_one_class_per_node(self):
+        # K = n: nearly every edge crosses its own class pair, and the
+        # routing holds flat edge sets, not a container per pair
+        g = oracles.random_potential_system(Random(7), 500, 5000, zero_slack_share=0.0)
+        tracemalloc.start()
+        try:
+            a = analyze(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a.d.classes) == g.n
+        assert peak < 4 * 2**20
 
     def test_slack_never_below_distance(self):
         for g in oracles.feasible_suite(303, 50):
@@ -228,15 +245,29 @@ class TestCondensation:
             assert want and condensation_redundant_pairs(d) == want
 
     def test_weights_are_cheapest_crossings(self):
+        # the condensation weighs each class pair at its cheapest crossing,
+        # and of a surviving pair ``keep`` holds the smallest such crossing,
+        # ``sole`` it too when no other crossing ties it
         for g in oracles.feasible_suite(308, 40):
             d, a, cond = _pipeline(g)
-            assert cond.n == len(d.classes) and cond.m == len(a.cross)
-            for (ci, cj), edges in a.cross.items():
+            removed = condensation_redundant_pairs(d)
+            crossings = {}
+            for s, t in g.edges:
+                if d.class_of[s] != d.class_of[t]:
+                    crossings.setdefault((d.class_of[s], d.class_of[t]), []).append((s, t))
+            assert cond.n == len(d.classes) and cond.m == len(crossings)
+            keep, sole = set(), set()
+            for (ci, cj), edges in crossings.items():
                 va, vb = d.classes[ci][0], d.classes[cj][0]
                 cost = {(s, t): d.get(va, s) + g.edges[(s, t)] + d.get(t, vb) for s, t in edges}
                 want = min(cost.values())
                 assert cond.edges[(ci + 1, cj + 1)] == want
-                assert a.cheapest[(ci, cj)] == tuple(sorted(e for e in edges if cost[e] == want))
+                cheapest = sorted(e for e in edges if cost[e] == want)
+                if (ci, cj) not in removed:
+                    keep.add(cheapest[0])
+                    if len(cheapest) == 1:
+                        sole.add(cheapest[0])
+            assert a.keep == keep and a.sole == sole
 
 
 class TestMaxRedundantEdgeSet:

@@ -1,12 +1,13 @@
 """What a deletion leaves behind: imports nothing uses, module-level names
-nothing references, and exports the README does not name.  Read from the
-sources with ``ast`` alone."""
+nothing references, value-type fields nothing reads, and exports the README
+does not name.  Read from the sources with ``ast`` alone."""
 
 from __future__ import annotations
 
 import ast
 import re
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dcsimp"
@@ -75,6 +76,25 @@ def unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     return [f"{mod}:{name}" for mod, tree in trees.items() for name in _defined(tree) if name not in seen]
 
 
+def _value_fields(tree: ast.Module) -> Iterator[tuple[str, str]]:
+    """Each public ``__slots__`` name of a direct ``_Value`` subclass, as
+    (class, field)."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and "_Value" in map(ast.unparse, cls.bases):
+            for item in cls.body:
+                if isinstance(item, ast.Assign) and ast.unparse(item.targets[0]) == "__slots__":
+                    fields = ast.literal_eval(item.value)
+                    yield from ((cls.name, f) for f in fields if not f.startswith("_"))
+
+
+def unread_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """Fields of value types that no module reads as an attribute; bare
+    names do not count, as a local may share a field's name (``d``, ``n``)."""
+    seen = {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    fields = [(mod, cls, f) for mod, tree in trees.items() for cls, f in _value_fields(tree)]
+    return [f"{mod}:{cls}.{f}" for mod, cls, f in fields if f not in seen]
+
+
 def test_every_import_is_used():
     trees = _trees()
     exported = _exported(trees)
@@ -104,6 +124,21 @@ def test_the_guard_finds_leftovers():
     )
     assert unused_imports(leftover, set()) == ["DEFAULT_EXACT_LIMIT"]
     assert unreferenced({"m.py": leftover}) == ["m.py:LIMIT", "m.py:_limit"]
+
+
+def test_every_value_field_is_read():
+    assert unread_fields(_trees()) == []
+
+
+def test_the_field_guard_finds_a_field_nobody_reads():
+    # what a refactor that drops a field's last reader leaves behind
+    leftover = ast.parse(
+        "from .core import _Value\n"
+        "class Result(_Value):\n"
+        "    __slots__ = ('kept', 'removed_pairs', '_cache')\n"
+        "def run(r, removed_pairs): return r.kept, removed_pairs\n"
+    )
+    assert unread_fields({"m.py": leftover}) == ["m.py:Result.removed_pairs"]
 
 
 def test_oracles_import_no_solver_module():

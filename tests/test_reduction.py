@@ -7,7 +7,7 @@ from random import Random
 
 import oracles
 from dcsimp.core import PrecedenceGraph, Walk
-from dcsimp.decomposition import analyze, condensation
+from dcsimp.decomposition import analyze, condensation, condensation_redundant_pairs
 from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import systems_equivalent
 from oracles import normalize
@@ -68,7 +68,7 @@ class TestEquivalentReduction:
             rr = equivalent_reduction(g)
             a = rr.analysis
             want = sum(len(c) for c in a.d.classes if len(c) >= 2)
-            want += len(a.d.class_arcs) - len(a.removed_pairs)
+            want += len(a.d.class_arcs) - len(condensation_redundant_pairs(a.d))
             assert rr.reduced.m == want
             assert rr.removed_count == g.m - rr.reduced.m
 
@@ -110,10 +110,10 @@ class TestErCondensation:
         for g in oracles.feasible_suite(407, 60):
             rr = equivalent_reduction(g)
             a = rr.analysis
-            cond = condensation(a.d)
+            cond, removed = condensation(a.d), condensation_redundant_pairs(a.d)
             survivors = {
                 (x + 1, y + 1): cond.edges[(x + 1, y + 1)]
-                for (x, y) in a.cross
-                if (x, y) not in a.removed_pairs
+                for (x, y) in a.d.class_arcs
+                if (x, y) not in removed
             }
             assert _er_condensation(rr) == (a.d.classes, PrecedenceGraph(cond.n, survivors))
