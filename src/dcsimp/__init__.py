@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fileformat import dumps, load, loads
 from .meg import Digraph, meg_exact, meg_greedy
-from .reduction import ReductionResult, equivalent_reduction
+from .reduction import equivalent_reduction
 from .verify import EquivalenceReport, is_redundant_edge_set, systems_equivalent
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "NotASubset",
     "ParseError",
     "PrecedenceGraph",
-    "ReductionResult",
     "SameNode",
     "SelfLoopDropped",
     "Walk",

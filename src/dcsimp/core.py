@@ -396,12 +396,15 @@ class DistanceMatrix(_Value):
         return None
 
     def get(self, i: int, j: int) -> Fraction | None:
-        """The minimum walk weight ``i ~> j``, or None when no walk exists.
+        """The minimum walk weight ``i ~> j``, or None when no walk exists;
+        a node outside 1..n raises :class:`IndexOutOfRange`.
 
         Within a class it is a difference of potentials.  Across classes
         the first call from class a searches everything a reaches and keeps
         the costs, so a sweep over many pairs pays one search per class.
         """
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexOutOfRange(f"nodes ({i},{j}) outside 1..{self.n}")
         a, b = self.class_of[i], self.class_of[j]
         p = self.potential
         if a == b:

@@ -17,10 +17,11 @@ lets the redundancy problem split cleanly:
   That piece is NP-hard and goes to the MEG solver: exactly on a class of at
   most :data:`EXACT_LIMIT` tight arcs, greedily and uncertified otherwise.
 
-:func:`analyze` runs that split once per system, and every solver and
-command reads its distances, classes, edge pieces and kept crossings from
-there.  :func:`condensation` builds the weighted condensation itself,
-which only the ``condense`` command prints.
+:func:`analyze` runs that split once per system, and every solver that
+deletes edges reads its distances, classes, edge pieces and kept crossings
+from there.  :func:`condensation` builds the weighted condensation itself,
+which only the ``condense`` command prints; the equivalent reduction takes
+the same rep-to-rep weights from :func:`_rep_arcs`.
 """
 
 from __future__ import annotations
@@ -80,17 +81,25 @@ def condensation(d: DistanceMatrix) -> PrecedenceGraph:
 
     Each class is represented by its smallest member, and the arc of a
     class pair weighs the pair's cheapest rep-to-rep crossing
-    d(rep_a, s) + c_st + d(t, rep_b): its ``d.class_arcs`` cost
-    r + potential[rep_b] - potential[rep_a], unscaled.  Every cycle of the
-    result weighs strictly more than zero: a zero-weight closed walk through
-    two representatives would have merged their classes.  Another member as
-    representative would shift every weight by a potential, which changes
-    no cycle weight and no redundant pair.
+    d(rep_a, s) + c_st + d(t, rep_b) (:func:`_rep_arcs`).  Every cycle of
+    the result weighs strictly more than zero: a zero-weight closed walk
+    through two representatives would have merged their classes.  Another
+    member as representative would shift every weight by a potential, which
+    changes no cycle weight and no redundant pair.
     """
+    return PrecedenceGraph(len(d.classes), {(a + 1, b + 1): w for a, b, w in _rep_arcs(d)})
+
+
+def _rep_arcs(
+    d: DistanceMatrix, skip: frozenset[tuple[int, int]] = frozenset()
+) -> Iterator[tuple[int, int, Fraction]]:
+    """Each condensation arc (a, b) outside ``skip`` with its weight between
+    the classes' smallest members, as its ``d.class_arcs`` cost r gives it:
+    r + potential[rep_b] - potential[rep_a], unscaled."""
     pot = [d.potential[c[0]] for c in d.classes]
-    arcs = d.class_arcs.items()
-    weights = {(a + 1, b + 1): Fraction(r + pot[b] - pot[a], d.scale) for (a, b), r in arcs}
-    return PrecedenceGraph(len(pot), weights)
+    for (a, b), r in d.class_arcs.items():
+        if (a, b) not in skip:
+            yield a, b, Fraction(r + pot[b] - pot[a], d.scale)
 
 
 def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]]:

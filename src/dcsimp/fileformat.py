@@ -37,15 +37,12 @@ def _int(field: str) -> int:
     """``int(field)`` for ASCII ``[+-]digits`` only, of any length, else
     ValueError.
 
-    ``int`` alone also takes digit separators (``1_0``) and non-ASCII digits
-    (``١``), and refuses more digits than Python's limit.
+    ``int`` alone also takes digit separators (``1_0``), non-ASCII digits
+    (``١``) and surrounding whitespace, and refuses more digits than
+    Python's limit.
     """
-    if field.isascii() and "_" not in field:
-        try:
-            return int(field)
-        except ValueError:  # not digits, or more of them than the limit
-            if _INTEGER.fullmatch(field):
-                return core._int(field)
+    if _INTEGER.fullmatch(field):
+        return core._int(field)
     raise ValueError(f"not an integer: {field!r}")
 
 

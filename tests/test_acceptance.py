@@ -79,10 +79,10 @@ def test_criterion_01_fixture_pipeline(criterion):
         res = max_redundant_edge_set(g)
         assert res.edges == {(3, 2)} and res.certified
         r = equivalent_reduction(g)
-        assert r.reduced.m == 6
+        assert r.m == 6
         cycle = [(2, 3), (3, 4), (4, 5), (5, 2)]
-        assert all(e in r.reduced.edges for e in cycle)
-        assert sum(r.reduced.edges[e] for e in cycle) == 0
+        assert all(e in r.edges for e in cycle)
+        assert sum(r.edges[e] for e in cycle) == 0
         assert time.perf_counter() - start < 1.0
 
 
@@ -136,26 +136,25 @@ def test_criterion_06_equivalence_preserved(criterion, suite_positive, suite_fea
         for g in suite_positive + suite_feasible:
             res = max_redundant_edge_set(g)
             assert systems_equivalent(g, g.without(res.edges)).equivalent
-            r = equivalent_reduction(g)
-            assert systems_equivalent(g, r.reduced).equivalent
+            assert systems_equivalent(g, equivalent_reduction(g)).equivalent
 
 
 def test_criterion_07_reduction_size_and_condensation(criterion, suite_feasible):
     with criterion(7, "reduction edge-count formula and condensation agreement"):
         for g in suite_feasible:
-            a = analyze(g)
-            cond, removed = condensation(a.d), condensation_redundant_pairs(a.d)
+            d = min_walk_weights(g)
+            cond, removed = condensation(d), condensation_redundant_pairs(d)
             r = equivalent_reduction(g)
-            multi = sum(len(c) for c in a.d.classes if len(c) >= 2)
-            assert r.reduced.m == multi + len(cond.edges) - len(removed)
+            multi = sum(len(c) for c in d.classes if len(c) >= 2)
+            assert r.m == multi + len(cond.edges) - len(removed)
             survivors = {
                 (u, v): w
                 for (u, v), w in cond.edges.items()
                 if (u - 1, v - 1) not in removed
             }
-            d = analyze(r.reduced).d
-            assert d.classes == a.d.classes
-            assert condensation(d) == PrecedenceGraph(cond.n, survivors)
+            dr = min_walk_weights(r)
+            assert dr.classes == d.classes
+            assert condensation(dr) == PrecedenceGraph(cond.n, survivors)
 
 
 def test_criterion_08_zero_weight_specializations(criterion):
@@ -175,8 +174,8 @@ def test_criterion_08_zero_weight_specializations(criterion):
             arcs = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
             g = normalize(n, [(i, j, 0) for i, j in arcs])
             r = equivalent_reduction(g)
-            assert set(r.reduced.edges) == set(transitive_reduction_dag(n, arcs))
-            assert all(w == 0 for w in r.reduced.edges.values())
+            assert set(r.edges) == set(transitive_reduction_dag(n, arcs))
+            assert all(w == 0 for w in r.edges.values())
         for _ in range(100):
             n = rng.randint(2, 5)
             pool = [
@@ -238,5 +237,5 @@ def test_smoke_large_reduction(criterion):
         start = time.perf_counter()
         r = equivalent_reduction(g)
         assert time.perf_counter() - start < 30.0
-        assert r.reduced.m <= g.m
-        assert systems_equivalent(g, r.reduced).equivalent
+        assert r.m <= g.m
+        assert systems_equivalent(g, r).equivalent

@@ -682,6 +682,34 @@ def test_only_the_solving_commands_judge_condensation_arcs(command, calls, paths
         assert len(seen) == calls
 
 
+@pytest.mark.parametrize(
+    "command, calls",
+    [
+        ("info", 1),
+        ("simplify", 1),
+        ("redundant", 1),
+        ("reduce", 0),
+        ("check", 0),
+        ("condense", 0),
+    ],
+)
+def test_only_the_deleting_commands_route_edges(command, calls, paths, monkeypatch, capsys):
+    # reduce writes each class pair's constraint from the distances, so
+    # only the commands that keep or drop input edges route them
+    seen = []
+
+    def counting(g):
+        seen.append(g)
+        return analyze(g)
+
+    _replace(monkeypatch, analyze, counting)
+    for path in paths.values():
+        seen.clear()
+        inputs = [path, path] if command == "check" else [path]
+        assert main([command, *inputs]) == 0
+        assert len(seen) == calls
+
+
 def test_readme_common_flags_match_parser():
     # each "Common flags" bullet names a flag and the commands that take it,
     # as "`--flag ...` (`cmd`, ...)" or "`cmd --flag`"; --out is on every command

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from dcsimp.core import PrecedenceGraph, Walk, as_weight, implies, min_walk_weights
-from dcsimp.errors import InfeasibleSystem, SameNode
+from dcsimp.errors import IndexOutOfRange, InfeasibleSystem, SameNode
 from oracles import normalize
 from shipped import load_fixture
 
@@ -85,6 +85,15 @@ class TestMinWalkWeights:
         assert d.get(2, 1) is None
         assert d.get(1, 3) is None
         assert d.get(3, 1) is None
+
+    def test_get_refuses_a_node_outside_the_range(self):
+        # -1 would read node 3's entry, as Python indexes from the end; 0
+        # the padding; and 4 would raise a bare IndexError
+        d = min_walk_weights(normalize(3, [(3, 2, 5), (2, 1, 1)]))
+        assert d.get(3, 2) == 5 and d.get(3, 1) == 6 and d.get(1, 3) is None
+        for i, j in ((-1, 2), (0, 2), (0, 0), (4, 1), (1, 4), (2, -1)):
+            with pytest.raises(IndexOutOfRange, match=r"outside 1\.\.3"):
+                d.get(i, j)
 
     def test_negative_cycle_raises_with_witness(self):
         g = normalize(2, [(1, 2, -1), (2, 1, 0)])

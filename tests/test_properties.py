@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dcsimp.core import PrecedenceGraph  # noqa: E402
+from dcsimp.core import PrecedenceGraph, min_walk_weights  # noqa: E402
 from dcsimp.decomposition import (  # noqa: E402
     analyze,
     condensation,
@@ -24,6 +24,7 @@ from dcsimp.decomposition import (  # noqa: E402
 from dcsimp.errors import NegativeSelfLoop, ParseError  # noqa: E402
 from dcsimp.fileformat import dumps, loads  # noqa: E402
 from dcsimp.reduction import equivalent_reduction  # noqa: E402
+from dcsimp.verify import systems_equivalent  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_max_redundant,
     brute_force_redundant_edges,
@@ -134,16 +135,39 @@ def test_max_redundant_edge_set_is_a_certified_maximum(g):
 @given(_feasible_systems())
 def test_equivalent_reduction_is_equivalent_and_minimum(g):
     r = equivalent_reduction(g)
-    a = r.analysis
-    assert dense_min_walk_weights(r.reduced) == dense_min_walk_weights(g)
-    multi = sum(len(c) for c in a.d.classes if len(c) >= 2)
-    assert r.reduced.m == multi + len(a.d.class_arcs) - len(condensation_redundant_pairs(a.d))
+    d = min_walk_weights(g)
+    assert dense_min_walk_weights(r) == dense_min_walk_weights(g)
+    multi = sum(len(c) for c in d.classes if len(c) >= 2)
+    assert r.m == multi + len(d.class_arcs) - len(condensation_redundant_pairs(d))
 
 
 @SETTINGS
 @given(_feasible_systems())
 def test_reduction_condenses_to_the_surviving_pairs(g):
-    r = equivalent_reduction(g)
-    a = r.analysis
-    survivors = condensation(a.d).without((x + 1, y + 1) for x, y in condensation_redundant_pairs(a.d))
-    assert condensation(analyze(r.reduced).d) == survivors
+    d = min_walk_weights(g)
+    survivors = condensation(d).without((x + 1, y + 1) for x, y in condensation_redundant_pairs(d))
+    assert condensation(min_walk_weights(equivalent_reduction(g))) == survivors
+
+
+@SETTINGS
+@given(_feasible_systems(), st.data())
+def test_reduction_is_canonical(g, data):
+    # h adds to g a constraint on every pair with a walk, at the pair's
+    # minimum walk weight plus 0 or 1, so it is equivalent to g; the other
+    # system compared is g's reduction with one constraint loosened by 1
+    reduced = equivalent_reduction(g)
+    assert equivalent_reduction(reduced) == reduced
+    edges = dict(g.edges)
+    for (i, j), w in sorted(dense_min_walk_weights(g).items()):
+        if i != j and w is not None:
+            w += data.draw(st.integers(0, 1))
+            edges[(i, j)] = min(edges.get((i, j), w), w)
+    h = PrecedenceGraph(g.n, edges)
+    assert dumps(equivalent_reduction(h)) == dumps(reduced)
+    others = [h]
+    if reduced.edges:
+        e = data.draw(st.sampled_from(sorted(reduced.edges)))
+        others.append(PrecedenceGraph(g.n, {**reduced.edges, e: reduced.edges[e] + 1}))
+    for other in others:
+        same = dumps(equivalent_reduction(other)) == dumps(reduced)
+        assert systems_equivalent(g, other).equivalent == same
