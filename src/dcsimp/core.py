@@ -34,7 +34,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import groupby
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import IndexOutOfRange, InfeasibleSystem, SameNode
@@ -206,6 +206,8 @@ class PrecedenceGraph(_Value):
     edges: Mapping[Edge, Fraction]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise TypeError(f"node count must be an int, not {type(self.n).__name__}")
         if self.n < 0:
             raise ValueError("node count must be nonnegative")
         clean: dict[Edge, Fraction] = {}
@@ -303,7 +305,7 @@ class DistanceMatrix(_Value):
     def __post_init__(self):
         object.__setattr__(self, "_rows", {})
 
-    def _reach(self, a: int, want: dict[int, list[int]], radius: int) -> dict[int, int]:
+    def _reach(self, a: int, want: dict[int, list[int]], radius: float) -> dict[int, int]:
         """The least reduced cost from class a of each class it settles,
         searching no further than ``radius``.
 
@@ -411,8 +413,7 @@ class DistanceMatrix(_Value):
             return Fraction(p[j] - p[i], self.scale)
         row = self._rows.get(a)
         if row is None:
-            # all the arcs together cost at least any cheapest walk
-            row = self._rows[a] = self._reach(a, {}, sum(self.class_arcs.values()))
+            row = self._rows[a] = self._reach(a, {}, inf)
         cost = row.get(b)
         return None if cost is None else Fraction(p[j] - p[i] + cost, self.scale)
 
@@ -466,16 +467,18 @@ def _bellman_ford(n: int, scaled: dict[Edge, int]) -> tuple[list[int], Walk | No
     return dist, Walk(tuple(cycle))
 
 
-def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int, list[Edge]]:
+def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], list[tuple], list[Edge]]:
     """Strongly connected components of the arcs on nodes 1..n (Tarjan 1972),
-    as a class index per node (``[0]`` is padding), the class count and the
+    as a class index per node (``[0]`` is padding), the classes and the
     arcs of a strong-connectivity certificate of every component.
 
-    Classes are numbered by smallest member.  The depth-first search keeps
-    its own stack of (node, next successor position), so it needs no
-    recursion.  A node is on Tarjan's stack exactly while it has a visit
-    number and no class yet.  A root without arcs is its own class at once,
-    so a system of isolated nodes costs one pass.
+    Each class is the members the search pops off its stack, sorted; the
+    classes are ordered by smallest member and then fill ``class_of``,
+    which until then reads 0 for a node with a class.  The depth-first
+    search keeps its own stack of (node, next successor position), so it
+    needs no recursion.  A node is on Tarjan's stack exactly while it has a
+    visit number and no class yet.  A root without arcs is its own class
+    ``(root,)`` at once, so a system of isolated nodes costs one pass.
 
     The certificate is the tree arcs plus, per node v that does not root
     its component, ``back[v]``: the first arc found out of v's subtree with
@@ -492,13 +495,13 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int, list[Edge
     back: dict[int, Edge] = {}
     kept: list[Edge] = []
     stack: list[int] = []
-    count = 0
+    classes: list[tuple[int, ...]] = []
     for root in range(1, n + 1):
         if comp[root] >= 0:
             continue
         if root not in succ:
-            comp[root] = count
-            count += 1
+            comp[root] = 0
+            classes.append((root,))
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
@@ -530,24 +533,19 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], int, list[Edge
                         low[u] = low[v]
                         back[u] = back[v]
                 if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = count
-                        if w == v:
-                            break
-                    count += 1
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    for w in members:
+                        comp[w] = 0
+                    classes.append(tuple(sorted(members)))
                 else:
                     kept.append(back[v])
-    # renumber by smallest member
-    order = [-1] * count
-    k = 0
-    for v in range(1, n + 1):
-        c = comp[v]
-        if order[c] < 0:
-            order[c] = k
-            k += 1
-        comp[v] = order[c]
-    return comp, count, kept
+    classes.sort()
+    for k, members in enumerate(classes):
+        for v in members:
+            comp[v] = k
+    return comp, classes, kept
 
 
 def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
@@ -580,7 +578,7 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
             cycle=witness,
         )
     zero = [(i, j) for (i, j), w in scaled.items() if w + potential[i] == potential[j]]
-    class_of, k, _ = _components(n, zero)
+    class_of, classes, _ = _components(n, zero)
     crossing: dict[tuple[int, int], int] = {}
     for (i, j), w in scaled.items():
         a, b = class_of[i], class_of[j]
@@ -591,15 +589,12 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     succ: dict[int, list[tuple[int, int]]] = {}
     for (a, b), r in sorted(crossing.items(), key=lambda arc: (arc[1], arc[0])):
         succ.setdefault(a, []).append((b, r))
-    classes: list[list[int]] = [[] for _ in range(k)]
-    for v in range(1, n + 1):
-        classes[class_of[v]].append(v)
     return DistanceMatrix(
         n,
         scale,
         tuple(potential),
         tuple(class_of),
-        tuple(map(tuple, classes)),
+        tuple(classes),
         crossing,
         succ,
     )

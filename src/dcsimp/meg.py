@@ -52,6 +52,8 @@ class Digraph(_Value):
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", frozenset(self.arcs))
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise TypeError(f"node count must be an int, not {type(self.n).__name__}")
         if self.n < 0:
             raise ValueError("node count must be nonnegative")
         for i, j in self.arcs:

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import oracles
-from dcsimp.core import PrecedenceGraph, Walk, as_weight, implies, min_walk_weights
+from dcsimp.core import (
+    PrecedenceGraph,
+    Walk,
+    _components,
+    as_weight,
+    implies,
+    min_walk_weights,
+)
 from dcsimp.errors import IndexOutOfRange, InfeasibleSystem, SameNode
+from dcsimp.fileformat import loads
 from oracles import normalize
 from shipped import load_fixture
 
@@ -207,6 +216,11 @@ class TestAgainstDenseKernel:
         }
         assert set(map(frozenset, d.classes)) == rings
         assert [c[0] for c in d.classes] == sorted(c[0] for c in d.classes)
+        assert all(list(c) == sorted(c) for c in d.classes)
+        assert sum(map(len, d.classes)) == g.n and len(d.class_of) == g.n + 1
+        for k, members in enumerate(d.classes):
+            assert all(d.class_of[v] == k for v in members)
+        assert d.class_of[0] not in range(len(d.classes))  # padding
 
     def test_random_potential_systems(self):
         # zero-slack share 0: no classes; 0.9: a few large ones.  m below n
@@ -230,6 +244,31 @@ class TestAgainstDenseKernel:
         ):
             self._assert_matches_dense(g)
             self._assert_matches_dense(_scaled_copy(g, WIDE))
+
+    def test_classes_do_not_depend_on_arc_order(self):
+        # Tarjan's search pops a class's members, and finds the classes, in
+        # an order that follows the arcs; the handover sorts both away
+        rng = Random(908)
+        for _ in range(40):
+            n = rng.randint(2, 40)
+            pairs = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(2 * n)}
+            arcs = sorted((i, j) for i, j in pairs if i != j)
+            class_of, classes, _ = _components(n, arcs)
+            assert (class_of, classes) == _components(n, arcs[::-1])[:2]
+            assert sorted(v for c in classes for v in c) == list(range(1, n + 1))
+
+    def test_peak_memory_at_one_class_per_node(self):
+        # one class per node: each costs its one-node tuple and its slots
+        # in the flat arrays, about 156 bytes
+        g = loads("p dcs 20000 0\n")
+        tracemalloc.start()
+        try:
+            d = min_walk_weights(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.classes) == g.n
+        assert peak < 4_000_000
 
     def test_infeasible_systems_raise_with_a_negative_witness(self):
         rng = Random(907)

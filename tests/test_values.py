@@ -119,6 +119,13 @@ def test_validation_rejects_bad_nodes_and_self_loops():
         Walk(())
     with pytest.raises(TypeError):
         PrecedenceGraph(2, {(1, 2): 0.5})
+    # a node count is an int: not a float, which dumps would write as a
+    # header loads refuses, nor a bool
+    for n in (2.5, 2.0, True, False, "2"):
+        with pytest.raises(TypeError, match="node count"):
+            PrecedenceGraph(n, {})
+        with pytest.raises(TypeError, match="node count"):
+            Digraph(n, set())
 
 
 def test_fields_are_coerced_and_copied():
