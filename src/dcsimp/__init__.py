@@ -26,7 +26,6 @@ from .errors import (
     DcsError,
     IndexOutOfRange,
     InfeasibleSystem,
-    LimitExceeded,
     NegativeSelfLoop,
     NodeCountMismatch,
     NotASubset,
@@ -35,7 +34,6 @@ from .errors import (
     SelfLoopDropped,
 )
 from .fileformat import dumps, load, loads
-from .meg import Digraph, meg_exact, meg_greedy
 from .reduction import equivalent_reduction
 from .verify import EquivalenceReport, is_redundant_edge_set, systems_equivalent
 
@@ -44,12 +42,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Analysis",
     "DcsError",
-    "Digraph",
     "DistanceMatrix",
     "EquivalenceReport",
     "IndexOutOfRange",
     "InfeasibleSystem",
-    "LimitExceeded",
     "MresResult",
     "NegativeSelfLoop",
     "NodeCountMismatch",
@@ -69,8 +65,6 @@ __all__ = [
     "load",
     "loads",
     "max_redundant_edge_set",
-    "meg_exact",
-    "meg_greedy",
     "min_walk_weights",
     "redundant_edges",
     "systems_equivalent",

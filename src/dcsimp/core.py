@@ -212,6 +212,10 @@ class PrecedenceGraph(_Value):
             raise ValueError("node count must be nonnegative")
         clean: dict[Edge, Fraction] = {}
         for (i, j), w in self.edges.items():
+            if type(i) is not int or type(j) is not int:  # plain ints skip isinstance
+                for v in (i, j):
+                    if isinstance(v, bool) or not isinstance(v, int):
+                        raise TypeError(f"node id must be an int, not {type(v).__name__}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise IndexOutOfRange(f"edge ({i},{j}) outside nodes 1..{self.n}")
             if i == j:

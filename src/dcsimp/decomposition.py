@@ -14,8 +14,9 @@ lets the redundancy problem split cleanly:
   criterion applies;
 * the tight intra-class edges form an unweighted reachability problem: which
   arcs of a strongly connected digraph can go while preserving reachability.
-  That piece is NP-hard and goes to the MEG solver: exactly on a class of at
-  most :data:`EXACT_LIMIT` tight arcs, greedily and uncertified otherwise.
+  That piece is NP-hard and goes to :mod:`dcsimp.meg` as an arc set on the
+  class's members renumbered 1..|C|: exactly on a class of at most
+  :data:`EXACT_LIMIT` tight arcs, greedily and uncertified otherwise.
 
 :func:`analyze` runs that split once per system, and every solver that
 deletes edges reads its distances, classes, edge pieces and kept crossings
@@ -30,8 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, _Value, min_walk_weights
-from .errors import LimitExceeded
-from .meg import Digraph, certificate, meg_exact, meg_greedy, redundant_arcs
+from .meg import Arc, certificate, meg_exact, meg_greedy, redundant_arcs
 
 EXACT_LIMIT = 20  # tight arcs of a class that meg_exact may try
 
@@ -171,9 +171,9 @@ def analyze(g: PrecedenceGraph) -> Analysis:
     )
 
 
-def _class_digraphs(a: Analysis) -> Iterator[tuple[tuple[int, ...], Digraph]]:
-    """Each class with tight arcs, in class order, as its members and the
-    MEG instance on them.
+def _class_digraphs(a: Analysis) -> Iterator[tuple[tuple[int, ...], frozenset[Arc]]]:
+    """Each class with tight arcs, in class order, as its members and its
+    tight arcs on them, the MEG instance on nodes 1..|C|.
 
     The members become nodes 1..|C|, in order, so each question is sized by
     the class, not the system; the map is monotone, so no arc order changes.
@@ -181,7 +181,7 @@ def _class_digraphs(a: Analysis) -> Iterator[tuple[tuple[int, ...], Digraph]]:
     for k in sorted(a.tight):
         members = a.d.classes[k]
         local = {v: q for q, v in enumerate(members, 1)}
-        yield members, Digraph(len(members), {(local[s], local[t]) for s, t in a.tight[k]})
+        yield members, frozenset((local[s], local[t]) for s, t in a.tight[k])
 
 
 def redundant_edges(a: Analysis) -> frozenset[Edge]:
@@ -195,8 +195,8 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     condensation edge survives and nothing else.
     """
     out = set(a.slack | (a.cross - a.sole))
-    for members, h in _class_digraphs(a):
-        out |= {(members[s - 1], members[t - 1]) for s, t in redundant_arcs(h)}
+    for members, arcs in _class_digraphs(a):
+        out |= {(members[s - 1], members[t - 1]) for s, t in redundant_arcs(len(members), arcs)}
     return frozenset(out)
 
 
@@ -215,15 +215,11 @@ def max_redundant_edge_set(g: PrecedenceGraph) -> MresResult:
     a = analyze(g)
     out = set(a.slack | (a.cross - a.keep))
     certified = True
-    for members, h in _class_digraphs(a):
-        kept = None
-        if len(h.arcs) <= EXACT_LIMIT:
-            try:
-                kept = meg_exact(h)
-            except LimitExceeded:
-                pass
-        if kept is None:
-            kept = meg_greedy(certificate(h))
+    for members, arcs in _class_digraphs(a):
+        n = len(members)
+        kept = meg_exact(n, arcs) if len(arcs) <= EXACT_LIMIT else None
+        if kept is None:  # an empty set is an answer
+            kept = meg_greedy(n, certificate(n, arcs))
             certified = False
-        out |= {(members[s - 1], members[t - 1]) for s, t in h.arcs - kept}
+        out |= {(members[s - 1], members[t - 1]) for s, t in arcs - kept}
     return MresResult(frozenset(out), certified, a)

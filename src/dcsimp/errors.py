@@ -1,4 +1,6 @@
-"""Exceptions and warning categories shared across the package."""
+"""Exceptions and warning categories shared across the package.  No solver
+limit raises: a class the exact MEG search cannot finish is solved greedily
+and graded uncertified (:func:`~dcsimp.decomposition.max_redundant_edge_set`)."""
 
 from __future__ import annotations
 
@@ -40,11 +42,6 @@ class NotASubset(DcsError):
 
 class NodeCountMismatch(DcsError):
     """Two systems can only be compared over the same node set."""
-
-
-class LimitExceeded(DcsError):
-    """:func:`~dcsimp.meg.meg_exact` passed its budget of
-    :data:`~dcsimp.meg.SEARCH_BUDGET` search nodes."""
 
 
 class SelfLoopDropped(UserWarning):

@@ -2,9 +2,9 @@
 
 Everything here enumerates (simple paths, simple cycles, arc and edge
 subsets) or runs a dense Floyd-Warshall over every node.  Only the graph
-containers, the error types and the text format are imported from the
-package, and no solver module, so agreement between an oracle and a solver
-is a real check.
+containers and the text format are imported from the package, and no
+solver module, so agreement between an oracle and a solver is a real
+check.
 
 The walk tools price a walk edge by edge and split it into a simple path
 plus simple cycles, the step the paper's proofs take from walks to simple
@@ -21,10 +21,13 @@ from math import lcm
 from random import Random
 
 from dcsimp.core import Edge, PrecedenceGraph, Walk, weight_text
-from dcsimp.errors import LimitExceeded
 from dcsimp.fileformat import loads
 
 DEFAULT_ORACLE_LIMIT = 16
+
+
+class OracleLimit(Exception):
+    """An enumerating oracle refuses an input too large to enumerate."""
 
 
 def normalize(n: int, entries) -> PrecedenceGraph:
@@ -131,7 +134,7 @@ def brute_force_max_redundant(
     reports (0, [frozenset()]).
     """
     if g.m > limit:
-        raise LimitExceeded(f"{g.m} edges exceed the oracle limit of {limit}")
+        raise OracleLimit(f"{g.m} edges exceed the oracle limit of {limit}")
     universe = sorted(brute_force_redundant_edges(g))
     for size in range(len(universe), -1, -1):
         hits = [

@@ -296,6 +296,40 @@ def test_a_million_isolated_nodes_are_a_million_classes(tmp_path, capsys):
     assert "classes: 1000000\n" in capsys.readouterr().out
 
 
+# Runs argv and prints its peak RSS in KiB.  A fresh launcher per command,
+# so that no earlier child's peak is counted in RUSAGE_CHILDREN.
+_PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, check=True)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_isolated_nodes_peak_memory_in_a_child_process(tmp_path):
+    # 200,000 one-node classes, above the interpreter and imports that
+    # info on an empty system peaks at: 42 and 58 MB on a 2-vCPU Xeon
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    wide, empty = tmp_path / "wide.dcs", tmp_path / "empty.dcs"
+    wide.write_text("p dcs 200000 0\n")
+    empty.write_text("p dcs 0 0\n")
+
+    def peak_mb(*command):
+        run = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "dcsimp.cli", *command],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        return int(run.stdout) / 1024
+
+    base = peak_mb("info", str(empty))
+    assert peak_mb("info", str(wide)) - base < 48
+    assert peak_mb("check", str(wide), str(wide)) - base < 64
+
+
 def test_giant_class_reduce_and_check_stay_fast(tmp_path):
     # one zero-cycle class of 3000 nodes: a tight ring plus chords of slack
     # 0-10.  Floyd-Warshall over every node would take about a minute here;

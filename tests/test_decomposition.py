@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -10,7 +9,7 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import decomposition
+from dcsimp import decomposition, meg
 from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights
 from dcsimp.decomposition import (
     analyze,
@@ -19,7 +18,7 @@ from dcsimp.decomposition import (
     max_redundant_edge_set,
     redundant_edges,
 )
-from dcsimp.meg import Digraph, redundant_arcs
+from dcsimp.meg import redundant_arcs
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
 from oracles import brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import NAMES, load_fixture
@@ -145,11 +144,9 @@ class TestPartitionEdges:
                 if len(order) < 2:
                     continue
                 local = {v: q + 1 for q, v in enumerate(order)}
-                h = Digraph(
-                    len(order),
-                    frozenset((local[s], local[t]) for s, t in a.tight[k]),
-                )
-                assert len(oracles.closure(h.n, h.arcs)) == h.n * (h.n - 1)
+                n = len(order)
+                arcs = frozenset((local[s], local[t]) for s, t in a.tight[k])
+                assert len(oracles.closure(n, arcs)) == n * (n - 1)
 
 
 class TestCondensation:
@@ -313,7 +310,7 @@ class TestMaxRedundantEdgeSet:
             assert oracles.closure(g.n, kept) == oracles.closure(g.n, tight)
             # each kept tight arc is essential: its head is unreachable
             # from its tail over the other kept arcs
-            assert not redundant_arcs(Digraph(g.n, kept))
+            assert not redundant_arcs(g.n, kept)
 
     def test_heuristic_fallback_is_maximal_on_the_feasible_suite(self, monkeypatch):
         # every class goes greedy: no edge of what is left can go, and the
@@ -380,20 +377,24 @@ def test_no_meg_question_is_sized_by_the_system(monkeypatch):
             (4, 10, 2), (12, 20, 5), (3, 20, 1), (22, 50, 0),
         ],
     )
-    sizes = []
+    sizes = []  # (function, n) per call into the meg module
 
-    def recording(*args, **kwargs):
-        h = Digraph(*args, **kwargs)
-        sizes.append(h.n)
-        return h
+    def recording(solve):
+        def solve_and_record(n, arcs):
+            sizes.append((solve.__name__, n))
+            return solve(n, arcs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "dcsimp" and getattr(module, "Digraph", None) is Digraph:
-            monkeypatch.setattr(module, "Digraph", recording)
+        return solve_and_record
+
+    for solve in (meg.redundant_arcs, meg.meg_exact, meg.meg_greedy, meg.certificate):
+        monkeypatch.setattr(decomposition, solve.__name__, recording(solve))
     largest = max(map(len, min_walk_weights(g).classes))
     assert largest == 3
     redundant_edges(analyze(g))
     max_redundant_edge_set(g)
     monkeypatch.setattr(decomposition, "EXACT_LIMIT", 0)  # greedy on a certificate
     max_redundant_edge_set(g)
-    assert sizes and max(sizes) <= largest
+    assert {name for name, _ in sizes} == {
+        "redundant_arcs", "meg_exact", "meg_greedy", "certificate"
+    }
+    assert max(n for _, n in sizes) <= largest

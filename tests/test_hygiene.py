@@ -111,6 +111,15 @@ def test_every_export_is_named_in_the_readme():
     assert sorted(n for n in _exported(_trees()) if not re.search(rf"\b{n}\b", readme)) == []
 
 
+def test_the_readme_states_the_packaging_floor():
+    # core._int calls sys.get_int_max_str_digits, new in Python 3.10.7
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.MULTILINE)
+    stated = re.search(r"Requires Python ([\d.]+)\+", (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert floor and stated and floor.group(1) == stated.group(1)
+    assert tuple(map(int, floor.group(1).split("."))) >= (3, 10, 7)
+
+
 def test_the_guard_finds_leftovers():
     # what removing a flag could leave: its default's import and its validator
     leftover = ast.parse(

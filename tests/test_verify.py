@@ -9,9 +9,9 @@ import pytest
 
 import oracles
 from dcsimp.core import PrecedenceGraph, implies, min_walk_weights
-from dcsimp.errors import InfeasibleSystem, LimitExceeded, NodeCountMismatch
+from dcsimp.errors import InfeasibleSystem, NodeCountMismatch
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
-from oracles import brute_force_max_redundant, brute_force_redundant_edges, normalize
+from oracles import OracleLimit, brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import load_fixture
 
 # P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64
@@ -240,7 +240,7 @@ class TestBruteForceMaxRedundant:
         g = normalize(
             5, [(i, j, 3) for i in range(1, 6) for j in range(1, 6) if i != j][:17]
         )
-        with pytest.raises(LimitExceeded):
+        with pytest.raises(OracleLimit):
             brute_force_max_redundant(g)
 
     def test_every_reported_set_is_maximum_and_valid(self):
