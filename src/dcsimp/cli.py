@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from itertools import groupby
 
 from . import fileformat
 from .core import PrecedenceGraph, min_walk_weights
@@ -67,13 +68,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
     a = res.analysis
     classes = a.d.classes
     zero_cycle = any(len(c) > 1 for c in classes)
+    # one string per run of equal sizes, not one per class
+    sizes = "".join(f" {size}" * sum(1 for _ in run) for size, run in groupby(map(len, classes)))
     lines = [
         f"nodes: {g.n}",
         f"constraints: {g.m}",
         "feasible: yes",
         f"zero-weight cycle: {'yes' if zero_cycle else 'no'}",
         f"classes: {len(classes)}",
-        f"class sizes: {' '.join(str(len(c)) for c in classes)}",
+        f"class sizes: {sizes[1:]}",
         f"slack intra-class edges: {len(a.slack)}",
         f"condensation edges: {len(a.d.class_arcs)}",
         f"removable edges (max): {len(res.edges)}",

@@ -14,9 +14,11 @@ entry through :meth:`DistanceMatrix.get`.  They are stored factored: a
 potential from one Bellman-Ford pass makes every reduced cost
 non-negative, the arcs of reduced cost zero split the nodes into the
 zero-cycle classes, and a distance between classes is found on demand by
-the one Dijkstra search over the condensation, one node per class.  That
+one Dijkstra search over the condensation, one node per class.  That
 search is bounded by the costs the caller asks about and settles each of
-them when it relaxes an arc into its class.  The search for the classes
+them when it relaxes an arc into its class; once few are left open, it
+settles those by one backward search each over the in-arcs, which meets
+it from the far side.  The search for the classes
 can also record a sparse strong-connectivity certificate; the MEG fallback
 runs it again on each fallback class's own sorted arcs to get one.
 
@@ -29,12 +31,12 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import groupby
 from math import inf, lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import IndexOutOfRange, InfeasibleSystem, SameNode
@@ -45,6 +47,13 @@ WeightLike = Union[Fraction, int, str]
 # [+-]digits[.digits] or [+-]digits/digits with a nonzero denominator, and
 # nothing else: no exponent, which lets ten bytes ask for millions of digits
 _WEIGHT = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
+
+# A bounded search from one class settles its open classes backward once
+# their count times the cost left to the largest bound is at most this many
+# times the cost covered (DistanceMatrix._reach).  Chosen by the classes the
+# searches expand and their time on K = n inputs (n = 250 to 2000) and on
+# planted classes; 4 and 8 were close, 2 and 16 expanded more.
+_FINISH_RATIO = 8
 
 
 def _int(digits: str) -> int:
@@ -280,8 +289,9 @@ class DistanceMatrix(_Value):
     ``(potential[j] - potential[i] + D) / scale``, with D the least reduced
     cost of a walk from class a to class b over the condensation arcs.  One
     bounded Dijkstra search finds D for :meth:`get`, answers
-    :meth:`unimplied`, and decides condensation redundancy.  Instances
-    compare by identity.
+    :meth:`unimplied`, and decides condensation redundancy; the last two
+    may finish it backward, over the in-arcs that ``_pred`` lists, cheapest
+    first, from the first time one does.  Instances compare by identity.
     """
 
     __slots__ = (
@@ -293,6 +303,7 @@ class DistanceMatrix(_Value):
         "class_arcs",
         "class_succ",
         "_rows",
+        "_pred",
     )
     n: int
     scale: int
@@ -302,31 +313,43 @@ class DistanceMatrix(_Value):
     class_arcs: Mapping[tuple[int, int], int]
     class_succ: Mapping[int, list[tuple[int, int]]]
     _rows: dict[int, dict[int, int]]
+    _pred: dict[int, list[tuple[int, int]]]
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "_rows", {})
+        object.__setattr__(self, "_pred", {})
 
-    def _reach(self, a: int, want: dict[int, list[int]], radius: float) -> dict[int, int]:
-        """The least reduced cost from class a of each class it settles,
-        searching no further than ``radius``.
+    def _reach(self, a: int, want: dict[int, list[int]]) -> dict[int, int]:
+        """The least reduced cost from class a of each class it settles:
+        every class a reaches when ``want`` is empty, else only as far as
+        the bounds in it ask.
 
-        ``want`` maps a class b to its pending bounds, ascending, and the
-        search updates it in place.  A Dijkstra search, as reduced costs are
+        ``want`` maps a class b to its pending bounds, ascending, none above
+        the direct arc (a, b)'s cost when there is one, and the search
+        updates it in place.  A Dijkstra search, as reduced costs are
         non-negative (Johnson 1977), whose heap holds each tentative cost
         once with the list of classes reached at it, since many walks tie on
         small costs.  Each arc (u, b) relaxed from a settled class u other
         than a, at cost c = D(a, u) + r_ub, meets every bound of b that is
         at least c: those leave ``want``, and b too once it has none.  The
-        radius then shrinks to the largest bound still pending, and the
-        search ends once none is.  So a bound left in ``want`` has no walk
-        to its class within it but, perhaps, the direct arc (a, b).
-        ``class_succ`` lists arcs cheapest first, so a relaxation stops at
-        the first arc past the radius.
+        search reaches no further than the largest bound still pending,
+        ``tops[-1]``, and ends once none is.  So a bound left in ``want``
+        has no walk to its class within it but, perhaps, the direct arc
+        (a, b).  ``class_succ`` lists arcs cheapest first, so a relaxation
+        stops at the first arc past the radius.
+
+        At each new cost ℓ past level 0, only the k classes with a bound of
+        at least ℓ are still open.  Once k·(radius - ℓ) <= ``_FINISH_RATIO``·ℓ,
+        the reach left to the backward searches weighed against the reach
+        covered, :meth:`_finish` settles each open class from its own side,
+        and the classes returned are those settled until then.
         """
         succ = self.class_succ
+        tops = sorted(bounds[-1] for bounds in want.values())
+        radius = tops[-1] if tops else inf
         beyond = radius + 1
         best = {a: 0}
         settled = {}
@@ -336,6 +359,14 @@ class DistanceMatrix(_Value):
             cost = heappop(costs)
             if cost > radius:
                 break
+            if cost and tops:
+                k = len(tops) - bisect_left(tops, cost)
+                if k * (radius - cost) <= _FINISH_RATIO * cost:
+                    for b in [b for b, bs in want.items() if bs[-1] >= cost]:
+                        self._finish(b, want[b], best, settled, cost)
+                        if not want[b]:
+                            del want[b]
+                    return settled
             for u in reached.pop(cost):
                 if best[u] != cost:
                     continue
@@ -349,12 +380,14 @@ class DistanceMatrix(_Value):
                         top = bounds[-1]
                         if top >= c:
                             del bounds[bisect_left(bounds, c) :]
-                            if not bounds:
+                            del tops[bisect_left(tops, top)]
+                            if bounds:
+                                insort(tops, bounds[-1])
+                            else:
                                 del want[v]
                                 if not want:
                                     return settled
-                            if top == radius:
-                                radius = max(bs[-1] for bs in want.values())
+                            radius = tops[-1]
                     if c < best.get(v, beyond):
                         best[v] = c
                         if c in reached:
@@ -363,6 +396,68 @@ class DistanceMatrix(_Value):
                             reached[c] = [v]
                             heappush(costs, c)
         return settled
+
+    def _finish(
+        self, b: int, bounds: list[int], best: dict[int, int], settled: dict[int, int], low: int
+    ) -> None:
+        """Take class b's ``bounds`` down to those no walk from class a
+        meets, after :meth:`_reach` from a stopped at cost ``low``: every
+        class below it in ``settled``, the tentative costs in ``best``.
+
+        One Dijkstra search from b over the in-arcs, through the classes
+        not settled, within x - ``low`` for the largest bound x.  When it
+        relaxes an in-arc into a class u at cost c, a walk a ~> u ~> b of
+        cost best[u] + c, whose last arc is not from a (a is settled),
+        meets every bound at least that.  This is exact: a walk a ~> b of
+        cost at most x whose last arc is not from a has a last settled
+        class w before b, and then a class u that is not settled.  So
+        best[u] is at most u's prefix cost, which is at least ``low``, and
+        the rest of the walk runs outside the settled classes within
+        x - ``low``.  u is not b: if w is a, the walk would close a cycle
+        through b after the direct arc and cost more than it; if w is not
+        a, the forward search met x when it relaxed (w, b).  The in-arc
+        lists are built cheapest first on first need.
+        """
+        pred = self._pred
+        if not pred:
+            for tail, arcs in self.class_succ.items():
+                for head, r in arcs:
+                    pred.setdefault(head, []).append((r, tail))
+            for arcs in pred.values():
+                arcs.sort(key=itemgetter(0))
+        radius = bounds[-1] - low
+        beyond = radius + 1
+        dist = {b: 0}
+        reached: dict[int, list[int]] = {}
+        costs: list[int] = []
+        e, level = 0, [b]
+        while True:
+            for v in level:
+                if dist[v] != e:
+                    continue
+                for r, u in pred.get(v, ()):
+                    c = e + r
+                    if c > radius:
+                        break
+                    if c < dist.get(u, beyond) and u not in settled:
+                        f = best.get(u)
+                        if f is not None and f + c <= bounds[-1]:
+                            del bounds[bisect_left(bounds, f + c) :]
+                            if not bounds:
+                                return
+                            radius = bounds[-1] - low
+                        dist[u] = c
+                        if c in reached:
+                            reached[c].append(u)
+                        else:
+                            reached[c] = [u]
+                            heappush(costs, c)
+            if not costs:
+                return
+            e = heappop(costs)
+            if e > radius:
+                return
+            level = reached.pop(e)
 
     def unimplied(
         self, constraints: Iterable[tuple[Edge, Fraction]]
@@ -374,32 +469,53 @@ class DistanceMatrix(_Value):
         most c, that is when the least reduced cost D from i's class a to
         j's class b has D <= x = floor(c·scale) - potential[j] + potential[i].
         Inside a class D = 0, and across classes the direct arc settles
-        x >= ``class_arcs[(a, b)]`` without a search.  The other bounds on
-        tail i go to one search from a, which settles each when it relaxes
-        an arc into its class.
+        x >= ``class_arcs[(a, b)]`` without a search.  The other bounds of
+        every tail in class a go to one search from a, which settles each
+        when it relaxes an arc into its class.  The classes go in the order
+        of their first constraint, so the scan ends once the next class's
+        first constraint sorts after the witness found, and a class's
+        constraints past that witness are skipped.
         """
         p, of, arcs, scale = self.potential, self.class_of, self.class_arcs, self.scale
-        for i, tail in groupby(sorted(constraints), key=lambda e: e[0][0]):
-            a = of[i]
+        cs = sorted(constraints)
+        tails = [e[0] for e, _ in cs]
+        found = None
+        searched = set()
+        k = 0  # the first constraint from a class not yet searched
+        while k < len(cs) and (found is None or cs[k] < found):
+            a = of[tails[k]]
+            searched.add(a)
+            members = self.classes[a]
+            if len(members) < len(cs):  # each member's run, in order
+                tail = []
+                for v in members:
+                    lo = bisect_left(tails, v)
+                    tail += cs[lo : bisect_left(tails, v + 1, lo)]
+            else:  # fewer constraints than members: read them all
+                tail = [q for q, t in zip(cs, tails) if of[t] == a]
+            if found is not None:
+                del tail[bisect_left(tail, found) :]
             left = []  # constraints that neither test meets, in order
             want: dict[int, list[int]] = {}
-            for (_, j), c in tail:
-                x = c.numerator * scale // c.denominator - p[j] + p[i]
+            for (i, j), c in tail:
                 b = of[j]
-                if b == a:
-                    if x < 0:
-                        left.append((j, c, b, x))
-                elif arcs.get((a, b), x + 1) > x:
-                    left.append((j, c, b, x))
+                x = c.numerator * scale // c.denominator - p[j] + p[i]
+                if x < (0 if b == a else arcs.get((a, b), x + 1)):
+                    left.append(((i, j), c, b, x))
+                    if b == a:  # unforced, so nothing after it can come first
+                        break
                     want.setdefault(b, []).append(x)
             if want:
                 for xs in want.values():
                     xs.sort()
-                self._reach(a, want, max(xs[-1] for xs in want.values()))
-            for j, c, b, x in left:
+                self._reach(a, want)
+            for e, c, b, x in left:  # all before any witness found so far
                 if b == a or b in want and x <= want[b][-1]:
-                    return (i, j), c
-        return None
+                    found = e, c
+                    break
+            while k < len(cs) and of[tails[k]] in searched:
+                k = bisect_left(tails, tails[k] + 1, k)
+        return found
 
     def get(self, i: int, j: int) -> Fraction | None:
         """The minimum walk weight ``i ~> j``, or None when no walk exists;
@@ -417,7 +533,7 @@ class DistanceMatrix(_Value):
             return Fraction(p[j] - p[i], self.scale)
         row = self._rows.get(a)
         if row is None:
-            row = self._rows[a] = self._reach(a, {}, inf)
+            row = self._rows[a] = self._reach(a, {})
         cost = row.get(b)
         return None if cost is None else Fraction(p[j] - p[i] + cost, self.scale)
 

@@ -116,14 +116,15 @@ def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]
     D + r_ub <= r_ab, a tie included (no such walk to u uses (a, b): it
     would close a positive cycle through b).  One search from each class a
     with two or more out-arcs, within its dearest one, settles each (a, b)
-    when it first relaxes such an arc (u, b).
+    when it first relaxes such an arc (u, b), or, once few arcs are left
+    open, when a backward search from b over the in-arcs meets it.
     """
     removed = set()
     for a, arcs in d.class_succ.items():
         if len(arcs) < 2:
             continue
         want = {b: [r] for b, r in arcs}
-        d._reach(a, want, arcs[-1][1])
+        d._reach(a, want)
         removed.update((a, b) for b, _ in arcs if b not in want)
     return frozenset(removed)
 

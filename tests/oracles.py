@@ -1,10 +1,11 @@
 """Independent brute-force oracles and random-input builders for the tests.
 
 Everything here enumerates (simple paths, simple cycles, arc and edge
-subsets) or runs a dense Floyd-Warshall over every node.  Only the graph
-containers and the text format are imported from the package, and no
-solver module, so agreement between an oracle and a solver is a real
-check.
+subsets), runs a dense Floyd-Warshall over every node, or runs one plain
+forward Dijkstra search per class over a distance matrix's condensation
+arcs, read as data.  Only the graph containers and the text format are
+imported from the package, and no solver module, so agreement between an
+oracle and a solver is a real check.
 
 The walk tools price a walk edge by edge and split it into a simple path
 plus simple cycles, the step the paper's proofs take from walks to simple
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from math import lcm
 from random import Random
@@ -231,6 +233,56 @@ def lex_greedy_meg(n: int, arcs: frozenset[Edge]) -> frozenset[Edge]:
         if closure(n, kept) != want:
             kept.add(a)
     return frozenset(kept)
+
+
+def class_distances(d, a: int) -> dict[int, int]:
+    """The least reduced cost from class a to every class it reaches over
+    ``d.class_succ``, read as data (a distance matrix's condensation arcs,
+    as (head, cost) lists per tail class), by one forward Dijkstra search
+    with no bound and no early stop."""
+    dist = {a: 0}
+    heap = [(0, a)]
+    while heap:
+        du, u = heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, r in d.class_succ.get(u, ()):
+            if du + r < dist.get(v, du + r + 1):
+                dist[v] = du + r
+                heappush(heap, (du + r, v))
+    return dist
+
+
+def forward_redundant_pairs(d) -> frozenset[Edge]:
+    """The condensation arcs (a, b) of ``d`` that some walk a ~> u -> b
+    with u != a prices at most at the arc's own cost, from one unbounded
+    forward search per class with two or more out-arcs."""
+    out = set()
+    for a, arcs in d.class_succ.items():
+        if len(arcs) < 2:
+            continue
+        for u, du in class_distances(d, a).items():
+            for b, r in d.class_succ.get(u, ()) if u != a else ():
+                if (a, b) in d.class_arcs and du + r <= d.class_arcs[(a, b)]:
+                    out.add((a, b))
+    return frozenset(out)
+
+
+def forward_unimplied(d, constraints) -> tuple[Edge, Fraction] | None:
+    """The first constraint ((i, j), c), in sorted order, whose scaled bound
+    floor(c·scale) - potential[j] + potential[i] lies below the least
+    reduced cost from i's class to j's class, or which has no walk at all;
+    None when there is none.  Each tail class gets one unbounded forward
+    search."""
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), c in sorted(constraints):
+        a, b = d.class_of[i], d.class_of[j]
+        if a not in rows:
+            rows[a] = class_distances(d, a)
+        x = c.numerator * d.scale // c.denominator - d.potential[j] + d.potential[i]
+        if rows[a].get(b, x + 1) > x:
+            return (i, j), c
+    return None
 
 
 def random_system(

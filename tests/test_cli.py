@@ -308,7 +308,9 @@ _PEAK_RSS = (
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_isolated_nodes_peak_memory_in_a_child_process(tmp_path):
     # 200,000 one-node classes, above the interpreter and imports that
-    # info on an empty system peaks at: 42 and 58 MB on a 2-vCPU Xeon
+    # info on an empty system peaks at: 30 and 56 MB on a 2-vCPU Xeon.
+    # info prints every class's size but holds no string per class, so it
+    # peaks with simplify, which solves the same system
     src = str(Path(cli.__file__).resolve().parent.parent)
     wide, empty = tmp_path / "wide.dcs", tmp_path / "empty.dcs"
     wide.write_text("p dcs 200000 0\n")
@@ -326,7 +328,9 @@ def test_isolated_nodes_peak_memory_in_a_child_process(tmp_path):
         return int(run.stdout) / 1024
 
     base = peak_mb("info", str(empty))
-    assert peak_mb("info", str(wide)) - base < 48
+    info = peak_mb("info", str(wide))
+    assert info - base < 48
+    assert info - peak_mb("simplify", str(wide)) < 2
     assert peak_mb("check", str(wide), str(wide)) - base < 64
 
 
@@ -628,14 +632,6 @@ def test_help_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-def _replace(monkeypatch, original, replacement) -> None:
-    """Patch ``original`` by its own name in every dcsimp module holding it."""
-    name = original.__name__
-    for modname, module in list(sys.modules.items()):
-        if modname.split(".")[0] == "dcsimp" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, replacement)
-
-
 @pytest.mark.parametrize(
     "command, calls",
     [
@@ -648,14 +644,14 @@ def _replace(monkeypatch, original, replacement) -> None:
         ("check two_classes two_classes", 2),
     ],
 )
-def test_distances_computed_once_per_input(command, calls, paths, monkeypatch, capsys):
+def test_distances_computed_once_per_input(command, calls, paths, replace, capsys):
     seen = []
 
     def counting(g):
         seen.append(g)
         return min_walk_weights(g)
 
-    _replace(monkeypatch, min_walk_weights, counting)
+    replace(min_walk_weights, counting)
     assert main([paths.get(a, a) for a in command.split()]) == 0
     assert len(seen) == calls
 
@@ -671,7 +667,7 @@ def test_distances_computed_once_per_input(command, calls, paths, monkeypatch, c
         ("condense", 1),
     ],
 )
-def test_only_condense_builds_the_condensation(command, calls, paths, monkeypatch, capsys):
+def test_only_condense_builds_the_condensation(command, calls, paths, replace, capsys):
     seen = []
 
     def guarded(d):
@@ -680,7 +676,7 @@ def test_only_condense_builds_the_condensation(command, calls, paths, monkeypatc
             raise AssertionError(f"{command} built the condensation")
         return condensation(d)
 
-    _replace(monkeypatch, condensation, guarded)
+    replace(condensation, guarded)
     for path in paths.values():
         seen.clear()
         inputs = [path, path] if command == "check" else [path]
@@ -699,7 +695,7 @@ def test_only_condense_builds_the_condensation(command, calls, paths, monkeypatc
         ("condense", 0),
     ],
 )
-def test_only_the_solving_commands_judge_condensation_arcs(command, calls, paths, monkeypatch, capsys):
+def test_only_the_solving_commands_judge_condensation_arcs(command, calls, paths, replace, capsys):
     # condense prints the distances' classes and arcs, check compares
     # distances: neither needs the redundant condensation pairs
     seen = []
@@ -708,7 +704,7 @@ def test_only_the_solving_commands_judge_condensation_arcs(command, calls, paths
         seen.append(d)
         return condensation_redundant_pairs(d)
 
-    _replace(monkeypatch, condensation_redundant_pairs, counting)
+    replace(condensation_redundant_pairs, counting)
     for path in paths.values():
         seen.clear()
         inputs = [path, path] if command == "check" else [path]
@@ -727,7 +723,7 @@ def test_only_the_solving_commands_judge_condensation_arcs(command, calls, paths
         ("condense", 0),
     ],
 )
-def test_only_the_deleting_commands_route_edges(command, calls, paths, monkeypatch, capsys):
+def test_only_the_deleting_commands_route_edges(command, calls, paths, replace, capsys):
     # reduce writes each class pair's constraint from the distances, so
     # only the commands that keep or drop input edges route them
     seen = []
@@ -736,7 +732,7 @@ def test_only_the_deleting_commands_route_edges(command, calls, paths, monkeypat
         seen.append(g)
         return analyze(g)
 
-    _replace(monkeypatch, analyze, counting)
+    replace(analyze, counting)
     for path in paths.values():
         seen.clear()
         inputs = [path, path] if command == "check" else [path]

@@ -29,6 +29,8 @@ from oracles import (  # noqa: E402
     brute_force_max_redundant,
     brute_force_redundant_edges,
     dense_min_walk_weights,
+    forward_redundant_pairs,
+    forward_unimplied,
 )
 
 SETTINGS = settings(deadline=None, database=None)
@@ -171,3 +173,25 @@ def test_reduction_is_canonical(g, data):
     for other in others:
         same = dumps(equivalent_reduction(other)) == dumps(reduced)
         assert systems_equivalent(g, other).equivalent == same
+
+
+@st.composite
+def _tied_systems(draw) -> PrecedenceGraph:
+    """Up to 12 nodes over a potential in 0..3 with slacks 0, 1 or 2: walks
+    tie often, and some condensation arcs cost nothing."""
+    n = draw(st.integers(2, 12))
+    x = [0] + draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40))
+    return PrecedenceGraph(n, {(i, j): x[i] - x[j] + draw(st.integers(0, 2)) for i, j in chosen})
+
+
+@SETTINGS
+@given(_tied_systems(), st.data())
+def test_the_condensation_search_matches_a_forward_search(g, data):
+    d = min_walk_weights(g)
+    assert condensation_redundant_pairs(d) == forward_redundant_pairs(d)
+    pairs = st.tuples(st.integers(1, g.n), st.integers(1, g.n)).filter(lambda e: e[0] != e[1])
+    bounds = st.lists(st.tuples(pairs, st.integers(-4, 4).map(Fraction)), max_size=12)
+    constraints = data.draw(bounds)
+    assert d.unimplied(constraints) == forward_unimplied(d, constraints)
