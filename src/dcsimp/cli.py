@@ -1,29 +1,29 @@
 """Command-line interface.
 
-Commands:
+commands:
+  info FILE            summary statistics of a system
+  redundant FILE       list every edge the others imply, each judged alone
+  simplify FILE        delete a maximum redundant edge set
+  reduce FILE          synthesize the minimum equivalent system
+  condense FILE        condensation of the system, node k for the k-th
+                       class, represented by its smallest member
+  check FILE_A FILE_B  are two systems equivalent?
 
-* ``info FILE``       summary statistics of a system
-* ``redundant FILE``  list every edge the others imply, each judged alone
-* ``simplify FILE``   delete a maximum redundant edge set
-* ``reduce FILE``     synthesize the minimum equivalent system
-* ``condense FILE``   condensation of the system, node k for the k-th class,
-                      represented by its smallest member
-* ``check A B``       are two systems equivalent?
+options:
+  --out FILE           write results here instead of stdout (or --out=FILE)
+  -h, --help           print this help and exit
+  --                   read every later argument as an input file
 
-Each command computes the distances once per input; ``reduce``,
-``condense`` and ``check`` route no edge beyond that, and only
-``condense`` builds the weighted condensation.  Results go to stdout (or
-``--out FILE``); summaries and diagnostics go to stderr.  Weights are
-written exactly, however many digits they need.  Exit codes: 0 success,
-1 parse or usage error (or memory ran out), 2 infeasible system, 3
-systems not equivalent.  ``info`` and ``simplify`` always answer: a class
-too large for the exact search is solved greedily and the result graded
-"not certified".
+Options may come before, between or after the input files.  Summaries and
+diagnostics go to stderr.  Weights are written exactly, however many
+digits they need.  Exit codes: 0 success, 1 parse or usage error (or
+memory ran out), 2 infeasible system, 3 systems not equivalent.  info and
+simplify always answer: a class too large for the exact search is solved
+greedily and the result graded "not certified".
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings
 from itertools import groupby
@@ -41,9 +41,9 @@ EXIT_INFEASIBLE = 2
 EXIT_NOT_EQUIVALENT = 3
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _emit(out: str | None, text: str) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -62,8 +62,8 @@ def _load(path: str) -> PrecedenceGraph:
     return g
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
-    g = _load(args.input)
+def _cmd_info(out: str | None, path: str) -> int:
+    g = _load(path)
     res = max_redundant_edge_set(g)
     a = res.analysis
     classes = a.d.classes
@@ -82,110 +82,121 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"removable edges (max): {len(res.edges)}",
         f"certified maximum: {'yes' if res.certified else 'no'}",
     ]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_redundant(args: argparse.Namespace) -> int:
-    edges = redundant_edges(analyze(_load(args.input)))
-    _emit(args, "".join(f"{i} {j}\n" for i, j in sorted(edges)))
+def _cmd_redundant(out: str | None, path: str) -> int:
+    edges = redundant_edges(analyze(_load(path)))
+    _emit(out, "".join(f"{i} {j}\n" for i, j in sorted(edges)))
     return EXIT_OK
 
 
-def _cmd_simplify(args: argparse.Namespace) -> int:
-    g = _load(args.input)
+def _cmd_simplify(out: str | None, path: str) -> int:
+    g = _load(path)
     res = max_redundant_edge_set(g)
-    _emit(args, fileformat.dumps(g.without(res.edges)))
+    _emit(out, fileformat.dumps(g.without(res.edges)))
     grade = "certified" if res.certified else "maximal (not certified)"
     _note(f"removed {len(res.edges)}, {grade}")
     return EXIT_OK
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = _load(args.input)
+def _cmd_reduce(out: str | None, path: str) -> int:
+    g = _load(path)
     reduced = equivalent_reduction(g)
-    _emit(args, fileformat.dumps(reduced))
+    _emit(out, fileformat.dumps(reduced))
     _note(f"reduced to {reduced.m} constraints ({g.m - reduced.m} fewer)")
     return EXIT_OK
 
 
-def _cmd_condense(args: argparse.Namespace) -> int:
-    d = min_walk_weights(_load(args.input))
-    _emit(args, fileformat.dumps(condensation(d)))
+def _cmd_condense(out: str | None, path: str) -> int:
+    d = min_walk_weights(_load(path))
+    _emit(out, fileformat.dumps(condensation(d)))
     for k, members in enumerate(d.classes, 1):
         _note(f"class {k}: rep {members[0]}, nodes {' '.join(map(str, members))}")
     return EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    report = systems_equivalent(_load(args.input_a), _load(args.input_b))
+def _cmd_check(out: str | None, path_a: str, path_b: str) -> int:
+    report = systems_equivalent(_load(path_a), _load(path_b))
     if report.equivalent:
-        _emit(args, "equivalent\n")
+        _emit(out, "equivalent\n")
         return EXIT_OK
     (i, j), side = report.witness
-    origin = args.input_a if side == "a" else args.input_b
+    origin = path_a if side == "a" else path_b
     _emit(
-        args,
+        out,
         f"not equivalent: constraint ({i},{j}) of {origin} "
         "is not implied by the other system\n",
     )
     return EXIT_NOT_EQUIVALENT
 
 
+# Each command: its handler, the names of its input files and the flags it
+# takes.  --allow-heuristic is accepted and ignored, unlisted in the help:
+# the greedy fallback always runs.  Each command computes the distances once
+# per input; reduce, condense and check route no edge beyond that, and only
+# condense builds the weighted condensation.
 _COMMANDS = {
-    "info": _cmd_info,
-    "redundant": _cmd_redundant,
-    "simplify": _cmd_simplify,
-    "reduce": _cmd_reduce,
-    "condense": _cmd_condense,
-    "check": _cmd_check,
+    "info": (_cmd_info, ("FILE",), ("--out", "--allow-heuristic")),
+    "redundant": (_cmd_redundant, ("FILE",), ("--out",)),
+    "simplify": (_cmd_simplify, ("FILE",), ("--out", "--allow-heuristic")),
+    "reduce": (_cmd_reduce, ("FILE",), ("--out",)),
+    "condense": (_cmd_condense, ("FILE",), ("--out",)),
+    "check": (_cmd_check, ("FILE_A", "FILE_B"), ("--out",)),
 }
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dcsimp",
-        description="Simplify difference-constraint (precedence) systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, heuristic: bool = False) -> None:
-        p.add_argument("--out", metavar="FILE", help="write results here instead of stdout")
-        if heuristic:  # accepted and ignored: the greedy fallback always runs
-            p.add_argument("--allow-heuristic", action="store_true", help=argparse.SUPPRESS)
-
-    p_info = sub.add_parser("info", help="summary statistics")
-    p_info.add_argument("input")
-    common(p_info, heuristic=True)
-
-    p_red = sub.add_parser("redundant", help="list every edge the others imply")
-    p_red.add_argument("input")
-    common(p_red)
-
-    p_simp = sub.add_parser("simplify", help="delete a maximum redundant edge set")
-    p_simp.add_argument("input")
-    common(p_simp, heuristic=True)
-
-    p_reduce = sub.add_parser("reduce", help="synthesize the minimum equivalent system")
-    p_reduce.add_argument("input")
-    common(p_reduce)
-
-    p_cond = sub.add_parser("condense", help="condense each class onto its smallest member")
-    p_cond.add_argument("input")
-    common(p_cond)
-
-    p_check = sub.add_parser("check", help="are two systems equivalent?")
-    p_check.add_argument("input_a")
-    p_check.add_argument("input_b")
-    common(p_check)
-
-    return parser
+class _UsageError(Exception):
+    """An argument list that the command table does not accept."""
 
 
-def run(args: argparse.Namespace) -> int:
+def _usage(command: str | None) -> str:
+    if command not in _COMMANDS:
+        return "usage: dcsimp COMMAND FILE... [--out FILE]"
+    return f"usage: dcsimp {command} {' '.join(_COMMANDS[command][1])} [--out FILE]"
+
+
+def _parse(argv: list[str]) -> tuple[str, list[str], str | None] | None:
+    """The command, its input files and its ``--out`` value, or None for a
+    help request.  Options are matched whole, never by a prefix."""
+    if not argv:
+        raise _UsageError("missing command")
+    command, *rest = argv
+    if command in _HELP:
+        return None
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    names, flags = _COMMANDS[command][1:]
+    inputs: list[str] = []
+    out = None
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--":
+            inputs += tokens
+        elif token in _HELP:
+            return None
+        elif not token.startswith("-") or token == "-":
+            inputs.append(token)
+        elif token.startswith("--out=") and "--out" in flags:
+            out = token[len("--out=") :]
+        elif token == "--out" and "--out" in flags:
+            out = next(tokens, None)
+            if out is None or (out.startswith("-") and out != "-"):
+                raise _UsageError("--out expects a file name")
+        elif token not in flags:
+            raise _UsageError(f"unrecognized argument {token!r}")
+    if len(inputs) != len(names):
+        plural = "s" * (len(names) > 1)
+        raise _UsageError(f"{command} takes {len(names)} input file{plural}, got {len(inputs)}")
+    return command, inputs, out
+
+
+def run(command: str, inputs: list[str], out: str | None) -> int:
     """Execute one parsed command, mapping library errors to exit codes."""
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command][0](out, *inputs)
     except InfeasibleSystem as exc:
         _note(f"error: {exc}")
         return EXIT_INFEASIBLE
@@ -198,11 +209,19 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 for --help, 2 on a usage error
-        return EXIT_OK if exc.code == 0 else EXIT_PARSE
-    return run(args)
+        parsed = _parse(argv)
+    except _UsageError as exc:
+        _note(f"{_usage(command)}\ndcsimp: error: {exc}")
+        return EXIT_PARSE
+    if parsed is None:
+        # the module docstring, past its title line, is the command listing
+        body = (__doc__ or "").partition("\n\n")[2]
+        sys.stdout.write(f"{_usage(command)}\n\n{body}")
+        return EXIT_OK
+    return run(*parsed)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -19,7 +18,7 @@ import pytest
 
 import oracles
 from dcsimp import cli, decomposition, meg
-from dcsimp.cli import build_parser, main
+from dcsimp.cli import main
 from dcsimp.core import PrecedenceGraph, min_walk_weights
 from dcsimp.decomposition import analyze, condensation, condensation_redundant_pairs
 from dcsimp.errors import InfeasibleSystem
@@ -510,8 +509,10 @@ def test_every_command_runs_without_numpy(paths, tmp_path, capsys):
 
 
 def test_no_command_loads_dataclasses_or_inspect(paths, tmp_path):
-    # both cost tens of milliseconds to import, paid by every invocation;
-    # compared against the modules loaded before, as site may load some
+    # dataclasses and inspect cost tens of milliseconds to import, argparse
+    # with gettext and locale a few, paid by every invocation, help and
+    # usage errors included; compared against the modules loaded before, as
+    # site may load some
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = (
         "import json, sys\n"
@@ -519,9 +520,10 @@ def test_no_command_loads_dataclasses_or_inspect(paths, tmp_path):
         "from dcsimp.cli import main\n"
         "for command in json.loads(sys.argv[1]):\n"
         "    main(command)\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "banned = {'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+        "print(sorted(banned & (set(sys.modules) - before)))\n"
     )
-    commands = json.dumps(list(_every_command(paths, tmp_path)))
+    commands = json.dumps([*_every_command(paths, tmp_path), ["--help"], ["check", "--bogus"]])
     run = subprocess.run(
         [sys.executable, "-c", script, commands],
         env={**os.environ, "PYTHONPATH": src},
@@ -619,17 +621,67 @@ def test_out_flag_writes_file(paths, tmp_path, capsys):
         "simplify --exact-limit -1 two_classes",
         "simplify --exact-limit 3 two_classes",
         "condense --of-reduction two_classes",
+        # options are matched whole, never by a prefix
+        "redundant two_classes --ou out.txt",
+        "redundant two_classes --out",
+        "simplify two_classes --out --allow-heuristic",
+        "info --bogus two_classes",
+        "check two_classes two_classes two_classes",
+        "reduce --allow-heuristic two_classes",
     ],
 )
-def test_usage_error_exit_code(command, paths, capsys):
+def test_usage_error_exit_code(command, paths, tmp_path, monkeypatch, capsys):
     # exit 2 is reserved for infeasible input
+    monkeypatch.chdir(tmp_path)
     assert main([paths.get(a, a) for a in command.split()]) == 1
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    assert "usage:" in capsys.readouterr().out
+    helps = ("-h", "--help")
+    for argv in [[h] for h in helps] + [[cmd, h] for cmd in cli._COMMANDS for h in helps]:
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: dcsimp {argv[0] if len(argv) > 1 else 'COMMAND'} ")
+        assert err == ""
+
+
+def test_accepted_argv_forms_match_the_plain_form(paths, tmp_path, monkeypatch, capsys):
+    # the exit code, stdout, stderr and written files of each form equal the
+    # plain form's: --out=FILE, --out before or between the inputs, the last
+    # of two --out, and -- before an input whose name starts with -
+    monkeypatch.chdir(tmp_path)
+    two, a = paths["two_classes"], paths["weight_sensitive"]
+    Path("weaker.dcs").write_text(dumps(load_fixture("weight_sensitive").without({(1, 2)})))
+    Path("-x.dcs").write_text(Path(two).read_text())
+
+    def result(argv):
+        for old in Path().glob("*.txt"):
+            old.unlink()
+        code = main(argv)
+        return code, capsys.readouterr(), sorted((f.name, f.read_text()) for f in Path().glob("*.txt"))
+
+    forms = {
+        ("redundant", two, "--out", "out.txt"): [
+            ["redundant", two, "--out=out.txt"],
+            ["redundant", "--out", "out.txt", two],
+            ["redundant", two, "--out", "first.txt", "--out", "out.txt"],
+            ["redundant", "--out", "out.txt", "--", "-x.dcs"],
+        ],
+        ("check", a, "weaker.dcs", "--out", "out.txt"): [
+            ["check", a, "--out", "out.txt", "weaker.dcs"],
+            ["check", "--out=out.txt", a, "--", "weaker.dcs"],
+        ],
+        ("info", two): [["info", "--", "-x.dcs"]],
+        ("simplify", two): [["simplify", "--allow-heuristic", "--", "-x.dcs"]],
+    }
+    for plain, variants in forms.items():
+        want = result(list(plain))
+        assert want[0] == (3 if plain[0] == "check" else 0)
+        for argv in variants:
+            assert result(argv) == want, argv
 
 
 @pytest.mark.parametrize(
@@ -752,12 +804,11 @@ def test_readme_common_flags_match_parser():
         assert m, bullet
         cmd, flag, listed = m.groups()
         documented[flag] = {cmd} if cmd else set(re.findall(r"`(\w+)`", listed))
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     accepted = {}
-    for cmd, p in sub.choices.items():
-        assert "--out" in p._option_string_actions
-        for flag in p._option_string_actions:
-            if flag not in ("-h", "--help", "--out"):
+    for cmd, (_, _, flags) in cli._COMMANDS.items():
+        assert "--out" in flags
+        for flag in flags:
+            if flag != "--out":
                 accepted.setdefault(flag, set()).add(cmd)
     assert documented == accepted
 
