@@ -181,9 +181,11 @@ def _parse(argv: list[str]) -> tuple[str, list[str], str | None] | None:
             inputs.append(token)
         elif token.startswith("--out=") and "--out" in flags:
             out = token[len("--out=") :]
+            if not out:
+                raise _UsageError("--out expects a file name")
         elif token == "--out" and "--out" in flags:
-            out = next(tokens, None)
-            if out is None or (out.startswith("-") and out != "-"):
+            out = next(tokens, "")
+            if not out or (out.startswith("-") and out != "-"):
                 raise _UsageError("--out expects a file name")
         elif token not in flags:
             raise _UsageError(f"unrecognized argument {token!r}")

@@ -471,29 +471,25 @@ class DistanceMatrix(_Value):
         Inside a class D = 0, and across classes the direct arc settles
         x >= ``class_arcs[(a, b)]`` without a search.  The other bounds of
         every tail in class a go to one search from a, which settles each
-        when it relaxes an arc into its class.  The classes go in the order
-        of their first constraint, so the scan ends once the next class's
-        first constraint sorts after the witness found, and a class's
-        constraints past that witness are skipped.
+        when it relaxes an arc into its class.  One pass over the sorted
+        constraints gathers them by tail class, one dict lookup per run of
+        a tail, in the order of each class's first constraint.  So the scan
+        ends once the next class's first constraint sorts after the witness
+        found, and a class's constraints past that witness are skipped.
         """
         p, of, arcs, scale = self.potential, self.class_of, self.class_arcs, self.scale
-        cs = sorted(constraints)
-        tails = [e[0] for e, _ in cs]
+        by_class: dict[int, list[tuple[Edge, Fraction]]] = {}
+        v = None  # the tail of the run being gathered
+        for q in sorted(constraints):
+            if q[0][0] != v:
+                v = q[0][0]
+                tail = by_class.setdefault(of[v], [])
+            tail.append(q)
         found = None
-        searched = set()
-        k = 0  # the first constraint from a class not yet searched
-        while k < len(cs) and (found is None or cs[k] < found):
-            a = of[tails[k]]
-            searched.add(a)
-            members = self.classes[a]
-            if len(members) < len(cs):  # each member's run, in order
-                tail = []
-                for v in members:
-                    lo = bisect_left(tails, v)
-                    tail += cs[lo : bisect_left(tails, v + 1, lo)]
-            else:  # fewer constraints than members: read them all
-                tail = [q for q, t in zip(cs, tails) if of[t] == a]
+        for a, tail in by_class.items():
             if found is not None:
+                if found < tail[0]:
+                    break
                 del tail[bisect_left(tail, found) :]
             left = []  # constraints that neither test meets, in order
             want: dict[int, list[int]] = {}
@@ -513,20 +509,28 @@ class DistanceMatrix(_Value):
                 if b == a or b in want and x <= want[b][-1]:
                     found = e, c
                     break
-            while k < len(cs) and of[tails[k]] in searched:
-                k = bisect_left(tails, tails[k] + 1, k)
         return found
+
+    def _check_nodes(self, i: int, j: int) -> None:
+        """Raise ``TypeError`` unless i and j are ints (a bool is not), and
+        :class:`IndexOutOfRange` unless both lie in 1..n."""
+        if type(i) is not int or type(j) is not int:  # plain ints skip isinstance
+            for v in (i, j):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise TypeError(f"node id must be an int, not {type(v).__name__}")
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexOutOfRange(f"nodes ({i},{j}) outside 1..{self.n}")
 
     def get(self, i: int, j: int) -> Fraction | None:
         """The minimum walk weight ``i ~> j``, or None when no walk exists;
-        a node outside 1..n raises :class:`IndexOutOfRange`.
+        a node id that is not an int raises ``TypeError``, and one outside
+        1..n :class:`IndexOutOfRange`.
 
         Within a class it is a difference of potentials.  Across classes
         the first call from class a searches everything a reaches and keeps
         the costs, so a sweep over many pairs pays one search per class.
         """
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexOutOfRange(f"nodes ({i},{j}) outside 1..{self.n}")
+        self._check_nodes(i, j)
         a, b = self.class_of[i], self.class_of[j]
         p = self.potential
         if a == b:
@@ -595,10 +599,11 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], list[tuple], l
     Each class is the members the search pops off its stack, sorted; the
     classes are ordered by smallest member and then fill ``class_of``,
     which until then reads 0 for a node with a class.  The depth-first
-    search keeps its own stack of (node, next successor position), so it
-    needs no recursion.  A node is on Tarjan's stack exactly while it has a
-    visit number and no class yet.  A root without arcs is its own class
-    ``(root,)`` at once, so a system of isolated nodes costs one pass.
+    search keeps its own stack of (node, iterator over its successors), so
+    it needs no recursion and resumes a node where it left off.  A node is
+    on Tarjan's stack exactly while it has a visit number and no class yet.
+    A root without arcs is its own class ``(root,)`` at once, so a system
+    of isolated nodes costs one pass.
 
     The certificate is the tree arcs plus, per node v that does not root
     its component, ``back[v]``: the first arc found out of v's subtree with
@@ -625,13 +630,10 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], list[tuple], l
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        work = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pos = work[-1]
-            out = succ.get(v, ())
-            while pos < len(out):
-                w = out[pos]
-                pos += 1
+            v, out = work[-1]
+            for w in out:
                 if comp[w] >= 0:
                     continue
                 if w in index:
@@ -639,10 +641,9 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], list[tuple], l
                         low[v] = index[w]
                         back[v] = (v, w)
                 else:
-                    work[-1] = (v, pos)
                     index[w] = low[w] = len(index)
                     stack.append(w)
-                    work.append((w, 0))
+                    work.append((w, iter(succ.get(w, ()))))
                     kept.append((v, w))
                     break
             else:
@@ -725,9 +726,9 @@ def implies(d: DistanceMatrix, u: int, v: int, bound: WeightLike) -> bool:
 
     Under feasibility the tightest derivable bound on ``x_u - x_v`` is the
     minimum walk weight ``u ~> v``; no walk means no finite bound at all.
+    The node ids are checked as :meth:`DistanceMatrix.get` checks them.
     """
+    d._check_nodes(u, v)
     if u == v:
         raise SameNode(f"implication needs two distinct nodes, got {u} twice")
-    if not (1 <= u <= d.n and 1 <= v <= d.n):
-        raise IndexOutOfRange(f"nodes ({u},{v}) outside 1..{d.n}")
     return d.unimplied([((u, v), as_weight(bound))]) is None

@@ -76,21 +76,20 @@ def meg_greedy(n: int, arcs: frozenset[Arc]) -> frozenset[Arc]:
     still go) but not necessarily minimum.
 
     An arc that is its head's only live in-arc, or its tail's only live
-    out-arc, can never go, so it is kept without a search.
+    out-arc, can never go, so it is kept without a search.  A tail's live
+    out-degree is the popcount of its successor set; in-degrees are
+    counted.
     """
     arcs = sorted(arcs)
     succ = _successors(n, arcs)
-    outdeg = [0] * (n + 1)
     indeg = [0] * (n + 1)
-    for i, j in arcs:
-        outdeg[i] += 1
+    for _, j in arcs:
         indeg[j] += 1
     for i, j in arcs:
-        if outdeg[i] == 1 or indeg[j] == 1:
+        if indeg[j] == 1 or succ[i].bit_count() == 1:
             continue
         succ[i] ^= 1 << j
         if _reach(succ, i, 1 << j) >> j & 1:
-            outdeg[i] -= 1
             indeg[j] -= 1
         else:
             succ[i] |= 1 << j

@@ -401,3 +401,40 @@ def random_potential_system(
         slack = 0 if rng.random() < zero_slack_share else rng.randint(1, 10)
         entries.append((i, j, x[i] - x[j] + slack))
     return normalize(n, entries)
+
+
+def project_system(
+    rng: Random,
+    n: int,
+    width: int = 10,
+    maxlag_share: float = 0.3,
+    fixed_share: float = 0.5,
+) -> PrecedenceGraph:
+    """A project network with time windows (Bartusch, Möhring & Radermacher
+    1988): n activities at topological positions 0..n-1, under a random
+    permutation of the ids, each with a duration p of 1..10.
+
+    Each position past the first takes 1..3 predecessors among the
+    ``width`` positions before it.  A precedence (q, k) is the constraint
+    x_q - x_k <= -p_q.  A ``maxlag_share`` of them also bound the lag the
+    other way, x_k - x_q <= S_k - S_q + s, with S the earliest start times;
+    s is 0 on a ``fixed_share`` of those, which closes a zero cycle when the
+    precedence is critical, and 1..20 otherwise.  S meets every constraint,
+    so the system is feasible, and its classes form a layered condensation.
+    """
+    ids = rng.sample(range(1, n + 1), n)
+    p = [rng.randint(1, 10) for _ in range(n)]
+    start = [0] * n
+    precedences = []
+    for k in range(1, n):
+        earlier = range(max(0, k - width), k)
+        preds = rng.sample(earlier, min(rng.randint(1, 3), len(earlier)))
+        start[k] = max(start[q] + p[q] for q in preds)
+        precedences += [(q, k) for q in preds]
+    entries = []
+    for q, k in precedences:
+        entries.append((ids[q], ids[k], -p[q]))
+        if rng.random() < maxlag_share:
+            slack = 0 if rng.random() < fixed_share else rng.randint(1, 20)
+            entries.append((ids[k], ids[q], start[k] - start[q] + slack))
+    return normalize(n, entries)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -624,6 +625,8 @@ def test_out_flag_writes_file(paths, tmp_path, capsys):
         # options are matched whole, never by a prefix
         "redundant two_classes --ou out.txt",
         "redundant two_classes --out",
+        "redundant two_classes --out=",
+        "redundant two_classes --out ''",
         "simplify two_classes --out --allow-heuristic",
         "info --bogus two_classes",
         "check two_classes two_classes two_classes",
@@ -633,7 +636,7 @@ def test_out_flag_writes_file(paths, tmp_path, capsys):
 def test_usage_error_exit_code(command, paths, tmp_path, monkeypatch, capsys):
     # exit 2 is reserved for infeasible input
     monkeypatch.chdir(tmp_path)
-    assert main([paths.get(a, a) for a in command.split()]) == 1
+    assert main([paths.get(a, a) for a in shlex.split(command)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err
     assert list(tmp_path.iterdir()) == []

@@ -103,6 +103,11 @@ class TestMinWalkWeights:
         for i, j in ((-1, 2), (0, 2), (0, 0), (4, 1), (1, 4), (2, -1)):
             with pytest.raises(IndexOutOfRange, match=r"outside 1\.\.3"):
                 d.get(i, j)
+        # an id that is not an int: True equals 1, and 1.0 cannot index a tuple
+        for bad in (True, False, 1.0, "1", None):
+            for i, j in ((bad, 2), (3, bad)):
+                with pytest.raises(TypeError, match="node id must be an int, not "):
+                    d.get(i, j)
 
     def test_negative_cycle_raises_with_witness(self):
         g = normalize(2, [(1, 2, -1), (2, 1, 0)])
@@ -235,6 +240,14 @@ class TestAgainstDenseKernel:
                 if n <= 60:
                     self._assert_matches_dense(_scaled_copy(g, WIDE))
 
+    def test_project_networks(self):
+        # layered zero-cycle classes from fixed maximum lags
+        rng = Random(907)
+        for n in (10, 25, 40):
+            g = oracles.project_system(rng, n)
+            self._assert_matches_dense(g)
+            self._assert_matches_dense(_scaled_copy(g, WIDE))
+
     def test_degenerate_systems(self):
         for g in (
             normalize(0, []),
@@ -311,6 +324,18 @@ class TestImplies:
         d = min_walk_weights(load_fixture("two_classes"))
         with pytest.raises(SameNode):
             implies(d, 2, 2, 0)
+
+    def test_refuses_a_node_id_that_is_not_an_int(self):
+        # True equals 1, so it must not pass for node 1
+        d = min_walk_weights(load_fixture("two_classes"))
+        assert implies(d, 3, 2, 2)
+        for bad in (True, False, 3.0, "3", None):
+            for u, v in ((bad, 2), (3, bad)):
+                with pytest.raises(TypeError, match="node id must be an int, not "):
+                    implies(d, u, v, 2)
+        for u, v in ((0, 2), (3, 6)):
+            with pytest.raises(IndexOutOfRange, match=r"outside 1\.\.5"):
+                implies(d, u, v, 2)
 
     def test_agrees_with_path_oracle(self):
         rng = Random(333)

@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp.core import DistanceMatrix, PrecedenceGraph, min_walk_weights
+from dcsimp.core import DistanceMatrix, PrecedenceGraph, _components, min_walk_weights
 from dcsimp.decomposition import analyze, condensation_redundant_pairs
 from oracles import normalize
 
@@ -140,6 +140,29 @@ class TestAgainstForwardSearch:
             assert len(d.classes) == classes
             _assert_matches_forward(d, rng)
         assert finishes
+
+    def test_project_networks(self, finishes):
+        # layered classes, where the order of the first constraints and the
+        # order of the classes differ most, and a condensation of more than
+        # one strongly connected component
+        rng = Random(2504)
+        for n in (60, 300):
+            d = min_walk_weights(oracles.project_system(rng, n))
+            arcs = [(a + 1, b + 1) for a, b in d.class_arcs]
+            assert len(_components(len(d.classes), arcs)[1]) > 1
+            _assert_matches_forward(d, rng)
+        assert finishes
+
+    def test_small_project_networks_against_the_dense_kernel(self):
+        rng = Random(2505)
+        for n in (10, 25, 40):
+            g = oracles.project_system(rng, n)
+            d = min_walk_weights(g)
+            dense = oracles.dense_min_walk_weights(g)
+            for _ in range(10):
+                cs = _constraints(rng, d, rng.randint(1, 40))
+                loose = [(e, c) for e, c in sorted(cs) if dense[e] is None or dense[e] > c]
+                assert d.unimplied(cs) == (loose[0] if loose else None)
 
 
 class TestTiesAtTheSwitch:
