@@ -24,6 +24,7 @@ greedily and the result graded "not certified".
 
 from __future__ import annotations
 
+import gc
 import sys
 import warnings
 from itertools import groupby
@@ -226,5 +227,15 @@ def main(argv: list[str] | None = None) -> int:
     return run(*parsed)
 
 
+def entry() -> int:
+    """The process entry: ``python -m dcsimp.cli`` and the ``dcsimp`` script."""
+    # The process ends after this one command, so nothing the imports built
+    # turns into garbage before exit.  Frozen, those objects are skipped by
+    # every collection, the ones at interpreter exit included.  main() must
+    # not freeze: callers that run it in-process would pin their heap for good.
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -463,7 +463,9 @@ class DistanceMatrix(_Value):
         self, constraints: Iterable[tuple[Edge, Fraction]]
     ) -> tuple[Edge, Fraction] | None:
         """The first constraint ((i, j), c), in sorted order, that the
-        system does not force, or None when it forces them all.
+        system does not force, or None when it forces them all.  A node id
+        that is not an int raises ``TypeError``, and one outside 1..n
+        :class:`IndexOutOfRange`, as in :meth:`get`.
 
         ``x_i - x_j <= c`` is forced exactly when some walk i ~> j weighs at
         most c, that is when the least reduced cost D from i's class a to
@@ -477,12 +479,15 @@ class DistanceMatrix(_Value):
         ends once the next class's first constraint sorts after the witness
         found, and a class's constraints past that witness are skipped.
         """
-        p, of, arcs, scale = self.potential, self.class_of, self.class_arcs, self.scale
+        p, of, arcs, scale, n = self.potential, self.class_of, self.class_arcs, self.scale, self.n
         by_class: dict[int, list[tuple[Edge, Fraction]]] = {}
         v = None  # the tail of the run being gathered
         for q in sorted(constraints):
-            if q[0][0] != v:
-                v = q[0][0]
+            i, j = q[0]
+            if type(i) is not int or type(j) is not int or not (0 < i <= n and 0 < j <= n):
+                self._check_nodes(i, j)
+            if i != v:
+                v = i
                 tail = by_class.setdefault(of[v], [])
             tail.append(q)
         found = None

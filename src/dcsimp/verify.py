@@ -9,10 +9,11 @@ answered by :meth:`~dcsimp.core.DistanceMatrix.unimplied`.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from .core import Edge, PrecedenceGraph, _Value, min_walk_weights
-from .errors import NodeCountMismatch, NotASubset
+from .errors import InfeasibleSystem, NodeCountMismatch, NotASubset
 
 
 class EquivalenceReport(_Value):
@@ -41,19 +42,34 @@ def systems_equivalent(a: PrecedenceGraph, b: PrecedenceGraph) -> EquivalenceRep
     not implied is the witness.  One the other side has as an edge at
     weight <= c is implied outright; the rest go to the other side's
     :meth:`~dcsimp.core.DistanceMatrix.unimplied`.
+
+    a's distances are computed only when that answer needs them: to scan
+    the b constraints that a does not hold outright, or to refuse an
+    infeasible a when a has a witness.  When every constraint of a is
+    implied by the feasible b, a is feasible too.  An infeasible a is
+    reported before an infeasible b.
     """
     if a.n != b.n:
         raise NodeCountMismatch(f"node counts differ: {a.n} vs {b.n}")
-    da = min_walk_weights(a)
-    db = min_walk_weights(b)
-    for g, other, d, side in ((a, b, db, "a"), (b, a, da, "b")):
-        held = other.edges
-        missing = d.unimplied(
-            (e, c) for e, c in g.edges.items() if (w := held.get(e)) is None or w > c
-        )
-        if missing is not None:
-            return EquivalenceReport(False, (missing[0], side))
+    try:
+        db = min_walk_weights(b)
+    except InfeasibleSystem:
+        min_walk_weights(a)
+        raise
+    missing = db.unimplied(_not_held(a, b))
+    if missing is not None:
+        min_walk_weights(a)
+        return EquivalenceReport(False, (missing[0], "a"))
+    rest = _not_held(b, a)
+    if rest and (missing := min_walk_weights(a).unimplied(rest)) is not None:
+        return EquivalenceReport(False, (missing[0], "b"))
     return EquivalenceReport(True, None)
+
+
+def _not_held(g: PrecedenceGraph, other: PrecedenceGraph) -> list[tuple[Edge, Fraction]]:
+    """g's constraints that other does not hold as an edge at a weight <= c."""
+    held = other.edges
+    return [(e, c) for e, c in g.edges.items() if (w := held.get(e)) is None or w > c]
 
 
 def is_redundant_edge_set(g: PrecedenceGraph, r: Iterable[Edge]) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -468,6 +469,37 @@ def _every_command(paths, tmp_path):
             yield command
 
 
+def test_main_leaves_the_heap_unfrozen(paths, tmp_path, capsys):
+    # tests and the bench's traced mode call main() in-process, over and
+    # over; a freeze there would pin each caller's heap for good
+    before = gc.get_freeze_count()
+    for command in _every_command(paths, tmp_path):
+        assert main(command) == 0, command
+        assert gc.get_freeze_count() == before, command
+
+
+def test_the_process_entry_freezes_the_import_heap(paths):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        "import gc, runpy\n"
+        "try:\n"
+        "    runpy.run_module('dcsimp.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count())\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, "info", paths["two_classes"]],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    summary, _, last = run.stdout.rstrip("\n").rpartition("\n")
+    assert "nodes: 5" in summary, run.stderr
+    code, frozen = map(int, last.split())
+    assert code == 0 and frozen > 0
+
+
 def test_same_output_under_every_hash_seed(paths, tmp_path):
     # every command, each in its own process, under two string-hash seeds
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -696,7 +728,9 @@ def test_accepted_argv_forms_match_the_plain_form(paths, tmp_path, monkeypatch, 
         ("condense two_classes", 1),
         ("redundant weight_sensitive", 1),
         ("redundant two_classes", 1),
-        ("check two_classes two_classes", 2),
+        # each file holds the other's edges, so the second file's distances
+        # answer alone
+        ("check two_classes two_classes", 1),
     ],
 )
 def test_distances_computed_once_per_input(command, calls, paths, replace, capsys):

@@ -120,6 +120,40 @@ def test_the_readme_states_the_packaging_floor():
     assert tuple(map(int, floor.group(1).split("."))) >= (3, 10, 7)
 
 
+def test_only_the_process_entry_freezes_the_heap():
+    # gc.freeze() keeps every object alive at the call out of collection for
+    # the rest of the process, so only the entry of a one-command process
+    # may call it: the function that both `python -m dcsimp.cli` and the
+    # installed script run, never main() or library code
+    trees = _trees()
+    block = next(
+        node
+        for node in trees["cli.py"].body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    called = {
+        node.func.id
+        for node in ast.walk(block)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    } - {"SystemExit"}
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^dcsimp = "dcsimp\.cli:(\w+)"$', pyproject, re.MULTILINE)
+    assert script and called == {script.group(1)} != {"main"}
+
+    def freezes(tree: ast.AST) -> int:
+        return sum(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "gc.freeze"
+            for node in ast.walk(tree)
+        )
+
+    entry = next(
+        node
+        for node in trees["cli.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == script.group(1)
+    )
+    assert freezes(entry) == sum(map(freezes, trees.values())) == 1
+
+
 def test_the_guard_finds_leftovers():
     # what removing a flag could leave: its default's import and its validator
     leftover = ast.parse(

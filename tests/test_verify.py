@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from dcsimp.core import PrecedenceGraph, implies, min_walk_weights
-from dcsimp.errors import InfeasibleSystem, NodeCountMismatch
+from dcsimp.decomposition import max_redundant_edge_set
+from dcsimp.errors import IndexOutOfRange, InfeasibleSystem, NodeCountMismatch
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
 from oracles import OracleLimit, brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import load_fixture
@@ -52,15 +53,51 @@ class TestSystemsEquivalent:
 
     def test_infeasible_inputs_refused(self):
         bad = normalize(2, [(1, 2, -1), (2, 1, 0)])
-        with pytest.raises(InfeasibleSystem):
-            systems_equivalent(bad, normalize(2, [(1, 2, 0)]))
-        with pytest.raises(InfeasibleSystem):
-            systems_equivalent(normalize(2, [(1, 2, 0)]), bad)
+        # the feasible side holds a looser (1, 2), no edge, or bad's (2, 1)
+        for good in (normalize(2, [(1, 2, 0)]), normalize(2, []), normalize(2, [(2, 1, 0)])):
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises(InfeasibleSystem) as info:
+                    systems_equivalent(a, b)
+                assert info.value.cycle.nodes == (1, 2, 1)
         # every subset, the empty one included: an infeasible system implies
         # every constraint, so no answer about its edges would be meaningful
         for r in (set(), {(1, 2)}, {(2, 1)}, {(1, 2), (2, 1)}):
             with pytest.raises(InfeasibleSystem):
                 is_redundant_edge_set(bad, r)
+
+    def test_both_infeasible_names_the_cycle_of_a(self):
+        a = normalize(3, [(1, 2, -1), (2, 1, 0), (3, 1, 4)])
+        b = normalize(3, [(2, 3, -2), (3, 2, 1), (1, 3, 4)])
+        for g, h in ((a, b), (b, a)):
+            with pytest.raises(InfeasibleSystem) as alone:
+                min_walk_weights(g)
+            with pytest.raises(InfeasibleSystem) as info:
+                systems_equivalent(g, h)
+            assert str(info.value) == str(alone.value)
+            assert info.value.cycle == alone.value.cycle
+
+    def test_a_subset_pair_computes_one_distance_matrix(self, replace):
+        # every constraint of the reduced b is held outright by a, so once
+        # b implies a only b's distances are needed
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return min_walk_weights(g)
+
+        replace(min_walk_weights, counted)
+        g = oracles.random_potential_system(Random(508), 40, 400, 0.0)
+        fixture = load_fixture("two_classes")
+        for a in (g, fixture, _wide(g)):
+            b = a.without(max_redundant_edge_set(a).edges)
+            assert b.m < a.m
+            calls.clear()
+            assert systems_equivalent(a, b).equivalent
+            assert calls == [b]
+            # the other way round, the reduced a implies the dropped edges
+            calls.clear()
+            assert systems_equivalent(b, a).equivalent
+            assert calls == [a, b]
 
     def test_reflexive_and_detects_tightening(self):
         # strictly tightening a constraint below the minimum walk weight
@@ -124,6 +161,23 @@ class TestSystemsEquivalent:
 class TestUnimplied:
     # hand-made condensations, each pinning one case of the search; with no
     # negative weights the potential is zero
+
+    def test_refuses_a_node_id_outside_the_range_or_not_an_int(self):
+        # 0 would read the padding class_of[0] = -1, the last class; True
+        # equals node 1; 7 would raise a bare IndexError, and 1.0 a bare
+        # TypeError.  Behind a valid constraint, each lands in its run.
+        d = min_walk_weights(load_fixture("two_classes"))
+        for e, c, error, message in (
+            ((0, 2), 100, IndexOutOfRange, r"\(0,2\) outside 1\.\.5"),
+            ((2, 0), -100, IndexOutOfRange, r"\(2,0\) outside 1\.\.5"),
+            ((True, 2), 100, TypeError, "node id must be an int, not bool"),
+            ((1, 7), 0, IndexOutOfRange, r"\(1,7\) outside 1\.\.5"),
+            ((7, 1), 0, IndexOutOfRange, r"\(7,1\) outside 1\.\.5"),
+            ((1.0, 2), 100, TypeError, "node id must be an int, not float"),
+        ):
+            for constraints in ([(e, Fraction(c))], [((1, 2), Fraction(100)), (e, Fraction(c))]):
+                with pytest.raises(error, match=message):
+                    d.unimplied(constraints)
 
     def test_a_detour_that_ties_the_bound_forces_it(self):
         d = min_walk_weights(normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 3)]))
