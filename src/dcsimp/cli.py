@@ -79,7 +79,7 @@ def _cmd_info(out: str | None, path: str) -> int:
         f"classes: {len(classes)}",
         f"class sizes: {sizes[1:]}",
         f"slack intra-class edges: {len(a.slack)}",
-        f"condensation edges: {len(a.d.class_arcs)}",
+        f"condensation edges: {sum(map(len, a.d.class_succ.values()))}",
         f"removable edges (max): {len(res.edges)}",
         f"certified maximum: {'yes' if res.certified else 'no'}",
     ]

@@ -55,6 +55,9 @@ _WEIGHT = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
 # planted classes; 4 and 8 were close, 2 and 16 expanded more.
 _FINISH_RATIO = 8
 
+# The arcs of a class without any; shared and never written
+_NO_ARCS: Mapping[int, int] = {}
+
 
 def _int(digits: str) -> int:
     """``int(digits)`` for ``[+-]digits``, also past Python's limit on
@@ -278,10 +281,11 @@ class DistanceMatrix(_Value):
     is non-negative.  ``classes`` are the strongly connected components of
     the arcs of reduced cost zero, ordered by smallest member, with sorted
     members; ``class_of[v]`` is the index of v's class (``class_of[0]`` is
-    padding).  ``class_arcs`` is the condensation: for each ordered pair
-    (a, b) of class indices that some edge crosses, the least reduced cost
-    of such a crossing.  ``class_succ[a]`` lists the same arcs out of class
-    a as (b, cost) pairs, cheapest first, keyed only for classes with arcs.
+    padding).  ``class_succ`` is the condensation, each arc held once:
+    ``class_succ[a][b]`` is the least reduced cost of an edge from class a
+    to class b, for each ordered pair of class indices that some edge
+    crosses.  Each ``class_succ[a]`` holds its arcs cheapest first, ties by
+    head, and only classes with out-arcs are keyed.
 
     Inside a class every walk costs at least zero and the class's zero arcs
     connect it, so for i in class a and j in class b the least weight over
@@ -290,8 +294,9 @@ class DistanceMatrix(_Value):
     cost of a walk from class a to class b over the condensation arcs.  One
     bounded Dijkstra search finds D for :meth:`get`, answers
     :meth:`unimplied`, and decides condensation redundancy; the last two
-    may finish it backward, over the in-arcs that ``_pred`` lists, cheapest
-    first, from the first time one does.  Instances compare by identity.
+    may finish it backward, over the in-arcs that ``_pred`` maps in the
+    same shape (``_pred[b][a]``, cheapest first, ties by tail), built the
+    first time one does.  Instances compare by identity.
     """
 
     __slots__ = (
@@ -300,7 +305,6 @@ class DistanceMatrix(_Value):
         "potential",
         "class_of",
         "classes",
-        "class_arcs",
         "class_succ",
         "_rows",
         "_pred",
@@ -310,10 +314,9 @@ class DistanceMatrix(_Value):
     potential: tuple[int, ...]
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    class_arcs: Mapping[tuple[int, int], int]
-    class_succ: Mapping[int, list[tuple[int, int]]]
+    class_succ: Mapping[int, dict[int, int]]
     _rows: dict[int, dict[int, int]]
-    _pred: dict[int, list[tuple[int, int]]]
+    _pred: dict[int, dict[int, int]]
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -338,7 +341,7 @@ class DistanceMatrix(_Value):
         search reaches no further than the largest bound still pending,
         ``tops[-1]``, and ends once none is.  So a bound left in ``want``
         has no walk to its class within it but, perhaps, the direct arc
-        (a, b).  ``class_succ`` lists arcs cheapest first, so a relaxation
+        (a, b).  ``class_succ`` holds arcs cheapest first, so a relaxation
         stops at the first arc past the radius.
 
         At each new cost ℓ past level 0, only the k classes with a bound of
@@ -371,7 +374,7 @@ class DistanceMatrix(_Value):
                 if best[u] != cost:
                     continue
                 settled[u] = cost
-                for v, r in succ.get(u, ()):
+                for v, r in succ.get(u, _NO_ARCS).items():
                     c = cost + r
                     if c > radius:
                         break
@@ -416,15 +419,20 @@ class DistanceMatrix(_Value):
         x - ``low``.  u is not b: if w is a, the walk would close a cycle
         through b after the direct arc and cost more than it; if w is not
         a, the forward search met x when it relaxed (w, b).  The in-arc
-        lists are built cheapest first on first need.
+        maps are built on first need, each cheapest first.
         """
         pred = self._pred
         if not pred:
-            for tail, arcs in self.class_succ.items():
-                for head, r in arcs:
-                    pred.setdefault(head, []).append((r, tail))
-            for arcs in pred.values():
-                arcs.sort(key=itemgetter(0))
+            succ = self.class_succ
+            for tail in sorted(succ):  # so that the stable sort ties by tail
+                for head, r in succ[tail].items():
+                    if head in pred:
+                        pred[head].append((tail, r))
+                    else:
+                        pred[head] = [(tail, r)]
+            for head, arcs in pred.items():
+                arcs.sort(key=itemgetter(1))
+                pred[head] = dict(arcs)
         radius = bounds[-1] - low
         beyond = radius + 1
         dist = {b: 0}
@@ -435,7 +443,7 @@ class DistanceMatrix(_Value):
             for v in level:
                 if dist[v] != e:
                     continue
-                for r, u in pred.get(v, ()):
+                for u, r in pred.get(v, _NO_ARCS).items():
                     c = e + r
                     if c > radius:
                         break
@@ -471,7 +479,7 @@ class DistanceMatrix(_Value):
         most c, that is when the least reduced cost D from i's class a to
         j's class b has D <= x = floor(c·scale) - potential[j] + potential[i].
         Inside a class D = 0, and across classes the direct arc settles
-        x >= ``class_arcs[(a, b)]`` without a search.  The other bounds of
+        x >= ``class_succ[a][b]`` without a search.  The other bounds of
         every tail in class a go to one search from a, which settles each
         when it relaxes an arc into its class.  One pass over the sorted
         constraints gathers them by tail class, one dict lookup per run of
@@ -479,10 +487,17 @@ class DistanceMatrix(_Value):
         ends once the next class's first constraint sorts after the witness
         found, and a class's constraints past that witness are skipped.
         """
-        p, of, arcs, scale, n = self.potential, self.class_of, self.class_arcs, self.scale, self.n
+        p, of, succ, scale, n = self.potential, self.class_of, self.class_succ, self.scale, self.n
+        ordered = list(constraints)
+        try:
+            ordered.sort()
+        except TypeError:  # ids that do not compare: name the one that is not an int
+            for (i, j), _ in ordered:
+                self._check_nodes(i, j)
+            raise
         by_class: dict[int, list[tuple[Edge, Fraction]]] = {}
         v = None  # the tail of the run being gathered
-        for q in sorted(constraints):
+        for q in ordered:
             i, j = q[0]
             if type(i) is not int or type(j) is not int or not (0 < i <= n and 0 < j <= n):
                 self._check_nodes(i, j)
@@ -498,10 +513,11 @@ class DistanceMatrix(_Value):
                 del tail[bisect_left(tail, found) :]
             left = []  # constraints that neither test meets, in order
             want: dict[int, list[int]] = {}
+            arcs = succ.get(a, _NO_ARCS)
             for (i, j), c in tail:
                 b = of[j]
                 x = c.numerator * scale // c.denominator - p[j] + p[i]
-                if x < (0 if b == a else arcs.get((a, b), x + 1)):
+                if x < (0 if b == a else arcs.get(b, x + 1)):
                     left.append(((i, j), c, b, x))
                     if b == a:  # unforced, so nothing after it can come first
                         break
@@ -687,9 +703,10 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     components are the classes, and inside a class every minimum walk
     weight is a difference of potentials.  Between classes only the
     condensation is kept, one node per class and one arc per class pair at
-    its least crossing reduced cost (``class_arcs``); a distance across
+    its least crossing reduced cost (``class_succ``); a distance across
     classes is a search over it, on Python ints, so the result is exact
-    whatever the size of the weights.
+    whatever the size of the weights.  The crossings, sorted by (cost,
+    tail, head), fill it cheapest first, the first of each pair kept.
     """
     n = g.n
     scale = lcm(*(w.denominator for w in g.edges.values())) if g.edges else 1
@@ -705,25 +722,19 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
         )
     zero = [(i, j) for (i, j), w in scaled.items() if w + potential[i] == potential[j]]
     class_of, classes, _ = _components(n, zero)
-    crossing: dict[tuple[int, int], int] = {}
+    crossing = []
     for (i, j), w in scaled.items():
         a, b = class_of[i], class_of[j]
         if a != b:
-            r = w + potential[i] - potential[j]
-            if r < crossing.get((a, b), r + 1):
-                crossing[(a, b)] = r
-    succ: dict[int, list[tuple[int, int]]] = {}
-    for (a, b), r in sorted(crossing.items(), key=lambda arc: (arc[1], arc[0])):
-        succ.setdefault(a, []).append((b, r))
-    return DistanceMatrix(
-        n,
-        scale,
-        tuple(potential),
-        tuple(class_of),
-        tuple(classes),
-        crossing,
-        succ,
-    )
+            crossing.append((w + potential[i] - potential[j], a, b))
+    crossing.sort()
+    succ: dict[int, dict[int, int]] = {}
+    for r, a, b in crossing:
+        if a not in succ:
+            succ[a] = {b: r}
+        elif b not in succ[a]:
+            succ[a][b] = r
+    return DistanceMatrix(n, scale, tuple(potential), tuple(class_of), tuple(classes), succ)
 
 
 def implies(d: DistanceMatrix, u: int, v: int, bound: WeightLike) -> bool:

@@ -47,17 +47,18 @@ class Analysis(_Value):
     that goes to the MEG solver.  ``cross`` holds every edge between
     classes; ``keep`` the smallest cheapest crossing of each class pair
     whose condensation edge survives, the pair's representing edge; and
-    ``sole`` the members of ``keep`` that are their pair's only cheapest
-    crossing, the cross edges that nothing else implies.
+    ``tied`` the members of ``keep`` whose pair has another cheapest
+    crossing.  So ``keep - tied`` are the cross edges that nothing else
+    implies.
     """
 
-    __slots__ = ("d", "slack", "tight", "cross", "keep", "sole")
+    __slots__ = ("d", "slack", "tight", "cross", "keep", "tied")
     d: DistanceMatrix
     slack: frozenset[Edge]
     tight: Mapping[int, frozenset[Edge]]
     cross: frozenset[Edge]
     keep: frozenset[Edge]
-    sole: frozenset[Edge]
+    tied: frozenset[Edge]
 
 
 class MresResult(_Value):
@@ -94,12 +95,13 @@ def _rep_arcs(
     d: DistanceMatrix, skip: frozenset[tuple[int, int]] = frozenset()
 ) -> Iterator[tuple[int, int, Fraction]]:
     """Each condensation arc (a, b) outside ``skip`` with its weight between
-    the classes' smallest members, as its ``d.class_arcs`` cost r gives it:
+    the classes' smallest members, as its ``d.class_succ`` cost r gives it:
     r + potential[rep_b] - potential[rep_a], unscaled."""
     pot = [d.potential[c[0]] for c in d.classes]
-    for (a, b), r in d.class_arcs.items():
-        if (a, b) not in skip:
-            yield a, b, Fraction(r + pot[b] - pot[a], d.scale)
+    for a, heads in d.class_succ.items():
+        for b, r in heads.items():
+            if (a, b) not in skip:
+                yield a, b, Fraction(r + pot[b] - pot[a], d.scale)
 
 
 def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]]:
@@ -110,7 +112,7 @@ def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]
     another out-edge (a, k) has c_ak + d(k, b) <= c_ab.  Classes are rigid,
     so the condensation's own minimum walk weights are those of ``d``.
 
-    The test runs on the reduced costs r of ``d.class_arcs``, where the
+    The test runs on the reduced costs r of ``d.class_succ``, where the
     potentials cancel, and it is local: (a, b) goes when a class u other
     than a, at least reduced cost D from a, has an arc (u, b) with
     D + r_ub <= r_ab, a tie included (no such walk to u uses (a, b): it
@@ -123,9 +125,9 @@ def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]
     for a, arcs in d.class_succ.items():
         if len(arcs) < 2:
             continue
-        want = {b: [r] for b, r in arcs}
+        want = {b: [r] for b, r in arcs.items()}
         d._reach(a, want)
-        removed.update((a, b) for b, _ in arcs if b not in want)
+        removed.update((a, b) for b in arcs if b not in want)
     return frozenset(removed)
 
 
@@ -137,7 +139,7 @@ def analyze(g: PrecedenceGraph) -> Analysis:
     when r > 0.  A crossing (s, t) of a class pair costs
     d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by the pair, so
     the cheapest crossings are those whose r is the pair's
-    ``d.class_arcs`` entry.  Of a pair whose condensation edge survives,
+    ``d.class_succ`` entry.  Of a pair whose condensation edge survives,
     the smallest of them is kept, whatever the input order.
     """
     d = min_walk_weights(g)
@@ -154,7 +156,7 @@ def analyze(g: PrecedenceGraph) -> Analysis:
         if a != b:
             cross.add(e)
             pair = (a, b)
-            if r == d.class_arcs[pair] and pair not in removed:
+            if r == d.class_succ[a][b] and pair not in removed:
                 if pair in keep:
                     tied.add(pair)
                 keep[pair] = min(keep.get(pair, e), e)
@@ -168,7 +170,7 @@ def analyze(g: PrecedenceGraph) -> Analysis:
         {k: frozenset(es) for k, es in tight.items()},
         frozenset(cross),
         frozenset(keep.values()),
-        frozenset(e for pair, e in keep.items() if pair not in tied),
+        frozenset(keep[pair] for pair in tied),
     )
 
 
@@ -192,10 +194,10 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     These are the slack intra-class edges; the tight arcs (s, t) whose head
     stays reachable over the other tight arcs (between class members, the
     walks of weight d_st are the walks over tight arcs); and the cross edges
-    outside ``sole``, which drops the only cheapest crossing of a pair whose
-    condensation edge survives and nothing else.
+    outside ``keep - tied``, which drops the only cheapest crossing of a
+    pair whose condensation edge survives and nothing else.
     """
-    out = set(a.slack | (a.cross - a.sole))
+    out = set(a.slack | (a.cross - (a.keep - a.tied)))
     for members, arcs in _class_digraphs(a):
         out |= {(members[s - 1], members[t - 1]) for s, t in redundant_arcs(len(members), arcs)}
     return frozenset(out)

@@ -47,7 +47,8 @@ def systems_equivalent(a: PrecedenceGraph, b: PrecedenceGraph) -> EquivalenceRep
     the b constraints that a does not hold outright, or to refuse an
     infeasible a when a has a witness.  When every constraint of a is
     implied by the feasible b, a is feasible too.  An infeasible a is
-    reported before an infeasible b.
+    reported before an infeasible b.  b's distances are let go first, so
+    the two are never held at once.
     """
     if a.n != b.n:
         raise NodeCountMismatch(f"node counts differ: {a.n} vs {b.n}")
@@ -57,6 +58,7 @@ def systems_equivalent(a: PrecedenceGraph, b: PrecedenceGraph) -> EquivalenceRep
         min_walk_weights(a)
         raise
     missing = db.unimplied(_not_held(a, b))
+    del db
     if missing is not None:
         min_walk_weights(a)
         return EquivalenceReport(False, (missing[0], "a"))

@@ -15,7 +15,7 @@ random walks.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
@@ -235,18 +235,35 @@ def lex_greedy_meg(n: int, arcs: frozenset[Edge]) -> frozenset[Edge]:
     return frozenset(kept)
 
 
+def class_arcs(d) -> Iterator[tuple[Edge, int]]:
+    """Each condensation arc ((a, b), r) of a distance matrix ``d``: r is
+    the least reduced cost of an edge from class a to class b, read from
+    the store ``d.class_succ`` in its own order."""
+    for a, heads in d.class_succ.items():
+        for b, r in heads.items():
+            yield (a, b), r
+
+
+def _out_arcs(d) -> dict[int, list[tuple[int, int]]]:
+    """The (head, cost) pairs of each tail class, from :func:`class_arcs`."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), r in class_arcs(d):
+        out.setdefault(a, []).append((b, r))
+    return out
+
+
 def class_distances(d, a: int) -> dict[int, int]:
     """The least reduced cost from class a to every class it reaches over
-    ``d.class_succ``, read as data (a distance matrix's condensation arcs,
-    as (head, cost) lists per tail class), by one forward Dijkstra search
-    with no bound and no early stop."""
+    the condensation arcs of ``d`` (:func:`class_arcs`, read as data), by
+    one forward Dijkstra search with no bound and no early stop."""
+    succ = _out_arcs(d)
     dist = {a: 0}
     heap = [(0, a)]
     while heap:
         du, u = heappop(heap)
         if du > dist[u]:
             continue
-        for v, r in d.class_succ.get(u, ()):
+        for v, r in succ.get(u, ()):
             if du + r < dist.get(v, du + r + 1):
                 dist[v] = du + r
                 heappush(heap, (du + r, v))
@@ -257,13 +274,15 @@ def forward_redundant_pairs(d) -> frozenset[Edge]:
     """The condensation arcs (a, b) of ``d`` that some walk a ~> u -> b
     with u != a prices at most at the arc's own cost, from one unbounded
     forward search per class with two or more out-arcs."""
+    arcs = dict(class_arcs(d))
+    succ = _out_arcs(d)
     out = set()
-    for a, arcs in d.class_succ.items():
-        if len(arcs) < 2:
+    for a, heads in succ.items():
+        if len(heads) < 2:
             continue
         for u, du in class_distances(d, a).items():
-            for b, r in d.class_succ.get(u, ()) if u != a else ():
-                if (a, b) in d.class_arcs and du + r <= d.class_arcs[(a, b)]:
+            for b, r in succ.get(u, ()) if u != a else ():
+                if (a, b) in arcs and du + r <= arcs[(a, b)]:
                     out.add((a, b))
     return frozenset(out)
 

@@ -78,7 +78,7 @@ class TestPartitionEdges:
         assert a.tight == {1: {(2, 5), (5, 3), (3, 4), (4, 2)}}
         assert a.cross == {(1, 2), (3, 1)} and d.class_of[1] == 0
         # one crossing each way, and neither condensation edge is redundant
-        assert a.keep == a.sole == {(1, 2), (3, 1)}
+        assert a.keep == a.keep - a.tied == {(1, 2), (3, 1)}
 
     def test_tied_optima_has_two_cheapest_crossings(self):
         g = load_fixture("tied_optima")
@@ -86,7 +86,7 @@ class TestPartitionEdges:
         # (1, 2) and (1, 3) tie: the smaller represents the pair, and
         # neither is the pair's only cheapest crossing
         assert d.classes == ((1,), (2, 3)) and a.cross == {(1, 2), (1, 3)}
-        assert a.keep == {(1, 2)} and a.sole == frozenset()
+        assert a.keep == {(1, 2)} and a.keep - a.tied == frozenset()
 
     def test_every_edge_in_exactly_one_piece(self):
         for g in oracles.feasible_suite(318, 50):
@@ -94,8 +94,9 @@ class TestPartitionEdges:
             pieces = [a.slack, *a.tight.values(), a.cross]
             assert sum(map(len, pieces)) == g.m
             assert frozenset().union(*pieces) == g.edges.keys()
-            assert {(d.class_of[s], d.class_of[t]) for s, t in a.cross} == d.class_arcs.keys()
-            assert a.sole <= a.keep <= a.cross
+            arcs = dict(oracles.class_arcs(d))
+            assert {(d.class_of[s], d.class_of[t]) for s, t in a.cross} == arcs.keys()
+            assert a.tied <= a.keep <= a.cross
             # one representing edge per pair at most
             assert len({(d.class_of[s], d.class_of[t]) for s, t in a.keep}) == len(a.keep)
 
@@ -111,6 +112,20 @@ class TestPartitionEdges:
             tracemalloc.stop()
         assert len(a.d.classes) == g.n
         assert peak < 4 * 2**20
+
+    def test_peak_memory_holds_each_condensation_arc_once(self):
+        # K = n: 2.61 MiB when each arc was also kept in a flat pair map and
+        # the unique cheapest crossings in a second copy of ``keep``, 1.92
+        # MiB with one arc store and ``tied``
+        g = oracles.random_potential_system(Random(1), 500, 5000, zero_slack_share=0.0)
+        tracemalloc.start()
+        try:
+            a = analyze(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a.d.classes) == g.n
+        assert peak < 2.3 * 2**20
 
     def test_slack_never_below_distance(self):
         for g in oracles.feasible_suite(303, 50):
@@ -187,7 +202,7 @@ class TestCondensation:
             wide = PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()})
             for h in (g, wide):
                 d, _, cond = _pipeline(h)
-                python_int_runs += h is wide and any(d.class_arcs.values())
+                python_int_runs += h is wide and any(r for _, r in oracles.class_arcs(d))
                 want = {(a - 1, b - 1) for a, b in brute_force_redundant_edges(cond)}
                 assert condensation_redundant_pairs(d) == want
         assert python_int_runs >= 40
@@ -204,7 +219,7 @@ class TestCondensation:
 
     def test_zero_cost_condensation_arcs(self):
         d = min_walk_weights(normalize(4, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 0), (1, 4, 1)]))
-        assert len(d.classes) == 4 and set(d.class_arcs.values()) == {0, 1}
+        assert len(d.classes) == 4 and {r for _, r in oracles.class_arcs(d)} == {0, 1}
         assert condensation_redundant_pairs(d) == {(0, 2), (0, 3)}
 
     def test_a_target_out_of_reach_stays(self):
@@ -217,7 +232,7 @@ class TestCondensation:
         # class 0's only out-arc has no alternative; class 1's dearer arc
         # has the detour 2 -> 3 -> 4
         d = min_walk_weights(normalize(4, [(1, 2, 1), (2, 3, 1), (2, 4, 5), (3, 4, 1)]))
-        assert d.class_succ[0] == [(1, 1)]
+        assert [(b, r) for (a, b), r in oracles.class_arcs(d) if a == 0] == [(1, 1)]
         assert condensation_redundant_pairs(d) == {(1, 3)}
 
     def test_redundant_pairs_match_networkx_dijkstra(self):
@@ -231,20 +246,21 @@ class TestCondensation:
             d = min_walk_weights(g)
             assert len(d.classes) > 100
             h = nx.DiGraph()
-            h.add_weighted_edges_from((a, b, r) for (a, b), r in d.class_arcs.items())
+            arcs = dict(oracles.class_arcs(d))
+            h.add_weighted_edges_from((a, b, r) for (a, b), r in arcs.items())
             dist = {k: nx.single_source_dijkstra_path_length(h, k) for k in h}
             want = {
                 (a, b)
-                for (a, b), rab in d.class_arcs.items()
-                for k, rak in d.class_succ[a]
-                if k != b and rak + dist[k].get(b, rab + 1) <= rab
+                for (a, b), rab in arcs.items()
+                for k in h.successors(a)
+                if k != b and arcs[(a, k)] + dist[k].get(b, rab + 1) <= rab
             }
             assert want and condensation_redundant_pairs(d) == want
 
     def test_weights_are_cheapest_crossings(self):
         # the condensation weighs each class pair at its cheapest crossing,
         # and of a surviving pair ``keep`` holds the smallest such crossing,
-        # ``sole`` it too when no other crossing ties it
+        # and ``keep - tied`` it too when no other crossing ties it
         for g in oracles.feasible_suite(308, 40):
             d, a, cond = _pipeline(g)
             removed = condensation_redundant_pairs(d)
@@ -264,7 +280,7 @@ class TestCondensation:
                     keep.add(cheapest[0])
                     if len(cheapest) == 1:
                         sole.add(cheapest[0])
-            assert a.keep == keep and a.sole == sole
+            assert a.keep == keep and a.keep - a.tied == sole
 
 
 class TestMaxRedundantEdgeSet:
@@ -356,7 +372,7 @@ class TestRedundantEdges:
             assert redundant_edges(analyze(g)) == want
             if q % 4 == 0 and any(g.edges.values()):
                 a = analyze(PrecedenceGraph(g.n, {e: w * WIDE for e, w in g.edges.items()}))
-                python_int_runs += any(a.d.class_arcs.values())
+                python_int_runs += any(r for _, r in oracles.class_arcs(a.d))
                 assert redundant_edges(a) == want
         assert python_int_runs >= 10
 

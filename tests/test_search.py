@@ -104,6 +104,39 @@ def _assert_matches_forward(d: DistanceMatrix, rng: Random) -> None:
         assert d.unimplied(forced) is None
 
 
+def _cheapest_first(arcs: dict[int, int]) -> bool:
+    """Do the (class, cost) entries iterate by cost, ties by class?"""
+    return list(arcs.items()) == sorted(arcs.items(), key=lambda kr: (kr[1], kr[0]))
+
+
+def test_the_arc_store_holds_each_least_crossing_cheapest_first():
+    # class_succ[a][b] is the least reduced cost of an edge from class a to
+    # class b, recomputed here from the edges, and each out-map iterates
+    # cheapest first, ties by head; the in-maps, built by the first
+    # backward search, hold the same arcs cheapest first, ties by tail
+    rng = Random(2506)
+    systems = [oracles.random_potential_system(rng, n, 10 * n, share) for n in (40, 200) for share in (0.0, 0.3)]
+    systems += [_small_weights(rng, n, 3 * n) for n in (20, 60)]
+    systems += [_planted(rng, 15, 4, 200), oracles.project_system(rng, 200)]
+    backward = 0
+    for g in systems:
+        d = min_walk_weights(g)
+        least: dict[tuple[int, int], int] = {}
+        for (i, j), w in g.edges.items():
+            a, b = d.class_of[i], d.class_of[j]
+            if a != b:
+                r = w.numerator * d.scale // w.denominator + d.potential[i] - d.potential[j]
+                least[(a, b)] = min(least.get((a, b), r), r)
+        assert dict(oracles.class_arcs(d)) == least
+        assert all(heads and _cheapest_first(heads) for heads in d.class_succ.values())
+        condensation_redundant_pairs(d)
+        if d._pred:
+            backward += 1
+            assert {(a, b): r for b, tails in d._pred.items() for a, r in tails.items()} == least
+            assert all(_cheapest_first(tails) for tails in d._pred.values())
+    assert backward >= 4
+
+
 class TestAgainstForwardSearch:
     def test_one_class_per_node(self, finishes):
         rng = Random(2501)
@@ -120,15 +153,14 @@ class TestAgainstForwardSearch:
         for _ in range(30):
             n = rng.randint(8, 60)
             d = min_walk_weights(_small_weights(rng, n, rng.randint(n, 4 * n)))
-            zero_arcs += 0 in d.class_arcs.values()
+            arcs = dict(oracles.class_arcs(d))
+            zero_arcs += 0 in arcs.values()
             pairs = oracles.forward_redundant_pairs(d)
             ties += any(
-                du + r == d.class_arcs[(a, b)]
+                du + arcs[(u, b)] == arcs[(a, b)]
                 for a, b in pairs
                 for u, du in oracles.class_distances(d, a).items()
-                if u != a
-                for v, r in d.class_succ.get(u, ())
-                if v == b
+                if u != a and (u, b) in arcs
             )
             _assert_matches_forward(d, rng)
         assert zero_arcs > 20 and ties > 20 and finishes
@@ -148,7 +180,7 @@ class TestAgainstForwardSearch:
         rng = Random(2504)
         for n in (60, 300):
             d = min_walk_weights(oracles.project_system(rng, n))
-            arcs = [(a + 1, b + 1) for a, b in d.class_arcs]
+            arcs = [(a + 1, b + 1) for (a, b), _ in oracles.class_arcs(d)]
             assert len(_components(len(d.classes), arcs)[1]) > 1
             _assert_matches_forward(d, rng)
         assert finishes

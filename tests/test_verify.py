@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -11,6 +12,7 @@ import oracles
 from dcsimp.core import PrecedenceGraph, implies, min_walk_weights
 from dcsimp.decomposition import max_redundant_edge_set
 from dcsimp.errors import IndexOutOfRange, InfeasibleSystem, NodeCountMismatch
+from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
 from oracles import OracleLimit, brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import load_fixture
@@ -99,6 +101,25 @@ class TestSystemsEquivalent:
             assert systems_equivalent(b, a).equivalent
             assert calls == [a, b]
 
+    def test_a_not_equivalent_pair_holds_one_distance_matrix_at_a_time(self):
+        # K = n, b the reduction of a with one constraint loosened by 1: b
+        # misses a constraint of a, and a's distances, computed only to
+        # refuse an infeasible a, come after b's are let go: 0.94 MiB, 1.36
+        # MiB with both held, 2.39 MiB with both held and each arc stored
+        # twice
+        a = oracles.random_potential_system(Random(1), 500, 5000, zero_slack_share=0.0)
+        r = equivalent_reduction(a)
+        e = min(r.edges)
+        b = PrecedenceGraph(r.n, {**r.edges, e: r.edges[e] + 1})
+        tracemalloc.start()
+        try:
+            report = systems_equivalent(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.equivalent and report.witness[1] == "a"
+        assert peak < 1.15 * 2**20
+
     def test_reflexive_and_detects_tightening(self):
         # strictly tightening a constraint below the minimum walk weight
         # either breaks equivalence or tips the system into infeasibility
@@ -165,7 +186,9 @@ class TestUnimplied:
     def test_refuses_a_node_id_outside_the_range_or_not_an_int(self):
         # 0 would read the padding class_of[0] = -1, the last class; True
         # equals node 1; 7 would raise a bare IndexError, and 1.0 a bare
-        # TypeError.  Behind a valid constraint, each lands in its run.
+        # TypeError.  Behind a valid constraint, each lands in its run, and
+        # a str or None id, which does not compare with an int, fails the
+        # sort: that too names the id.
         d = min_walk_weights(load_fixture("two_classes"))
         for e, c, error, message in (
             ((0, 2), 100, IndexOutOfRange, r"\(0,2\) outside 1\.\.5"),
@@ -174,6 +197,10 @@ class TestUnimplied:
             ((1, 7), 0, IndexOutOfRange, r"\(1,7\) outside 1\.\.5"),
             ((7, 1), 0, IndexOutOfRange, r"\(7,1\) outside 1\.\.5"),
             ((1.0, 2), 100, TypeError, "node id must be an int, not float"),
+            (("1", 2), 100, TypeError, "node id must be an int, not str"),
+            ((None, 2), 100, TypeError, "node id must be an int, not NoneType"),
+            ((1, "2"), 100, TypeError, "node id must be an int, not str"),
+            ((1, None), 100, TypeError, "node id must be an int, not NoneType"),
         ):
             for constraints in ([(e, Fraction(c))], [((1, 2), Fraction(100)), (e, Fraction(c))]):
                 with pytest.raises(error, match=message):
@@ -197,7 +224,7 @@ class TestUnimplied:
 
     def test_a_sole_out_arc_meets_its_bound_directly(self):
         d = min_walk_weights(normalize(3, [(1, 2, 4), (2, 3, 1)]))
-        assert d.class_succ[0] == [(1, 4)]
+        assert [(b, r) for (a, b), r in oracles.class_arcs(d) if a == 0] == [(1, 4)]
         assert d.unimplied([((1, 2), Fraction(4)), ((1, 3), Fraction(5))]) is None
         assert d.unimplied([((1, 2), Fraction(7, 2))]) == ((1, 2), Fraction(7, 2))
         assert d.unimplied([((1, 3), Fraction(9, 2))]) == ((1, 3), Fraction(9, 2))
