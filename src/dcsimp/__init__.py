@@ -6,21 +6,14 @@ systems, with exact rational arithmetic end to end and exact checks of
 equivalence and redundancy.
 """
 
+from importlib import import_module
+
 from .core import (
     DistanceMatrix,
     PrecedenceGraph,
     Walk,
     implies,
     min_walk_weights,
-)
-from .decomposition import (
-    Analysis,
-    MresResult,
-    analyze,
-    condensation,
-    condensation_redundant_pairs,
-    max_redundant_edge_set,
-    redundant_edges,
 )
 from .errors import (
     DcsError,
@@ -34,8 +27,27 @@ from .errors import (
     SelfLoopDropped,
 )
 from .fileformat import dumps, load, loads
-from .reduction import equivalent_reduction
-from .verify import EquivalenceReport, is_redundant_edge_set, systems_equivalent
+
+# The solvers' names, each with the submodule that defines it, are bound on
+# first access (PEP 562), and so are those submodules: a command compiles
+# only the modules it runs.  core, errors and fileformat stay eager, in this
+# order, so that core.py compiles before cli.py: with all of them lazy,
+# `import dcsimp.cli` without cached bytecode peaked at 15.69 MB against
+# 15.10 (median of 12 child runs).
+_LAZY = {
+    "Analysis": "decomposition",
+    "MresResult": "decomposition",
+    "analyze": "decomposition",
+    "condensation": "decomposition",
+    "condensation_redundant_pairs": "decomposition",
+    "max_redundant_edge_set": "decomposition",
+    "redundant_edges": "decomposition",
+    "equivalent_reduction": "reduction",
+    "EquivalenceReport": "verify",
+    "is_redundant_edge_set": "verify",
+    "systems_equivalent": "verify",
+}
+_SUBMODULES = ("decomposition", "meg", "reduction", "verify")
 
 __version__ = "0.1.0"
 
@@ -69,3 +81,16 @@ __all__ = [
     "redundant_edges",
     "systems_equivalent",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_SUBMODULES})

@@ -31,10 +31,7 @@ from itertools import groupby
 
 from . import fileformat
 from .core import PrecedenceGraph, min_walk_weights
-from .decomposition import analyze, condensation, max_redundant_edge_set, redundant_edges
 from .errors import DcsError, InfeasibleSystem
-from .reduction import equivalent_reduction
-from .verify import systems_equivalent
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -64,6 +61,8 @@ def _load(path: str) -> PrecedenceGraph:
 
 
 def _cmd_info(out: str | None, path: str) -> int:
+    from .decomposition import max_redundant_edge_set
+
     g = _load(path)
     res = max_redundant_edge_set(g)
     a = res.analysis
@@ -88,12 +87,16 @@ def _cmd_info(out: str | None, path: str) -> int:
 
 
 def _cmd_redundant(out: str | None, path: str) -> int:
+    from .decomposition import analyze, redundant_edges
+
     edges = redundant_edges(analyze(_load(path)))
     _emit(out, "".join(f"{i} {j}\n" for i, j in sorted(edges)))
     return EXIT_OK
 
 
 def _cmd_simplify(out: str | None, path: str) -> int:
+    from .decomposition import max_redundant_edge_set
+
     g = _load(path)
     res = max_redundant_edge_set(g)
     _emit(out, fileformat.dumps(g.without(res.edges)))
@@ -103,6 +106,8 @@ def _cmd_simplify(out: str | None, path: str) -> int:
 
 
 def _cmd_reduce(out: str | None, path: str) -> int:
+    from .reduction import equivalent_reduction
+
     g = _load(path)
     reduced = equivalent_reduction(g)
     _emit(out, fileformat.dumps(reduced))
@@ -111,6 +116,8 @@ def _cmd_reduce(out: str | None, path: str) -> int:
 
 
 def _cmd_condense(out: str | None, path: str) -> int:
+    from .decomposition import condensation
+
     d = min_walk_weights(_load(path))
     _emit(out, fileformat.dumps(condensation(d)))
     for k, members in enumerate(d.classes, 1):
@@ -119,6 +126,8 @@ def _cmd_condense(out: str | None, path: str) -> int:
 
 
 def _cmd_check(out: str | None, path_a: str, path_b: str) -> int:
+    from .verify import systems_equivalent
+
     report = systems_equivalent(_load(path_a), _load(path_b))
     if report.equivalent:
         _emit(out, "equivalent\n")
@@ -134,7 +143,9 @@ def _cmd_check(out: str | None, path_a: str, path_b: str) -> int:
 
 
 # Each command: its handler, the names of its input files and the flags it
-# takes.  --allow-heuristic is accepted and ignored, unlisted in the help:
+# takes.  Each handler imports the solver module it runs, first, so that a
+# command compiles no other: check never compiles decomposition, meg or
+# reduction.  --allow-heuristic is accepted and ignored, unlisted in the help:
 # the greedy fallback always runs.  Each command computes the distances once
 # per input; reduce, condense and check route no edge beyond that, and only
 # condense builds the weighted condensation.

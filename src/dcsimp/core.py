@@ -210,7 +210,9 @@ class PrecedenceGraph(_Value):
     Nodes are ``1..n``.  ``edges`` maps ordered pairs ``(i, j)`` to exact
     weights; self-loops and parallel edges are excluded by construction
     (:func:`~dcsimp.fileformat.loads` collapses raw constraints).
-    Instances are immutable; the edge mapping is copied defensively.
+    Instances are immutable.  The constructor checks every node id, edge
+    and weight and copies the edge mapping; maps that the package built and
+    checked itself skip both (:meth:`_checked`).
     """
 
     __slots__ = ("n", "edges")
@@ -241,10 +243,21 @@ class PrecedenceGraph(_Value):
     def m(self) -> int:
         return len(self.edges)
 
+    @classmethod
+    def _checked(cls, n: int, edges: dict[Edge, Fraction]) -> "PrecedenceGraph":
+        """A graph on an edge map that the package built and checked itself:
+        int node ids in 1..n, no self-loop, ``Fraction`` weights, and no
+        other holder.  It takes the map as it is, without the public
+        constructor's checks and copy."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     def without(self, remove: Iterable[Edge]) -> "PrecedenceGraph":
         """A copy with the given edges deleted; node set unchanged."""
         gone = set(remove)
-        return PrecedenceGraph(
+        return PrecedenceGraph._checked(
             self.n, {e: w for e, w in self.edges.items() if e not in gone}
         )
 
@@ -690,6 +703,29 @@ def _components(n: int, arcs: Iterable[Edge]) -> tuple[list[int], list[tuple], l
     return comp, classes, kept
 
 
+def _potential(g: PrecedenceGraph) -> tuple[int, dict[Edge, int], list[int]]:
+    """The lcm of g's weight denominators, the weights scaled by it to
+    integers, and a potential of the scaled system from one Bellman-Ford
+    pass.
+
+    Raises :class:`InfeasibleSystem`, carrying the witness cycle, when g has
+    no solution.  So it alone decides feasibility: a caller that only has to
+    refuse an infeasible system calls this and builds no classes.
+    """
+    scale = lcm(*(w.denominator for w in g.edges.values())) if g.edges else 1
+    scaled = {e: w.numerator * (scale // w.denominator) for e, w in g.edges.items()}
+    potential, witness = _bellman_ford(g.n, scaled)
+    if witness is not None:
+        weight = Fraction(sum(map(scaled.get, witness.steps)), scale)
+        raise InfeasibleSystem(
+            "no solution: negative-weight closed walk "
+            f"{'-'.join(map(str, witness.nodes))} "
+            f"has weight {weight_text(weight)}",
+            cycle=witness,
+        )
+    return scale, scaled, potential
+
+
 def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     """Minimum walk weights of every pair, factored through the zero-cycle classes.
 
@@ -697,8 +733,9 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     negative-weight closed walk exists and the system has no solution.
 
     Weights are rescaled to integers by the lcm of their denominators.  One
-    Bellman-Ford pass gives a potential (or the witness), and with it every
-    reduced cost is non-negative (Johnson 1977).  The arcs of reduced cost
+    Bellman-Ford pass gives a potential (or the witness; :func:`_potential`
+    does both), and with it every reduced cost is non-negative (Johnson
+    1977).  The arcs of reduced cost
     zero form the zero-weight closed walks, so their strongly connected
     components are the classes, and inside a class every minimum walk
     weight is a difference of potentials.  Between classes only the
@@ -709,17 +746,7 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     tail, head), fill it cheapest first, the first of each pair kept.
     """
     n = g.n
-    scale = lcm(*(w.denominator for w in g.edges.values())) if g.edges else 1
-    scaled = {e: w.numerator * (scale // w.denominator) for e, w in g.edges.items()}
-    potential, witness = _bellman_ford(n, scaled)
-    if witness is not None:
-        weight = Fraction(sum(map(scaled.get, witness.steps)), scale)
-        raise InfeasibleSystem(
-            "no solution: negative-weight closed walk "
-            f"{'-'.join(map(str, witness.nodes))} "
-            f"has weight {weight_text(weight)}",
-            cycle=witness,
-        )
+    scale, scaled, potential = _potential(g)
     zero = [(i, j) for (i, j), w in scaled.items() if w + potential[i] == potential[j]]
     class_of, classes, _ = _components(n, zero)
     crossing = []

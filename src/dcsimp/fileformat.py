@@ -58,7 +58,8 @@ def loads(text: str) -> PrecedenceGraph:
 
     Each distinct node id or weight token is converted once per call, and
     equal weight tokens share one ``Fraction``.  The lines and those memos
-    are freed before the graph copies the edge map.
+    are freed before the graph is built, and the graph takes the edge map
+    as parsed: every id, range, self-loop and weight is checked here once.
     """
     n, edges, loops = _parse(text)
     for i, w in loops:
@@ -71,7 +72,7 @@ def loads(text: str) -> PrecedenceGraph:
             SelfLoopDropped,
             stacklevel=2,
         )
-    return PrecedenceGraph(n, edges)
+    return PrecedenceGraph._checked(n, edges)
 
 
 def _parse(text: str) -> tuple[int, dict[Edge, Fraction], list[tuple[int, Fraction]]]:

@@ -40,4 +40,4 @@ def equivalent_reduction(g: PrecedenceGraph) -> PrecedenceGraph:
                 edges[(i, j)] = Fraction(p[j] - p[i], d.scale)
     for a, b, w in _rep_arcs(d, condensation_redundant_pairs(d)):
         edges[(classes[a][0], classes[b][0])] = w
-    return PrecedenceGraph(g.n, edges)
+    return PrecedenceGraph._checked(g.n, edges)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Edge, PrecedenceGraph, _Value, min_walk_weights
+from .core import Edge, PrecedenceGraph, _potential, _Value, min_walk_weights
 from .errors import InfeasibleSystem, NodeCountMismatch, NotASubset
 
 
@@ -34,33 +34,35 @@ def systems_equivalent(a: PrecedenceGraph, b: PrecedenceGraph) -> EquivalenceRep
 
     Constraint (i,j) <= c of one side is implied by the other exactly when
     the other's minimum walk weight i ~> j exists and is at most c.
-    Infeasible systems are refused (the distance computation raises): every
-    infeasible pair would otherwise be vacuously equivalent, which is never
-    what a caller comparing artifacts wants.
+    Infeasible systems are refused with :class:`InfeasibleSystem`, the
+    error :func:`~dcsimp.core.min_walk_weights` raises: every infeasible
+    pair would otherwise be vacuously equivalent, which is never what a
+    caller comparing artifacts wants.
 
     Each side's constraints are scanned in sorted order, and the first one
     not implied is the witness.  One the other side has as an edge at
     weight <= c is implied outright; the rest go to the other side's
     :meth:`~dcsimp.core.DistanceMatrix.unimplied`.
 
-    a's distances are computed only when that answer needs them: to scan
-    the b constraints that a does not hold outright, or to refuse an
-    infeasible a when a has a witness.  When every constraint of a is
-    implied by the feasible b, a is feasible too.  An infeasible a is
-    reported before an infeasible b.  b's distances are let go first, so
-    the two are never held at once.
+    a's distances are computed only to scan the b constraints that a does
+    not hold outright.  When every constraint of a is implied by the
+    feasible b, a is feasible too.  Otherwise, when a has a witness or b is
+    infeasible, a's feasibility is decided by its Bellman-Ford pass alone,
+    which builds no classes, so an infeasible a is refused with the same
+    message and cycle and is reported before an infeasible b.  b's
+    distances are let go first, so the two are never held at once.
     """
     if a.n != b.n:
         raise NodeCountMismatch(f"node counts differ: {a.n} vs {b.n}")
     try:
         db = min_walk_weights(b)
     except InfeasibleSystem:
-        min_walk_weights(a)
+        _potential(a)
         raise
     missing = db.unimplied(_not_held(a, b))
     del db
     if missing is not None:
-        min_walk_weights(a)
+        _potential(a)
         return EquivalenceReport(False, (missing[0], "a"))
     rest = _not_held(b, a)
     if rest and (missing := min_walk_weights(a).unimplied(rest)) is not None:
@@ -84,7 +86,9 @@ def is_redundant_edge_set(g: PrecedenceGraph, r: Iterable[Edge]) -> bool:
     An infeasible g is refused, as :func:`systems_equivalent` refuses it:
     a system without solutions implies every constraint.  When every
     deleted edge is implied, g has the remaining graph's solutions, so only
-    a negative answer needs g's own distance computation to check that.
+    a negative answer checks g's feasibility, by its Bellman-Ford pass
+    alone: the same error as :func:`~dcsimp.core.min_walk_weights` raises,
+    without g's classes.
     """
     rset = frozenset(r)
     if not rset <= g.edges.keys():
@@ -92,5 +96,5 @@ def is_redundant_edge_set(g: PrecedenceGraph, r: Iterable[Edge]) -> bool:
     d = min_walk_weights(g.without(rset))
     if d.unimplied((e, g.edges[e]) for e in rset) is None:
         return True
-    min_walk_weights(g)
+    _potential(g)
     return False

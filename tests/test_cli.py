@@ -568,6 +568,82 @@ def test_no_command_loads_dataclasses_or_inspect(paths, tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def test_each_command_loads_only_its_modules(paths, tmp_path):
+    # each command in a process of its own, so that every dcsimp module
+    # loaded is one the command asked for: check reads only distances, and
+    # only check verifies
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        "import json, sys\n"
+        "from dcsimp.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('dcsimp.')]]))\n"
+    )
+    reduced = str(tmp_path / "reduced.dcs")
+    assert main(["reduce", paths["two_classes"], "--out", reduced]) == 0
+    solvers = {"dcsimp.decomposition", "dcsimp.meg", "dcsimp.reduction", "dcsimp.verify"}
+    expected = {
+        ("check", paths["two_classes"], reduced): {"dcsimp.verify"},
+        ("info", paths["two_classes"]): {"dcsimp.decomposition", "dcsimp.meg"},
+        ("simplify", paths["two_classes"]): {"dcsimp.decomposition", "dcsimp.meg"},
+        ("reduce", paths["two_classes"]): {"dcsimp.decomposition", "dcsimp.meg", "dcsimp.reduction"},
+    }
+    for command, wanted in expected.items():
+        run = subprocess.run(
+            [sys.executable, "-c", script, *command, "--out", str(tmp_path / "out.txt")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        code, loaded = json.loads(run.stdout)
+        assert code == 0
+        assert solvers & set(loaded) == wanted, command
+
+
+def test_the_package_resolves_solver_names_on_first_access():
+    import importlib
+
+    import dcsimp
+
+    # before any name resolves: a fresh process, where import dcsimp loads no
+    # solver module and dir() already lists every export
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        "import json, sys, dcsimp\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('dcsimp.')),"
+        " sorted(set(dcsimp.__all__) - set(dir(dcsimp)))]))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [["dcsimp.core", "dcsimp.errors", "dcsimp.fileformat"], []]
+    lazy = dcsimp._LAZY
+    assert set(lazy) < set(dcsimp.__all__)
+    for name in dcsimp.__all__:
+        value = getattr(dcsimp, name)
+        module = importlib.import_module(f"dcsimp.{lazy[name]}" if name in lazy else value.__module__)
+        assert value is getattr(module, name), name
+        if name in lazy:
+            assert dcsimp.__getattr__(name) is value, name
+    for name in ("core", "decomposition", "errors", "fileformat", "meg", "reduction", "verify"):
+        assert getattr(dcsimp, name) is importlib.import_module(f"dcsimp.{name}"), name
+        assert name in dir(dcsimp)
+    star: dict = {}
+    exec("from dcsimp import *", star)
+    assert set(dcsimp.__all__) <= set(star) and set(dcsimp.__all__) <= set(dir(dcsimp))
+    assert all(star[name] is getattr(dcsimp, name) for name in dcsimp.__all__)
+    for unknown in ("nothing", "_LAZY_", "redundancy"):
+        with pytest.raises(AttributeError, match=unknown):
+            getattr(dcsimp, unknown)
+
+
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
@@ -616,11 +692,12 @@ def test_every_command_prints_the_recorded_bytes(paths, tmp_path):
     assert [run["exit"] for argv, run in got.items() if "tampered" in argv] == [3, 3]
 
 
-def test_out_of_memory_is_one_error_line(paths, monkeypatch, capsys):
+def test_out_of_memory_is_one_error_line(paths, replace, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "max_redundant_edge_set", exhausted)
+    # patched in decomposition, where info's handler imports it from
+    replace(decomposition.max_redundant_edge_set, exhausted)
     assert main(["info", paths["two_classes"]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1

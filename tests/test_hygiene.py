@@ -184,6 +184,64 @@ def test_the_field_guard_finds_a_field_nobody_reads():
     assert unread_fields({"m.py": leftover}) == ["m.py:Result.removed_pairs"]
 
 
+def _assigned(tree: ast.Module, name: str):
+    """The literal value a module assigns to ``name`` at its top level."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def lazy_table_faults(trees: dict[str, ast.Module]) -> list[str]:
+    """Where ``__init__.py``'s eager imports and lazy name table miss its
+    ``__all__``, overlap, or map a name to a module that does not define it
+    at its top level, and lazy submodules that are no module."""
+    init = trees["__init__.py"]
+    eager = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    lazy = _assigned(init, "_LAZY") or {}
+    exported = _assigned(init, "__all__") or []
+    faults = [f"twice: {n}" for n in sorted(set(eager) & set(lazy))]
+    faults += [f"not exported: {n}" for n in sorted({*eager, *lazy} - set(exported))]
+    faults += [f"not bound: {n}" for n in sorted(set(exported) - {*eager, *lazy})]
+    for name, module in sorted(lazy.items()):
+        tree = trees.get(f"{module}.py")
+        if tree is None or name not in _defined(tree):
+            faults.append(f"{name} is not defined in {module}")
+    faults += [f"no module: {m}" for m in _assigned(init, "_SUBMODULES") or () if f"{m}.py" not in trees]
+    return faults
+
+
+def test_the_lazy_table_covers_exactly_the_exports():
+    assert lazy_table_faults(_trees()) == []
+
+
+def test_the_lazy_table_guard_finds_a_stale_entry():
+    # what moving a function between modules, or renaming it, could leave
+    trees = {
+        "__init__.py": ast.parse(
+            "from .core import load, dump\n"
+            "_LAZY = {'analyze': 'meg', 'dump': 'core', 'old': 'core'}\n"
+            "_SUBMODULES = ('core', 'gone')\n"
+            "__all__ = ['load', 'analyze', 'dump', 'new']\n"
+        ),
+        "core.py": ast.parse("def load(): pass\ndef dump(): pass\n"),
+        "meg.py": ast.parse("from .core import load\ndef analyze_class(): pass\n"),
+    }
+    assert lazy_table_faults(trees) == [
+        "twice: dump",
+        "not exported: old",
+        "not bound: new",
+        "analyze is not defined in meg",
+        "old is not defined in core",
+        "no module: gone",
+    ]
+
+
 def test_oracles_import_no_solver_module():
     # the README's claim: the test suite's references share nothing with the
     # solver but the graph containers, the errors and the text format

@@ -4,9 +4,13 @@ construction, immutability, equality, hashing, reprs and validation."""
 from __future__ import annotations
 
 import pickle
+import warnings
 from fractions import Fraction
+from random import Random
 
 import pytest
+
+import oracles
 
 from dcsimp.core import (
     DistanceMatrix,
@@ -20,10 +24,11 @@ from dcsimp.decomposition import (
     analyze,
     max_redundant_edge_set,
 )
-from dcsimp.errors import IndexOutOfRange
+from dcsimp.errors import IndexOutOfRange, InfeasibleSystem
+from dcsimp.fileformat import dumps, loads
 from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import EquivalenceReport, systems_equivalent
-from shipped import load_fixture
+from shipped import FIXTURE_DIR, NAMES, load_fixture
 
 
 @pytest.fixture
@@ -130,6 +135,54 @@ def test_fields_are_coerced_and_copied():
     raw[(2, 1)] = 1
     assert g.edges == {(1, 2): Fraction(3, 4)} and g.m == 1
     assert Walk([1, 2]).nodes == (1, 2)
+
+
+def _raw_text(rng: Random, n: int, m: int) -> str:
+    """m constraint lines on n nodes: pairs repeated, self-loops of weight
+    >= 0, and weights from small integers to wide rationals, each spelled
+    as an integer, a decimal or a fraction."""
+    lines = [f"p dcs {n} {m}"]
+    for _ in range(m):
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        num = rng.choice((rng.randint(-5, 9), rng.randint(-(10**30), 10**30)))
+        if i == j:
+            num = abs(num)
+        den = rng.choice((3, 7, 10**25 + 13))
+        lines.append(f"e {i} {j} " + rng.choice((f"{num}", f"{num}/{den}", f"{num}.{rng.randint(0, 99)}")))
+    return "\n".join(lines) + "\n"
+
+
+def test_graphs_the_package_builds_equal_checked_ones():
+    # loads, without and equivalent_reduction hand the graph edge maps they
+    # built and checked themselves, which it takes unchecked; the public
+    # constructor, which checks and copies, must build the same graph
+    rng = Random(31)
+    texts = [(FIXTURE_DIR / f"{name}.dcs").read_text() for name in NAMES]
+    # on 2 nodes, 6 lines must repeat a pair or hold a self-loop
+    texts += [_raw_text(rng, n, m) for n, m in ((2, 6), (6, 40), (30, 200)) for _ in range(4)]
+    for k in range(3):
+        g = oracles.random_potential_system(Random(k), 25, 120)
+        texts += [dumps(g), dumps(PrecedenceGraph(g.n, {e: w * Fraction(10**25 + 13, 3) for e, w in g.edges.items()}))]
+    graphs = []
+    for text in texts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = loads(text)
+        graphs.append(g)
+        r = set(rng.sample(sorted(g.edges), g.m // 2)) | {(1, 1)}
+        graphs.append(g.without(r))
+        assert g.without(r).edges.keys() == g.edges.keys() - r
+        assert g.without(()).edges is not g.edges
+        try:
+            graphs.append(equivalent_reduction(g))
+        except InfeasibleSystem:
+            pass
+    for g in graphs:
+        assert g == PrecedenceGraph(g.n, dict(g.edges))
+        assert all(type(i) is int and type(j) is int and type(w) is Fraction for (i, j), w in g.edges.items())
+        for field in ("n", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(g, field, getattr(g, field))
 
 
 def test_pickle_round_trip(values):

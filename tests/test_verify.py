@@ -101,12 +101,53 @@ class TestSystemsEquivalent:
             assert systems_equivalent(b, a).equivalent
             assert calls == [a, b]
 
+    def test_an_infeasible_system_is_refused_by_its_potential_alone(self, replace):
+        # the refusal runs Bellman-Ford on the infeasible side and builds no
+        # distance matrix for it: min_walk_weights runs once, for b (or for
+        # the remainder), and the error is the one min_walk_weights raises
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return min_walk_weights(g)
+
+        def refusal(g):
+            with pytest.raises(InfeasibleSystem) as alone:
+                min_walk_weights(g)
+            return str(alone.value), alone.value.cycle
+
+        # cycle 1-2-1 of weight -1; b and the remainder lack a's (2, 1) and
+        # (1, 3), which nothing in them implies
+        bad = normalize(3, [(1, 2, -1), (2, 1, 0), (1, 3, 5)])
+        also_bad = normalize(3, [(2, 3, -2), (3, 2, 1)])
+        good = normalize(3, [(1, 2, -1)])
+        cases = [
+            (bad, good, bad),  # a has a witness in the feasible b
+            (bad, also_bad, bad),  # b is infeasible, and a is reported first
+            (good, also_bad, also_bad),  # b is infeasible, a is not
+        ]
+        replace(min_walk_weights, counted)
+        for a, b, refused in cases:
+            want = refusal(refused)
+            calls.clear()
+            with pytest.raises(InfeasibleSystem) as info:
+                systems_equivalent(a, b)
+            assert (str(info.value), info.value.cycle) == want
+            assert calls == [b]
+        r = {(2, 1)}
+        want = refusal(bad)
+        calls.clear()
+        with pytest.raises(InfeasibleSystem) as info:
+            is_redundant_edge_set(bad, r)
+        assert (str(info.value), info.value.cycle) == want
+        assert calls == [bad.without(r)]
+
     def test_a_not_equivalent_pair_holds_one_distance_matrix_at_a_time(self):
         # K = n, b the reduction of a with one constraint loosened by 1: b
-        # misses a constraint of a, and a's distances, computed only to
-        # refuse an infeasible a, come after b's are let go: 0.94 MiB, 1.36
-        # MiB with both held, 2.39 MiB with both held and each arc stored
-        # twice
+        # misses a constraint of a, and a's feasibility, checked only to
+        # refuse an infeasible a, comes after b's distances are let go: 0.83
+        # MiB, 0.95 MiB with a's whole distance matrix built there, 1.36 MiB
+        # with both held, 2.39 MiB with both held and each arc stored twice
         a = oracles.random_potential_system(Random(1), 500, 5000, zero_slack_share=0.0)
         r = equivalent_reduction(a)
         e = min(r.edges)
