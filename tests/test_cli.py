@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import importlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from random import Random
 
 import pytest
 
+import dcsimp
 import oracles
 from dcsimp import cli, decomposition, meg
 from dcsimp.cli import main
@@ -603,10 +605,6 @@ def test_each_command_loads_only_its_modules(paths, tmp_path):
 
 
 def test_the_package_resolves_solver_names_on_first_access():
-    import importlib
-
-    import dcsimp
-
     # before any name resolves: a fresh process, where import dcsimp loads no
     # solver module and dir() already lists every export
     src = str(Path(cli.__file__).resolve().parent.parent)
