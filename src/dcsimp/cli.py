@@ -31,7 +31,7 @@ from itertools import groupby
 
 from . import fileformat
 from .core import PrecedenceGraph, min_walk_weights
-from .errors import DcsError, InfeasibleSystem
+from .errors import DcsError, InfeasibleSystem, NegativeSelfLoop, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -52,11 +52,17 @@ def _note(message: str) -> None:
 
 
 def _load(path: str) -> PrecedenceGraph:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = fileformat.load(path)
+    """The system in ``path``; each error and warning of its loading names
+    the file first."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = fileformat.load(path)
+    except (ParseError, NegativeSelfLoop) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     for w in caught:
-        _note(f"warning: {w.message}")
+        _note(f"warning: {path}: {w.message}")
     return g
 
 

@@ -204,6 +204,17 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
+def _check_nodes(n: int, i: int, j: int) -> None:
+    """Raise ``TypeError`` unless node ids i and j are ints (a bool is
+    not), and :class:`IndexOutOfRange` unless both lie in 1..n."""
+    if type(i) is not int or type(j) is not int:  # plain ints skip isinstance
+        for v in (i, j):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"node id must be an int, not {type(v).__name__}")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexOutOfRange(f"nodes ({i},{j}) outside 1..{n}")
+
+
 class PrecedenceGraph(_Value):
     """A difference constraint system viewed as a weighted digraph.
 
@@ -226,12 +237,7 @@ class PrecedenceGraph(_Value):
             raise ValueError("node count must be nonnegative")
         clean: dict[Edge, Fraction] = {}
         for (i, j), w in self.edges.items():
-            if type(i) is not int or type(j) is not int:  # plain ints skip isinstance
-                for v in (i, j):
-                    if isinstance(v, bool) or not isinstance(v, int):
-                        raise TypeError(f"node id must be an int, not {type(v).__name__}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise IndexOutOfRange(f"edge ({i},{j}) outside nodes 1..{self.n}")
+            _check_nodes(self.n, i, j)
             if i == j:
                 raise ValueError(
                     f"self-loop ({i},{i}); feed raw constraints through loads()"
@@ -506,14 +512,14 @@ class DistanceMatrix(_Value):
             ordered.sort()
         except TypeError:  # ids that do not compare: name the one that is not an int
             for (i, j), _ in ordered:
-                self._check_nodes(i, j)
+                _check_nodes(n, i, j)
             raise
         by_class: dict[int, list[tuple[Edge, Fraction]]] = {}
         v = None  # the tail of the run being gathered
         for q in ordered:
             i, j = q[0]
             if type(i) is not int or type(j) is not int or not (0 < i <= n and 0 < j <= n):
-                self._check_nodes(i, j)
+                _check_nodes(n, i, j)
             if i != v:
                 v = i
                 tail = by_class.setdefault(of[v], [])
@@ -545,16 +551,6 @@ class DistanceMatrix(_Value):
                     break
         return found
 
-    def _check_nodes(self, i: int, j: int) -> None:
-        """Raise ``TypeError`` unless i and j are ints (a bool is not), and
-        :class:`IndexOutOfRange` unless both lie in 1..n."""
-        if type(i) is not int or type(j) is not int:  # plain ints skip isinstance
-            for v in (i, j):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise TypeError(f"node id must be an int, not {type(v).__name__}")
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexOutOfRange(f"nodes ({i},{j}) outside 1..{self.n}")
-
     def get(self, i: int, j: int) -> Fraction | None:
         """The minimum walk weight ``i ~> j``, or None when no walk exists;
         a node id that is not an int raises ``TypeError``, and one outside
@@ -564,7 +560,7 @@ class DistanceMatrix(_Value):
         the first call from class a searches everything a reaches and keeps
         the costs, so a sweep over many pairs pays one search per class.
         """
-        self._check_nodes(i, j)
+        _check_nodes(self.n, i, j)
         a, b = self.class_of[i], self.class_of[j]
         p = self.potential
         if a == b:
@@ -771,7 +767,7 @@ def implies(d: DistanceMatrix, u: int, v: int, bound: WeightLike) -> bool:
     minimum walk weight ``u ~> v``; no walk means no finite bound at all.
     The node ids are checked as :meth:`DistanceMatrix.get` checks them.
     """
-    d._check_nodes(u, v)
+    _check_nodes(d.n, u, v)
     if u == v:
         raise SameNode(f"implication needs two distinct nodes, got {u} twice")
     return d.unimplied([((u, v), as_weight(bound))]) is None

@@ -19,7 +19,7 @@ lets the redundancy problem split cleanly:
   :data:`EXACT_LIMIT` tight arcs, greedily and uncertified otherwise.
 
 :func:`analyze` runs that split once per system, and every solver that
-deletes edges reads its distances, classes, edge pieces and kept crossings
+deletes edges reads its distances, classes, edge pieces and dropped crossings
 from there.  :func:`condensation` builds the weighted condensation itself,
 which only the ``condense`` command prints; the equivalent reduction takes
 the same rep-to-rep weights from :func:`_rep_arcs`.
@@ -44,20 +44,18 @@ class Analysis(_Value):
     every edge is routed once by it.  ``slack`` holds the intra-class edges
     above their minimum walk weight, always removable; ``tight[k]`` the
     arcs of class k at it, keyed only for classes that have some, the piece
-    that goes to the MEG solver.  ``cross`` holds every edge between
-    classes; ``keep`` the smallest cheapest crossing of each class pair
-    whose condensation edge survives, the pair's representing edge; and
-    ``tied`` the members of ``keep`` whose pair has another cheapest
-    crossing.  So ``keep - tied`` are the cross edges that nothing else
-    implies.
+    that goes to the MEG solver.  Of the edges between classes, each class
+    pair whose condensation edge survives has one representing edge, its
+    smallest cheapest crossing; ``drop`` holds every other crossing, all
+    removable together, and ``tied`` the representing edges whose pair has
+    another cheapest crossing, each implied by the others on its own.
     """
 
-    __slots__ = ("d", "slack", "tight", "cross", "keep", "tied")
+    __slots__ = ("d", "slack", "tight", "drop", "tied")
     d: DistanceMatrix
     slack: frozenset[Edge]
     tight: Mapping[int, frozenset[Edge]]
-    cross: frozenset[Edge]
-    keep: frozenset[Edge]
+    drop: frozenset[Edge]
     tied: frozenset[Edge]
 
 
@@ -139,38 +137,42 @@ def analyze(g: PrecedenceGraph) -> Analysis:
     when r > 0.  A crossing (s, t) of a class pair costs
     d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by the pair, so
     the cheapest crossings are those whose r is the pair's
-    ``d.class_succ`` entry.  Of a pair whose condensation edge survives,
-    the smallest of them is kept, whatever the input order.
+    ``d.class_succ`` entry.  A crossing goes to ``drop`` when it is dearer
+    than that, when its pair's condensation edge is redundant, or when a
+    smaller cheapest crossing of its pair turns up, whatever the input
+    order; the one left of a surviving pair represents it.
     """
     d = min_walk_weights(g)
     removed = condensation_redundant_pairs(d)
     slack: set[Edge] = set()
     tight: dict[int, set[Edge]] = {}
-    cross: set[Edge] = set()
-    keep: dict[tuple[int, int], Edge] = {}
+    drop: set[Edge] = set()
+    rep: dict[tuple[int, int], Edge] = {}
     tied: set[tuple[int, int]] = set()
     for e, w in g.edges.items():
         i, j = e
         r = d.reduced(i, j, w)
         a, b = d.class_of[i], d.class_of[j]
-        if a != b:
-            cross.add(e)
-            pair = (a, b)
-            if r == d.class_succ[a][b] and pair not in removed:
-                if pair in keep:
-                    tied.add(pair)
-                keep[pair] = min(keep.get(pair, e), e)
-        elif r > 0:
-            slack.add(e)
+        if a == b:
+            if r > 0:
+                slack.add(e)
+            else:
+                tight.setdefault(a, set()).add(e)
+        elif r != d.class_succ[a][b] or (a, b) in removed:
+            drop.add(e)
         else:
-            tight.setdefault(a, set()).add(e)
+            pair = (a, b)
+            first = rep.setdefault(pair, e)
+            if first != e:
+                tied.add(pair)
+                rep[pair] = min(first, e)
+                drop.add(max(first, e))
     return Analysis(
         d,
         frozenset(slack),
         {k: frozenset(es) for k, es in tight.items()},
-        frozenset(cross),
-        frozenset(keep.values()),
-        frozenset(keep[pair] for pair in tied),
+        frozenset(drop),
+        frozenset(rep[pair] for pair in tied),
     )
 
 
@@ -193,11 +195,11 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
 
     These are the slack intra-class edges; the tight arcs (s, t) whose head
     stays reachable over the other tight arcs (between class members, the
-    walks of weight d_st are the walks over tight arcs); and the cross edges
-    outside ``keep - tied``, which drops the only cheapest crossing of a
-    pair whose condensation edge survives and nothing else.
+    walks of weight d_st are the walks over tight arcs); and the crossings
+    in ``drop`` or ``tied``, every one but the only cheapest crossing of a
+    pair whose condensation edge survives.
     """
-    out = set(a.slack | (a.cross - (a.keep - a.tied)))
+    out = set(a.slack | a.drop | a.tied)
     for members, arcs in _class_digraphs(a):
         out |= {(members[s - 1], members[t - 1]) for s, t in redundant_arcs(len(members), arcs)}
     return frozenset(out)
@@ -207,16 +209,16 @@ def max_redundant_edge_set(g: PrecedenceGraph) -> MresResult:
     """A maximum redundant edge set of an arbitrary feasible system.
 
     Assembled per the decomposition (see module docstring): all slack
-    intra-class edges, all non-representing cross edges, the representing
-    edges of pairs found redundant on the condensation, and per class the
-    complement of a minimum equivalent graph of its tight edges.  A class
-    with more than :data:`EXACT_LIMIT` tight edges, or whose exact search
-    visits more than :data:`~dcsimp.meg.SEARCH_BUDGET` nodes, is solved
-    greedily instead.  With every class solved exactly the result is a
+    intra-class edges, every crossing in ``drop`` (all but the
+    representing edge of each pair that survives on the condensation), and
+    per class the complement of a minimum equivalent graph of its tight
+    edges.  A class with more than :data:`EXACT_LIMIT` tight edges, or
+    whose exact search visits more than :data:`~dcsimp.meg.SEARCH_BUDGET`
+    nodes, is solved greedily instead.  With every class solved exactly the result is a
     certified maximum; the greedy fallback degrades it to maximal.
     """
     a = analyze(g)
-    out = set(a.slack | (a.cross - a.keep))
+    out = set(a.slack | a.drop)
     certified = True
     for members, arcs in _class_digraphs(a):
         n = len(members)

@@ -149,7 +149,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
     # an exponent would ask for five million digits
     bad.write_text("p dcs 2 1\ne 1 2 1e5000000\n")
     assert main(["simplify", str(bad)]) == 1
-    assert capsys.readouterr().err == "error: line 2: not a rational constant: '1e5000000'\n"
+    assert capsys.readouterr().err == f"error: {bad}: line 2: not a rational constant: '1e5000000'\n"
     # int() alone reads "1_0" as 10 and the Arabic-Indic digit one as 1
     for text, message in [
         ("p dcs 1_0 1\ne 1 2 3\n", "line 1: non-integer size in header"),
@@ -157,7 +157,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ]:
         bad.write_text(text, encoding="utf-8")
         assert main(["info", str(bad)]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
     # a size no list can hold, and a node id past Python's digit limit,
     # end in one error line from every command, not a traceback; a node id
     # out of range names its own line, ahead of a later bad line
@@ -178,11 +178,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
         single = [[c, str(bad)] for c in ("info", "simplify", "reduce", "redundant", "condense")]
         for argv in single + [["check", str(bad), str(bad)]]:
             assert main(argv) == 1
-            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
     # bytes that are not UTF-8 end in one error line, not a traceback
     bad.write_bytes(b"p dcs 2 1\ne 1 2 \xff\n")
     assert main(["info", str(bad)]) == 1
-    assert capsys.readouterr() == ("", "error: line 2: invalid UTF-8 at byte offset 16\n")
+    assert capsys.readouterr() == ("", f"error: {bad}: line 2: invalid UTF-8 at byte offset 16\n")
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -705,7 +705,28 @@ def test_self_loop_warning_reaches_stderr(tmp_path, capsys):
     f = tmp_path / "loop.dcs"
     f.write_text("p dcs 2 3\ne 1 1 0\ne 1 2 1\ne 1 1 0\n")
     assert main(["redundant", str(f)]) == 0
-    assert capsys.readouterr().err == "warning: dropping vacuous self-loop (1,1) of weight 0\n" * 2
+    assert capsys.readouterr().err == f"warning: {f}: dropping vacuous self-loop (1,1) of weight 0\n" * 2
+
+
+def test_check_names_the_file_a_load_error_or_warning_came_from(paths, tmp_path, capsys):
+    # of two inputs, the message says which one it is about
+    good = paths["two_classes"]
+    bad = tmp_path / "bad.dcs"
+    bad.write_text("p dcs 5 1\ne 1 x 3\n")
+    for argv in (["check", good, str(bad)], ["check", str(bad), good]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}: line 2: non-integer node id\n")
+    # a negative self-loop is infeasible on its own, exit code 2
+    bad.write_text("p dcs 5 1\ne 2 2 -1\n")
+    assert main(["check", good, str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: constraint x_2 - x_2 <= -1 is unsatisfiable\n")
+    loop = tmp_path / "loop.dcs"
+    loop.write_text(Path(good).read_text().replace("p dcs 5 7", "p dcs 5 8") + "e 4 4 0\n")
+    assert main(["check", good, str(loop)]) == 0
+    assert capsys.readouterr() == (
+        "equivalent\n",
+        f"warning: {loop}: dropping vacuous self-loop (4,4) of weight 0\n",
+    )
 
 
 def test_out_flag_writes_file(paths, tmp_path, capsys):

@@ -32,6 +32,11 @@ def _pipeline(g):
     return a.d, a, condensation(a.d)
 
 
+def _crossings(g, d):
+    """The edges of g between two classes of d."""
+    return {(s, t) for s, t in g.edges if d.class_of[s] != d.class_of[t]}
+
+
 class TestEquivalenceClasses:
     def test_two_classes_fixture(self):
         d = min_walk_weights(load_fixture("two_classes"))
@@ -76,29 +81,32 @@ class TestPartitionEdges:
         d, a, _ = _pipeline(g)
         assert a.slack == {(3, 2)} and d.class_of[3] == d.class_of[2] == 1
         assert a.tight == {1: {(2, 5), (5, 3), (3, 4), (4, 2)}}
-        assert a.cross == {(1, 2), (3, 1)} and d.class_of[1] == 0
-        # one crossing each way, and neither condensation edge is redundant
-        assert a.keep == a.keep - a.tied == {(1, 2), (3, 1)}
+        assert _crossings(g, d) == {(1, 2), (3, 1)} and d.class_of[1] == 0
+        # one crossing each way, and neither condensation edge is redundant:
+        # each represents its pair, alone
+        assert a.drop == a.tied == frozenset()
 
     def test_tied_optima_has_two_cheapest_crossings(self):
         g = load_fixture("tied_optima")
         d, a, _ = _pipeline(g)
         # (1, 2) and (1, 3) tie: the smaller represents the pair, and
         # neither is the pair's only cheapest crossing
-        assert d.classes == ((1,), (2, 3)) and a.cross == {(1, 2), (1, 3)}
-        assert a.keep == {(1, 2)} and a.keep - a.tied == frozenset()
+        assert d.classes == ((1,), (2, 3)) and _crossings(g, d) == {(1, 2), (1, 3)}
+        assert a.drop == {(1, 3)} and a.tied == {(1, 2)}
 
     def test_every_edge_in_exactly_one_piece(self):
         for g in oracles.feasible_suite(318, 50):
             d, a, _ = _pipeline(g)
-            pieces = [a.slack, *a.tight.values(), a.cross]
+            cross = _crossings(g, d)
+            pieces = [a.slack, *a.tight.values(), cross]
             assert sum(map(len, pieces)) == g.m
             assert frozenset().union(*pieces) == g.edges.keys()
             arcs = dict(oracles.class_arcs(d))
-            assert {(d.class_of[s], d.class_of[t]) for s, t in a.cross} == arcs.keys()
-            assert a.tied <= a.keep <= a.cross
+            assert {(d.class_of[s], d.class_of[t]) for s, t in cross} == arcs.keys()
+            assert a.drop <= cross and a.tied <= cross - a.drop
             # one representing edge per pair at most
-            assert len({(d.class_of[s], d.class_of[t]) for s, t in a.keep}) == len(a.keep)
+            reps = cross - a.drop
+            assert len({(d.class_of[s], d.class_of[t]) for s, t in reps}) == len(reps)
 
     def test_peak_memory_at_one_class_per_node(self):
         # K = n: nearly every edge crosses its own class pair, and the
@@ -115,8 +123,10 @@ class TestPartitionEdges:
 
     def test_peak_memory_holds_each_condensation_arc_once(self):
         # K = n: 2.61 MiB when each arc was also kept in a flat pair map and
-        # the unique cheapest crossings in a second copy of ``keep``, 1.92
-        # MiB with one arc store and ``tied``
+        # the unique cheapest crossings in a second copy of the representing
+        # edges, 1.93 MiB with one arc store and ``tied`` beside sets of
+        # every crossing and of the representing ones, 1.09 MiB with only
+        # the dropped crossings stored
         g = oracles.random_potential_system(Random(1), 500, 5000, zero_slack_share=0.0)
         tracemalloc.start()
         try:
@@ -125,7 +135,7 @@ class TestPartitionEdges:
         finally:
             tracemalloc.stop()
         assert len(a.d.classes) == g.n
-        assert peak < 2.3 * 2**20
+        assert peak < 1.4 * 2**20
 
     def test_slack_never_below_distance(self):
         for g in oracles.feasible_suite(303, 50):
@@ -258,9 +268,10 @@ class TestCondensation:
             assert want and condensation_redundant_pairs(d) == want
 
     def test_weights_are_cheapest_crossings(self):
-        # the condensation weighs each class pair at its cheapest crossing,
-        # and of a surviving pair ``keep`` holds the smallest such crossing,
-        # and ``keep - tied`` it too when no other crossing ties it
+        # the condensation weighs each class pair at its cheapest crossing;
+        # of a surviving pair the smallest such crossing represents it, and
+        # ``drop`` holds every other crossing; ``tied`` holds the
+        # representing edges that another crossing ties
         for g in oracles.feasible_suite(308, 40):
             d, a, cond = _pipeline(g)
             removed = condensation_redundant_pairs(d)
@@ -280,7 +291,11 @@ class TestCondensation:
                     keep.add(cheapest[0])
                     if len(cheapest) == 1:
                         sole.add(cheapest[0])
-            assert a.keep == keep and a.keep - a.tied == sole
+            cross = {e for edges in crossings.values() for e in edges}
+            assert a.drop == cross - keep and a.tied <= keep and keep - a.tied == sole
+            pieces = [a.slack, *a.tight.values(), a.drop, keep]
+            assert sum(map(len, pieces)) == g.m
+            assert frozenset().union(*pieces) == g.edges.keys()
 
 
 class TestMaxRedundantEdgeSet:

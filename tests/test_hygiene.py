@@ -1,6 +1,6 @@
 """What a deletion leaves behind: imports nothing uses, module-level names
-nothing references, value-type fields nothing reads, and exports the README
-does not name.  Read from the sources with ``ast`` alone."""
+nothing references, value-type fields nothing reads, and exports and fields
+the README does not name.  Read from the sources with ``ast`` alone."""
 
 from __future__ import annotations
 
@@ -95,6 +95,15 @@ def unread_fields(trees: dict[str, ast.Module]) -> list[str]:
     return [f"{mod}:{cls}.{f}" for mod, cls, f in fields if f not in seen]
 
 
+def unnamed_fields(trees: dict[str, ast.Module], readme: str) -> list[str]:
+    """Fields of exported value types that the README never names in
+    backticks, as ``name`` or ``x.name``."""
+    exported = _exported(trees)
+    named = set(re.findall(r"`(?:\w+\.)?(\w+)`", readme))
+    fields = [(cls, f) for tree in trees.values() for cls, f in _value_fields(tree)]
+    return [f"{cls}.{f}" for cls, f in fields if cls in exported and f not in named]
+
+
 def test_every_import_is_used():
     trees = _trees()
     exported = _exported(trees)
@@ -109,6 +118,28 @@ def test_every_module_level_name_is_referenced():
 def test_every_export_is_named_in_the_readme():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert sorted(n for n in _exported(_trees()) if not re.search(rf"\b{n}\b", readme)) == []
+
+
+def test_every_field_of_an_exported_value_type_is_named_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unnamed_fields(_trees(), readme) == []
+
+
+def test_the_readme_field_guard_finds_an_unnamed_field():
+    # what adding a field without documenting it leaves behind; a private
+    # type's fields and a name outside backticks do not count
+    trees = {
+        "m.py": ast.parse(
+            "from .core import _Value\n"
+            "__all__ = ['Result']\n"
+            "class Result(_Value):\n"
+            "    __slots__ = ('kept', 'removed', 'grade', '_cache')\n"
+            "class _Inner(_Value):\n"
+            "    __slots__ = ('hidden',)\n"
+        )
+    }
+    readme = "`r.kept` holds what stays and `grade` its grade; removed is unnamed"
+    assert unnamed_fields(trees, readme) == ["Result.removed"]
 
 
 def test_the_readme_states_the_packaging_floor():
