@@ -53,17 +53,17 @@ def _note(message: str) -> None:
 
 def _load(path: str) -> PrecedenceGraph:
     """The system in ``path``; each error and warning of its loading names
-    the file first."""
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            g = fileformat.load(path)
-    except (ParseError, NegativeSelfLoop) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-    for w in caught:
-        _note(f"warning: {path}: {w.message}")
-    return g
+    the file first, and the warnings are printed even when loading fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return fileformat.load(path)
+        except (ParseError, NegativeSelfLoop) as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+        finally:
+            for w in caught:
+                _note(f"warning: {path}: {w.message}")
 
 
 def _cmd_info(out: str | None, path: str) -> int:
@@ -134,7 +134,16 @@ def _cmd_condense(out: str | None, path: str) -> int:
 def _cmd_check(out: str | None, path_a: str, path_b: str) -> int:
     from .verify import systems_equivalent
 
-    report = systems_equivalent(_load(path_a), _load(path_b))
+    a, b = _load(path_a), _load(path_b)
+    try:
+        report = systems_equivalent(a, b)
+    except InfeasibleSystem as exc:
+        # a's cycle is reported when both have one, and a witness in a
+        # weighs less than zero there only when it is a's
+        steps = exc.cycle.steps
+        own = all(e in a.edges for e in steps) and sum(a.edges[e] for e in steps) < 0
+        exc.args = (f"{path_a if own else path_b}: {exc}",)
+        raise
     if report.equivalent:
         _emit(out, "equivalent\n")
         return EXIT_OK

@@ -15,8 +15,9 @@ lets the redundancy problem split cleanly:
 * the tight intra-class edges form an unweighted reachability problem: which
   arcs of a strongly connected digraph can go while preserving reachability.
   That piece is NP-hard and goes to :mod:`dcsimp.meg` as an arc set on the
-  class's members renumbered 1..|C|: exactly on a class of at most
-  :data:`EXACT_LIMIT` tight arcs, greedily and uncertified otherwise.
+  class's members renumbered 1..|C|, whose one entry point,
+  :func:`~dcsimp.meg.minimum_equivalent`, solves it exactly or greedily and
+  says which.
 
 :func:`analyze` runs that split once per system, and every solver that
 deletes edges reads its distances, classes, edge pieces and dropped crossings
@@ -31,9 +32,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, _Value, min_walk_weights
-from .meg import Arc, certificate, meg_exact, meg_greedy, redundant_arcs
-
-EXACT_LIMIT = 20  # tight arcs of a class that meg_exact may try
+from .meg import Arc, minimum_equivalent, redundant_arcs
 
 
 class Analysis(_Value):
@@ -212,19 +211,17 @@ def max_redundant_edge_set(g: PrecedenceGraph) -> MresResult:
     intra-class edges, every crossing in ``drop`` (all but the
     representing edge of each pair that survives on the condensation), and
     per class the complement of a minimum equivalent graph of its tight
-    edges.  A class with more than :data:`EXACT_LIMIT` tight edges, or
-    whose exact search visits more than :data:`~dcsimp.meg.SEARCH_BUDGET`
-    nodes, is solved greedily instead.  With every class solved exactly the result is a
+    edges, from :func:`~dcsimp.meg.minimum_equivalent`.  A class with more
+    than :data:`~dcsimp.meg.EXACT_LIMIT` tight edges, or whose exact search
+    visits more than :data:`~dcsimp.meg.SEARCH_BUDGET` nodes, is solved
+    greedily instead.  With every class solved exactly the result is a
     certified maximum; the greedy fallback degrades it to maximal.
     """
     a = analyze(g)
     out = set(a.slack | a.drop)
     certified = True
     for members, arcs in _class_digraphs(a):
-        n = len(members)
-        kept = meg_exact(n, arcs) if len(arcs) <= EXACT_LIMIT else None
-        if kept is None:  # an empty set is an answer
-            kept = meg_greedy(n, certificate(n, arcs))
-            certified = False
+        kept, exact = minimum_equivalent(len(members), arcs)
+        certified &= exact
         out |= {(members[s - 1], members[t - 1]) for s, t in arcs - kept}
     return MresResult(frozenset(out), certified, a)

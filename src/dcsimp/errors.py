@@ -1,6 +1,7 @@
 """Exceptions and warning categories shared across the package.  No solver
-limit raises: a class the exact MEG search cannot finish is solved greedily
-and graded uncertified (:func:`~dcsimp.decomposition.max_redundant_edge_set`)."""
+limit raises: a class the exact MEG search cannot finish gets that search's
+greedy first descent and is graded uncertified
+(:func:`~dcsimp.meg.minimum_equivalent`)."""
 
 from __future__ import annotations
 

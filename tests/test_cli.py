@@ -74,7 +74,7 @@ def test_simplify(paths, capsys):
 
 def test_simplify_exact_limit_and_heuristic(paths, monkeypatch, capsys):
     # over the limit the class is solved greedily, flag or no flag
-    monkeypatch.setattr(decomposition, "EXACT_LIMIT", 3)
+    monkeypatch.setattr(meg, "EXACT_LIMIT", 3)
     assert main(["simplify", paths["two_classes"]]) == 0
     captured = capsys.readouterr()
     assert captured.err == "removed 1, maximal (not certified)\n"
@@ -211,12 +211,18 @@ def test_infeasible_message_prices_the_witness(text, message, tmp_path, capsys):
     bad = tmp_path / "infeasible.dcs"
     bad.write_text(text)
     single = [[c, str(bad)] for c in ("info", "simplify", "reduce", "redundant", "condense")]
-    for argv in single + [["check", str(bad), str(bad)]]:
+    for argv in single:
         assert main(argv) == 2
         assert capsys.readouterr() == (
             "",
             f"error: no solution: negative-weight closed {message}\n",
         )
+    # of two inputs, check names the one without a solution
+    assert main(["check", str(bad), str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: {bad}: no solution: negative-weight closed {message}\n",
+    )
     # the weight is the witness's own, priced edge by edge
     g = loads(text)
     with pytest.raises(InfeasibleSystem) as info:
@@ -270,7 +276,7 @@ def test_info_over_the_exact_limit_prints_the_summary_first(tmp_path, monkeypatc
     f = _zero_class(tmp_path / "complete.dcs", COMPLETE_6)
     assert main(["info", f]) == 0
     greedy = capsys.readouterr()
-    monkeypatch.setattr(decomposition, "EXACT_LIMIT", len(COMPLETE_6))
+    monkeypatch.setattr(meg, "EXACT_LIMIT", len(COMPLETE_6))
     assert main(["info", f]) == 0
     exact = capsys.readouterr()
     assert greedy.err == exact.err == ""
@@ -403,7 +409,7 @@ def test_deep_exact_search_is_certified(tmp_path, monkeypatch, capsys):
         f"p dcs {n} {2 * (n - 1)}\n"
         + "".join(f"e {i} {i + 1} 0\ne {i + 1} {i} 0\n" for i in range(1, n))
     )
-    monkeypatch.setattr(decomposition, "EXACT_LIMIT", 2000)
+    monkeypatch.setattr(meg, "EXACT_LIMIT", 2000)
     assert main(["simplify", str(f)]) == 0
     captured = capsys.readouterr()
     assert captured.err == "removed 0, certified\n"
@@ -706,6 +712,37 @@ def test_self_loop_warning_reaches_stderr(tmp_path, capsys):
     f.write_text("p dcs 2 3\ne 1 1 0\ne 1 2 1\ne 1 1 0\n")
     assert main(["redundant", str(f)]) == 0
     assert capsys.readouterr().err == f"warning: {f}: dropping vacuous self-loop (1,1) of weight 0\n" * 2
+
+
+def test_a_failed_load_still_prints_its_warnings(tmp_path, capsys):
+    # each vacuous self-loop warns until the first negative one fails
+    f = tmp_path / "loops.dcs"
+    f.write_text("p dcs 3 2\ne 1 1 0\ne 2 2 -1\n")
+    assert main(["info", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"warning: {f}: dropping vacuous self-loop (1,1) of weight 0\n"
+        f"error: {f}: constraint x_2 - x_2 <= -1 is unsatisfiable\n",
+    )
+
+
+def test_check_names_the_infeasible_file(tmp_path, capsys):
+    # ok has the arcs of bad's cycle, at weights that sum to zero
+    ok = tmp_path / "ok.dcs"
+    ok.write_text("p dcs 2 2\ne 1 2 1\ne 2 1 -1\n")
+    bad = tmp_path / "bad.dcs"
+    bad.write_text("p dcs 2 2\ne 1 2 -1\ne 2 1 0\n")
+    worse = tmp_path / "worse.dcs"
+    worse.write_text("p dcs 2 2\ne 1 2 -2\ne 2 1 0\n")
+    # when both have no solution, FILE_A's cycle is the one reported
+    for a, b, named, weight in (
+        (ok, bad, bad, -1), (bad, ok, bad, -1), (bad, worse, bad, -1), (worse, bad, worse, -2)
+    ):
+        assert main(["check", str(a), str(b)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {named}: no solution: negative-weight closed walk 1-2-1 has weight {weight}\n",
+        )
 
 
 def test_check_names_the_file_a_load_error_or_warning_came_from(paths, tmp_path, capsys):

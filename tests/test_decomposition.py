@@ -321,7 +321,7 @@ class TestMaxRedundantEdgeSet:
 
     def test_heuristic_fallback_flags_result(self, monkeypatch):
         g = load_fixture("two_classes")  # 4 tight intra-class edges
-        monkeypatch.setattr(decomposition, "EXACT_LIMIT", 3)
+        monkeypatch.setattr(meg, "EXACT_LIMIT", 3)
         res = max_redundant_edge_set(g)
         assert not res.certified
         assert res.edges == {(3, 2)}  # greedy finds the optimum here
@@ -347,7 +347,7 @@ class TestMaxRedundantEdgeSet:
         # every class goes greedy: no edge of what is left can go, and the
         # set is no larger than the maximum; only a system without tight
         # arcs keeps its certificate
-        monkeypatch.setattr(decomposition, "EXACT_LIMIT", 0)
+        monkeypatch.setattr(meg, "EXACT_LIMIT", 0)
         for g in oracles.feasible_suite(318, 80):
             res = max_redundant_edge_set(g)
             assert is_redundant_edge_set(g, res.edges)
@@ -408,24 +408,29 @@ def test_no_meg_question_is_sized_by_the_system(monkeypatch):
             (4, 10, 2), (12, 20, 5), (3, 20, 1), (22, 50, 0),
         ],
     )
-    sizes = []  # (function, n) per call into the meg module
+    sizes = []  # (function, n) per call into the meg module and inside it
 
     def recording(solve):
-        def solve_and_record(n, arcs):
+        def solve_and_record(n, arcs, *budget):
             sizes.append((solve.__name__, n))
-            return solve(n, arcs)
+            return solve(n, arcs, *budget)
 
         return solve_and_record
 
-    for solve in (meg.redundant_arcs, meg.meg_exact, meg.meg_greedy, meg.certificate):
-        monkeypatch.setattr(decomposition, solve.__name__, recording(solve))
+    for module, solve in (
+        (decomposition, meg.redundant_arcs),
+        (decomposition, meg.minimum_equivalent),
+        (meg, meg._search),
+        (meg, meg.certificate),
+    ):
+        monkeypatch.setattr(module, solve.__name__, recording(solve))
     largest = max(map(len, min_walk_weights(g).classes))
     assert largest == 3
     redundant_edges(analyze(g))
     max_redundant_edge_set(g)
-    monkeypatch.setattr(decomposition, "EXACT_LIMIT", 0)  # greedy on a certificate
+    monkeypatch.setattr(meg, "EXACT_LIMIT", 0)  # the first descent on a certificate
     max_redundant_edge_set(g)
     assert {name for name, _ in sizes} == {
-        "redundant_arcs", "meg_exact", "meg_greedy", "certificate"
+        "redundant_arcs", "minimum_equivalent", "_search", "certificate"
     }
     assert max(n for _, n in sizes) <= largest

@@ -1,6 +1,7 @@
 """What a deletion leaves behind: imports nothing uses, module-level names
-nothing references, value-type fields nothing reads, and exports and fields
-the README does not name.  Read from the sources with ``ast`` alone."""
+nothing references, value-type fields nothing reads, exports and fields
+the README does not name, and limits whose values it no longer states.
+Read from the sources with ``ast`` alone."""
 
 from __future__ import annotations
 
@@ -270,6 +271,43 @@ def test_the_lazy_table_guard_finds_a_stale_entry():
         "analyze is not defined in meg",
         "old is not defined in core",
         "no module: gone",
+    ]
+
+
+def stale_limits(meg_tree: ast.Module, readme: str) -> list[str]:
+    """Where the README misses a value ``meg.py`` assigns to its two limits:
+    each backticked ``meg.NAME`` must follow the number it stands for, within
+    a few words, and each limit must be named at least once."""
+    faults = []
+    for name in ("EXACT_LIMIT", "SEARCH_BUDGET"):
+        value = _assigned(meg_tree, name)
+        mentions = list(re.finditer(rf"`meg\.{name}`", readme))
+        if not mentions:
+            faults.append(f"{name} is not named")
+        for m in mentions:
+            numbers = re.findall(r"\d(?:[\d,]*\d)?", readme[max(0, m.start() - 40) : m.start()])
+            said = int(numbers[-1].replace(",", "")) if numbers else None
+            if said != value:
+                faults.append(f"{name}: the README says {said}, meg.py {value}")
+    return faults
+
+
+def test_the_readme_states_the_search_limits():
+    meg = ast.parse((SRC / "meg.py").read_text(encoding="utf-8"))
+    assert stale_limits(meg, (ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_the_limit_guard_finds_a_stale_value():
+    # what changing a limit without its README sentence leaves behind
+    meg = ast.parse("EXACT_LIMIT = 24  # arcs\nSEARCH_BUDGET = 100_000\n")
+    readme = (
+        "A class of more than 20 tight arcs (`meg.EXACT_LIMIT`) or 100,000\n"
+        "search nodes (`meg.SEARCH_BUDGET`); at most 24 (`meg.EXACT_LIMIT`).\n"
+    )
+    assert stale_limits(meg, readme) == ["EXACT_LIMIT: the README says 20, meg.py 24"]
+    assert stale_limits(meg, "`meg.SEARCH_BUDGET` is 100,000") == [
+        "EXACT_LIMIT is not named",
+        "SEARCH_BUDGET: the README says None, meg.py 100000",
     ]
 
 

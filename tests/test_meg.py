@@ -1,4 +1,5 @@
-"""Minimum equivalent graph: reachability, greedy, exact search."""
+"""Minimum equivalent graph: reachability, the search, its first descent
+and the one entry point."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 from dcsimp import meg
-from dcsimp.meg import certificate, meg_exact, meg_greedy, redundant_arcs
+from dcsimp.meg import certificate, minimum_equivalent, redundant_arcs
 
 # a digraph as the meg functions take it: a node count n and a frozenset
 # of arcs on 1..n
@@ -27,6 +28,31 @@ def _reachability(h: Instance) -> list[list[bool]]:
     n, arcs = h
     succ = meg._successors(n, arcs)
     return [[bool(meg._reach(succ, s) >> t & 1) for t in range(1, n + 1)] for s in range(1, n + 1)]
+
+
+def _exact(n: int, arcs: frozenset) -> frozenset:
+    """The search run to its end."""
+    kept, finished = meg._search(n, arcs, meg.SEARCH_BUDGET)
+    assert finished
+    return kept
+
+
+def _first_descent(n: int, arcs: frozenset) -> frozenset:
+    """The search's first leaf: one visit per arc, then the leaf."""
+    return meg._search(n, arcs, len(arcs) + 1)[0]
+
+
+def _counting_reach(monkeypatch) -> list:
+    """Record the arguments of every ``meg._reach`` call from now on."""
+    searches = []
+    reach = meg._reach
+
+    def counted(*args):
+        searches.append(args)
+        return reach(*args)
+
+    monkeypatch.setattr(meg, "_reach", counted)
+    return searches
 
 
 def _random_digraph(rng: Random, max_n: int = 7, max_m: int = 16) -> Instance:
@@ -117,28 +143,38 @@ class TestRedundantArcs:
 class TestMegExact:
     def test_cycle_with_chord_drops_the_chord(self):
         h = (4, frozenset({(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)}))
-        assert meg_exact(*h) == {(1, 2), (2, 3), (3, 4), (4, 1)}
+        assert _exact(*h) == {(1, 2), (2, 3), (3, 4), (4, 1)}
 
     def test_complete_digraph_keeps_a_hamiltonian_cycle(self):
         h = (3, frozenset((i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j))
-        kept = meg_exact(*h)
+        kept = _exact(*h)
         assert len(kept) == 3
         assert _same_closure(h, kept)
 
     def test_single_arc(self):
-        assert meg_exact(2, frozenset({(1, 2)})) == {(1, 2)}
+        assert _exact(2, frozenset({(1, 2)})) == {(1, 2)}
 
     def test_no_arcs_keeps_none(self):
-        # an empty answer is not the budget's None
-        assert meg_exact(3, frozenset()) == frozenset()
+        assert meg._search(3, frozenset(), 1) == (frozenset(), True)
+        assert minimum_equivalent(3, frozenset()) == (frozenset(), True)
 
     def test_budget(self, monkeypatch):
+        # the search visits 5 nodes here, its first leaf on the 4th; before
+        # any leaf its best answer keeps every arc
+        h = (3, frozenset({(1, 2), (2, 3), (1, 3)}))
+        leaf = frozenset({(1, 2), (2, 3)})
+        assert meg._search(*h, 5) == (leaf, True)
+        assert meg._search(*h, 4) == (leaf, False)
+        assert meg._search(*h, 0) == (h[1], False)
+        # over its budget the entry point answers by the first descent on
+        # the certificate, graded not minimum
         monkeypatch.setattr(meg, "SEARCH_BUDGET", 0)
-        assert meg_exact(3, frozenset({(1, 2), (2, 3), (1, 3)})) is None
+        cycle = frozenset({(1, 2), (2, 3), (3, 1)})
+        assert minimum_equivalent(3, cycle | {(1, 3)}) == (cycle, False)
 
     def test_matches_brute_force_size(self):
         for h in _digraphs(90, 80):
-            kept = meg_exact(*h)
+            kept = _exact(*h)
             assert _same_closure(h, kept)
             assert len(kept) == oracles.brute_meg_size(*h)
 
@@ -150,7 +186,7 @@ class TestMegExact:
             greedy = oracles.lex_greedy_meg(*h)
             if len(greedy) == oracles.brute_meg_size(*h):
                 minimum += 1
-                assert meg_exact(*h) == greedy
+                assert _exact(*h) == greedy
         assert minimum > 100
 
     def test_hamiltonian_strongly_connected_needs_exactly_n(self):
@@ -166,53 +202,67 @@ class TestMegExact:
                 if i != j and (i, j) not in cycle
             ]
             chords = set(rng.sample(pairs, rng.randint(0, min(4, len(pairs)))))
-            assert len(meg_exact(n, frozenset(cycle | chords))) == n
+            assert len(_exact(n, frozenset(cycle | chords))) == n
 
     def test_complete_six_node_digraph_keeps_six_arcs(self):
         nodes = range(1, 7)
         h = (6, frozenset((i, j) for i in nodes for j in nodes if i != j))
-        kept = meg_exact(*h)
+        kept = _exact(*h)
         assert len(kept) == 6
         assert _same_closure(h, kept)
 
 
 class TestMegGreedy:
+    """The search's first descent is the lexicographic greedy."""
+
     def test_scans_lexicographically(self):
         # both (1,3) and one cycle arc are droppable alone; lexicographic
         # order meets (1,2) first (essential), then drops (1,3)
         h = (4, frozenset({(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)}))
-        assert meg_greedy(*h) == {(1, 2), (2, 3), (3, 4), (4, 1)}
+        assert _first_descent(*h) == {(1, 2), (2, 3), (3, 4), (4, 1)}
 
     def test_never_beats_exact_and_always_valid(self):
         for h in _digraphs(92, 80):
-            greedy = meg_greedy(*h)
+            greedy = _first_descent(*h)
             assert _same_closure(h, greedy)
-            assert len(greedy) >= len(meg_exact(*h))
+            assert len(greedy) >= len(_exact(*h))
             # minimality: no kept arc can still be dropped
             for a in sorted(greedy):
                 assert not _same_closure(h, greedy - {a})
 
     def test_matches_plain_lexicographic_greedy(self):
         for h in _digraphs(93, 200):
-            assert meg_greedy(*h) == oracles.lex_greedy_meg(*h)
+            assert _first_descent(*h) == oracles.lex_greedy_meg(*h)
 
     def test_keeps_sole_arcs_without_a_search(self, monkeypatch):
-        searches = []
-        reach = meg._reach
-
-        def counted(*args):
-            searches.append(args)
-            return reach(*args)
-
-        monkeypatch.setattr(meg, "_reach", counted)
+        searches = _counting_reach(monkeypatch)
         for n in range(2, 10):
             cycle = frozenset((i, i % n + 1) for i in range(1, n + 1))
-            assert meg_greedy(n, cycle) == cycle
+            assert _first_descent(n, cycle) == cycle
         assert searches == []
         graphs = _digraphs(93, 200)
         for h in graphs:
-            assert meg_greedy(*h) == oracles.lex_greedy_meg(*h)
+            assert _first_descent(*h) == oracles.lex_greedy_meg(*h)
         assert 0 < len(searches) < sum(len(arcs) for _, arcs in graphs)
+
+
+class TestMinimumEquivalent:
+    def test_exact_path_searches_no_sole_arc(self, monkeypatch):
+        # every arc of a Hamiltonian cycle is its head's only in-arc, so the
+        # exact search proves the cycle minimum without one reachability search
+        searches = _counting_reach(monkeypatch)
+        for n in range(2, 10):
+            cycle = frozenset((i, i % n + 1) for i in range(1, n + 1))
+            assert minimum_equivalent(n, cycle) == (cycle, True)
+        assert searches == []
+
+    def test_over_the_limit_takes_the_first_descent_on_the_certificate(self, monkeypatch):
+        nodes = range(1, 7)
+        h = (6, frozenset((i, j) for i in nodes for j in nodes if i != j))
+        assert len(h[1]) > meg.EXACT_LIMIT
+        assert minimum_equivalent(*h) == (_first_descent(6, certificate(*h)), False)
+        monkeypatch.setattr(meg, "EXACT_LIMIT", len(h[1]))
+        assert minimum_equivalent(*h) == (_exact(*h), True)
 
 
 class TestCertificate:
@@ -276,12 +326,15 @@ class TestCertificate:
             with pytest.raises(ValueError):
                 certificate(4, frozenset(arcs))
 
-    def test_greedy_on_it_is_minimal_against_h(self):
+    def test_greedy_on_it_is_minimal_against_h(self, monkeypatch):
+        # the fallback, the first descent on the certificate, keeps no arc
+        # that h can spare
+        monkeypatch.setattr(meg, "EXACT_LIMIT", 0)
         rng = Random(95)
         for _ in range(300):
             h, _ = _strongly_connected(rng)
-            n, arcs = h
-            kept = meg_greedy(n, certificate(n, arcs))
+            kept, exact = minimum_equivalent(*h)
+            assert not exact
             assert _same_closure(h, kept)
             for a in sorted(kept):
                 assert not _same_closure(h, kept - {a})
