@@ -19,7 +19,8 @@ diagnostics go to stderr.  Weights are written exactly, however many
 digits they need.  Exit codes: 0 success, 1 parse or usage error (or
 memory ran out), 2 infeasible system, 3 systems not equivalent.  info and
 simplify always answer: a class too large for the exact search is solved
-greedily and the result graded "not certified".
+by a cycle cover, and the result is graded "certified" only when each
+such cover meets its class's lower bound.
 """
 
 from __future__ import annotations

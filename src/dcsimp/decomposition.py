@@ -16,8 +16,8 @@ lets the redundancy problem split cleanly:
   arcs of a strongly connected digraph can go while preserving reachability.
   That piece is NP-hard and goes to :mod:`dcsimp.meg` as an arc set on the
   class's members renumbered 1..|C|, whose one entry point,
-  :func:`~dcsimp.meg.minimum_equivalent`, solves it exactly or greedily and
-  says which.
+  :func:`~dcsimp.meg.minimum_equivalent`, solves it exactly or by a cycle
+  cover and says whether the answer is a minimum.
 
 :func:`analyze` runs that split once per system, and every solver that
 deletes edges reads its distances, classes, edge pieces and dropped crossings
@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .core import DistanceMatrix, Edge, PrecedenceGraph, _Value, min_walk_weights
-from .meg import Arc, minimum_equivalent, redundant_arcs
 
 
 class Analysis(_Value):
@@ -61,10 +60,10 @@ class Analysis(_Value):
 class MresResult(_Value):
     """A redundant edge set plus the strength of its guarantee.
 
-    ``certified`` means every intra-class piece was solved exactly, so the
-    set is a true maximum; otherwise it is maximal but possibly smaller
-    than optimal.  ``analysis`` is the decomposition it was assembled from;
-    it takes no part in ``==``, ``hash`` or the repr.
+    ``certified`` means every intra-class piece was solved to a proven
+    minimum, so the set is a true maximum; otherwise it is maximal but
+    possibly smaller than optimal.  ``analysis`` is the decomposition it
+    was assembled from; it takes no part in ``==``, ``hash`` or the repr.
     """
 
     __slots__ = ("edges", "certified", "analysis")
@@ -175,7 +174,7 @@ def analyze(g: PrecedenceGraph) -> Analysis:
     )
 
 
-def _class_digraphs(a: Analysis) -> Iterator[tuple[tuple[int, ...], frozenset[Arc]]]:
+def _class_digraphs(a: Analysis) -> Iterator[tuple[tuple[int, ...], frozenset[Edge]]]:
     """Each class with tight arcs, in class order, as its members and its
     tight arcs on them, the MEG instance on nodes 1..|C|.
 
@@ -198,6 +197,8 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     in ``drop`` or ``tied``, every one but the only cheapest crossing of a
     pair whose condensation edge survives.
     """
+    from .meg import redundant_arcs
+
     out = set(a.slack | a.drop | a.tied)
     for members, arcs in _class_digraphs(a):
         out |= {(members[s - 1], members[t - 1]) for s, t in redundant_arcs(len(members), arcs)}
@@ -213,10 +214,13 @@ def max_redundant_edge_set(g: PrecedenceGraph) -> MresResult:
     per class the complement of a minimum equivalent graph of its tight
     edges, from :func:`~dcsimp.meg.minimum_equivalent`.  A class with more
     than :data:`~dcsimp.meg.EXACT_LIMIT` tight edges, or whose exact search
-    visits more than :data:`~dcsimp.meg.SEARCH_BUDGET` nodes, is solved
-    greedily instead.  With every class solved exactly the result is a
-    certified maximum; the greedy fallback degrades it to maximal.
+    visits more than :data:`~dcsimp.meg.SEARCH_BUDGET` nodes, gets the
+    cover fallback instead.  With every class's answer a proven minimum,
+    by the exact search or by meeting the fallback's matching bound, the
+    result is a certified maximum; otherwise it is maximal.
     """
+    from .meg import minimum_equivalent
+
     a = analyze(g)
     out = set(a.slack | a.drop)
     certified = True

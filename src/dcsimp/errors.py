@@ -1,6 +1,6 @@
 """Exceptions and warning categories shared across the package.  No solver
-limit raises: a class the exact MEG search cannot finish gets that search's
-greedy first descent and is graded uncertified
+limit raises: a class the exact MEG search cannot finish gets the cover
+fallback, graded certified only when it meets the matching bound
 (:func:`~dcsimp.meg.minimum_equivalent`)."""
 
 from __future__ import annotations

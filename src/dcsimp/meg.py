@@ -2,22 +2,20 @@
 
 Keep the fewest arcs that preserve every reachability i ~> j.  The
 intra-class subproblem of the decomposition reduces to exactly this.  The
-problem is NP-hard in general (Moyles & Thompson 1969).  Every function
-takes a node count n and a frozenset of arcs (i, j) on 1..n, i != j, as
-:func:`dcsimp.decomposition._class_digraphs` builds them, and none is
+problem is NP-hard in general (Moyles & Thompson 1969).  A digraph is a
+node count n and a frozenset of arcs (i, j) on 1..n, i != j, as
+:func:`dcsimp.decomposition._class_digraphs` builds them.  Nothing here is
 exported: a digraph's MEG is what ``max_redundant_edge_set`` keeps of its
 zero-weight system.
 
-One search answers it, a branch and bound over the arcs
-(:func:`_search`), and :func:`minimum_equivalent` alone decides how far it
-runs.  On a class of at most :data:`EXACT_LIMIT` arcs it runs to the end
-within :data:`SEARCH_BUDGET` visits, and its answer is a minimum.  Any
-other class, or one whose search passes the budget, gets the search's
-first descent only, the lexicographic greedy, run on a
-strong-connectivity :func:`certificate` of the class's arcs: at most
-2(|C| - 1) arcs for a class C, a fraction of a dense class's, so the
-descent has fewer to test and to keep.  That answer is minimal, not
-certified minimum.
+Two routines answer it, and :func:`minimum_equivalent` alone picks which.
+A class of at most :data:`EXACT_LIMIT` arcs gets the branch and bound over
+its arcs (:func:`_search`) within :data:`SEARCH_BUDGET` visits, and its
+answer is a minimum.  Any other class, or one whose search passes the
+budget, gets the cycle cover of :mod:`dcsimp.cover`, which uses this
+search's first descent; that module is compiled only when a class needs
+it.  Its answer is minimal, and graded a minimum when it meets a matching
+lower bound.
 
 The search works on successor bitsets: ``succ[i]`` is a Python int whose
 bit j is set when the arc (i, j) is present.  Dropping or restoring an arc
@@ -29,8 +27,6 @@ frontier's successor sets, so no adjacency structure is rebuilt per query.
 from __future__ import annotations
 
 from typing import Iterable
-
-from .core import _components
 
 Arc = tuple[int, int]
 
@@ -77,28 +73,33 @@ def minimum_equivalent(n: int, arcs: frozenset[Arc]) -> tuple[frozenset[Arc], bo
 
     A digraph of at most :data:`EXACT_LIMIT` arcs gets the whole search
     within :data:`SEARCH_BUDGET` visits.  Any other, or one whose search
-    passes the budget, gets the first descent on its :func:`certificate`,
-    one visit per arc plus the leaf: a minimal answer, graded not minimum.
+    passes the budget, gets the cover fallback
+    (:func:`dcsimp.cover.cycle_cover`): a minimal answer, graded a minimum
+    only when it meets the matching bound.
     """
     if len(arcs) <= EXACT_LIMIT:
         kept, finished = _search(n, arcs, SEARCH_BUDGET)
         if finished:
             return kept, True
-    cert = certificate(n, arcs)
-    return _search(n, cert, len(cert) + 1)[0], False
+    from .cover import cycle_cover
+
+    return cycle_cover(n, arcs)
 
 
-def _search(n: int, arcs: frozenset[Arc], budget: int) -> tuple[frozenset[Arc], bool]:
+def _search(
+    n: int, arcs: frozenset[Arc], budget: int, last: frozenset[Arc] = frozenset()
+) -> tuple[frozenset[Arc], bool]:
     """The first minimum-cardinality arc subset preserving all
     reachabilities in search order, and True; or, once the search would
     visit more than ``budget`` nodes, the best leaf found so far (every arc
     before the first) and False.
 
     Branch and bound over drop/keep decisions per arc in lexicographic
-    order.  The drop branch is tried first and is pruned when the arc has
-    no replacement walk through the kept and undecided arcs (more deletions
-    only make that worse).  An arc that is its head's only live in-arc, or
-    its tail's only live out-arc, has none, so it gets no drop branch and no
+    order, the arcs of ``last``, a subset, after all others.  The drop
+    branch is tried first and is pruned when the arc has no replacement
+    walk through the kept and undecided arcs (more deletions only make
+    that worse).  An arc that is its head's only live in-arc, or its
+    tail's only live out-arc, has none, so it gets no drop branch and no
     search.  Every leaf is a solution: each drop leaves a walk that avoids
     the arcs dropped so far, so it reroutes any earlier replacement walk
     that used the arc.  The first descent drops every arc it can, in
@@ -125,7 +126,7 @@ def _search(n: int, arcs: frozenset[Arc], budget: int) -> tuple[frozenset[Arc], 
     in-arcs; the drop branch clears a bit and an undo entry on the stack
     restores it before the keep branch runs.
     """
-    arcs = sorted(arcs)
+    arcs = sorted(arcs - last) + sorted(last)
     m = len(arcs)
     best, size = frozenset(arcs), m + 1  # no leaf yet, so nothing is cut
     live = _successors(n, arcs)
@@ -171,22 +172,6 @@ def _search(n: int, arcs: frozenset[Arc], budget: int) -> tuple[frozenset[Arc], 
         else:
             live[i] |= bit
     return best, True
-
-
-def certificate(n: int, arcs: frozenset[Arc]) -> frozenset[Arc]:
-    """At most 2(n' - 1) of the arcs, n' the nodes they touch, with the
-    reachability of all of them, for arcs strongly connected on those nodes.
-
-    The class search (:func:`dcsimp.core._components`) records it when run
-    on the sorted arcs: from the smallest node with an arc, the depth-first
-    tree plus per other node the first arc out of its subtree whose head
-    comes earliest.  Raises ``ValueError`` when the arcs are not strongly
-    connected on the nodes they touch.
-    """
-    comp, _, kept = _components(n, sorted(arcs))
-    if len({comp[v] for arc in arcs for v in arc}) > 1:
-        raise ValueError("the arcs are not strongly connected on the nodes they touch")
-    return frozenset(kept)
 
 
 def redundant_arcs(n: int, arcs: frozenset[Arc]) -> frozenset[Arc]:

@@ -214,12 +214,24 @@ def transitive_reduction_dag(n: int, arcs: frozenset[Edge]) -> frozenset[Edge]:
 
 
 def brute_meg_size(n: int, arcs: frozenset[Edge]) -> int:
-    """Minimum arcs preserving the closure, by ascending-size enumeration."""
+    """Minimum arcs preserving the closure, by ascending-size enumeration.
+
+    A subset with the closure keeps an in-arc of every head and an out-arc
+    of every tail, since some walk must still end or start there; so the
+    sizes start at the larger of the two counts, and a subset missing one
+    is passed over without computing its closure.
+    """
     want = closure(n, arcs)
     ordered = sorted(arcs)
-    for size in range(len(ordered) + 1):
+    heads = {j for _, j in ordered}
+    tails = {i for i, _ in ordered}
+    for size in range(max(len(heads), len(tails)), len(ordered) + 1):
         for combo in combinations(ordered, size):
-            if closure(n, frozenset(combo)) == want:
+            if (
+                {j for _, j in combo} == heads
+                and {i for i, _ in combo} == tails
+                and closure(n, frozenset(combo)) == want
+            ):
                 return size
     raise AssertionError("unreachable: the full arc set always qualifies")
 

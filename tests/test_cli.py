@@ -73,11 +73,14 @@ def test_simplify(paths, capsys):
 
 
 def test_simplify_exact_limit_and_heuristic(paths, monkeypatch, capsys):
-    # over the limit the class is solved greedily, flag or no flag
+    # over the limit the class goes to the cover fallback, flag or no flag;
+    # its answer, the 4-cycle, meets the bound L = 4 and is certified
+    exact = main(["simplify", paths["two_classes"]]), capsys.readouterr()
     monkeypatch.setattr(meg, "EXACT_LIMIT", 3)
     assert main(["simplify", paths["two_classes"]]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "removed 1, maximal (not certified)\n"
+    assert (0, captured) == exact
+    assert captured.err == "removed 1, certified\n"
     assert main(["simplify", "--allow-heuristic", paths["two_classes"]]) == 0
     assert capsys.readouterr() == captured
 
@@ -242,17 +245,29 @@ def _zero_class(path, arcs):
     return str(path)
 
 
+# two complete zero classes on 4 nodes each, joined by (1, 5) and (5, 1):
+# 26 tight arcs, whose minimum of 10 lies above the bound L = 8
+TWO_COMPLETE_4 = [
+    (b + i, b + j) for b in (1, 5) for i in range(4) for j in range(4) if i != j
+] + [(1, 5), (5, 1)]
+
+
 @pytest.mark.parametrize(
-    "arcs",
+    "arcs, kept, certified",
     [
-        COMPLETE_6,
-        # a 60-node zero cycle: already minimal, yet only the exact search certifies
-        [(i, i % 60 + 1) for i in range(1, 61)],
+        (COMPLETE_6, 6, "yes"),
+        # a 60-node zero cycle: already minimal, and its own cover
+        ([(i, i % 60 + 1) for i in range(1, 61)], 60, "yes"),
+        # the cover finds the minimum but cannot prove it
+        (TWO_COMPLETE_4, 10, "no"),
     ],
-    ids=["complete-6", "cycle-60"],
+    ids=["complete-6", "cycle-60", "two-complete-4"],
 )
-def test_info_over_the_exact_limit_prints_the_graded_summary(arcs, tmp_path, capsys):
-    # one class over the exact limit: solved greedily, graded uncertified
+def test_info_over_the_exact_limit_prints_the_graded_summary(
+    arcs, kept, certified, tmp_path, capsys
+):
+    # one class over the exact limit: solved by the cover fallback, graded
+    # certified when the cover meets the bound L (both Hamiltonian cases)
     n = max(i for i, _ in arcs)
     assert main(["info", _zero_class(tmp_path / "class.dcs", arcs)]) == 0
     assert capsys.readouterr() == (
@@ -264,8 +279,8 @@ def test_info_over_the_exact_limit_prints_the_graded_summary(arcs, tmp_path, cap
         f"class sizes: {n}\n"
         "slack intra-class edges: 0\n"
         "condensation edges: 0\n"
-        f"removable edges (max): {len(arcs) - n}\n"
-        "certified maximum: no\n",
+        f"removable edges (max): {len(arcs) - kept}\n"
+        f"certified maximum: {certified}\n",
         "",
     )
 
@@ -273,15 +288,15 @@ def test_info_over_the_exact_limit_prints_the_graded_summary(arcs, tmp_path, cap
 def test_info_over_the_exact_limit_prints_the_summary_first(tmp_path, monkeypatch, capsys):
     # the summary comes first and does not depend on the limit: raised so the
     # exact search certifies, only the last line, the grade, changes
-    f = _zero_class(tmp_path / "complete.dcs", COMPLETE_6)
+    f = _zero_class(tmp_path / "two.dcs", TWO_COMPLETE_4)
     assert main(["info", f]) == 0
-    greedy = capsys.readouterr()
-    monkeypatch.setattr(meg, "EXACT_LIMIT", len(COMPLETE_6))
+    cover = capsys.readouterr()
+    monkeypatch.setattr(meg, "EXACT_LIMIT", len(TWO_COMPLETE_4))
     assert main(["info", f]) == 0
     exact = capsys.readouterr()
-    assert greedy.err == exact.err == ""
-    summary, grade = greedy.out.rsplit("certified maximum: ", 1)
-    assert summary.startswith("nodes: 6\nconstraints: 30\n")
+    assert cover.err == exact.err == ""
+    summary, grade = cover.out.rsplit("certified maximum: ", 1)
+    assert summary.startswith("nodes: 8\nconstraints: 26\n")
     assert exact.out == summary + "certified maximum: yes\n"
     assert grade == "no\n"
 
@@ -418,16 +433,17 @@ def test_deep_exact_search_is_certified(tmp_path, monkeypatch, capsys):
 
 def test_exact_search_over_its_budget(tmp_path, monkeypatch, capsys):
     # a 5-node zero class: the exact search visits 17 nodes to keep 5 arcs;
-    # the fallback, greedy on a strong-connectivity certificate, also finds
-    # the 5-arc Hamiltonian cycle here
+    # past a budget of 5 the cover fallback finds the same Hamiltonian
+    # cycle, which meets the bound L = 5 and is certified too
     arcs = [(1, 2), (1, 4), (2, 1), (2, 3), (2, 4), (3, 4), (4, 3), (4, 5), (5, 1)]
     f = _zero_class(tmp_path / "class.dcs", arcs)
     assert main(["simplify", f]) == 0
-    assert capsys.readouterr().err == "removed 4, certified\n"
+    exact = capsys.readouterr()
+    assert exact.err == "removed 4, certified\n"
     monkeypatch.setattr(meg, "SEARCH_BUDGET", 5)
     assert main(["simplify", f]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "removed 4, maximal (not certified)\n"
+    assert captured == exact
     assert main(["simplify", f, "--allow-heuristic"]) == 0
     assert capsys.readouterr() == captured
 
@@ -578,8 +594,9 @@ def test_no_command_loads_dataclasses_or_inspect(paths, tmp_path):
 
 def test_each_command_loads_only_its_modules(paths, tmp_path):
     # each command in a process of its own, so that every dcsimp module
-    # loaded is one the command asked for: check reads only distances, and
-    # only check verifies
+    # loaded is one the command asked for: check reads only distances, only
+    # check verifies, reduce and condense solve no MEG, and only a class
+    # over the exact limit loads the cover
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = (
         "import json, sys\n"
@@ -589,12 +606,18 @@ def test_each_command_loads_only_its_modules(paths, tmp_path):
     )
     reduced = str(tmp_path / "reduced.dcs")
     assert main(["reduce", paths["two_classes"], "--out", reduced]) == 0
-    solvers = {"dcsimp.decomposition", "dcsimp.meg", "dcsimp.reduction", "dcsimp.verify"}
+    complete = _zero_class(tmp_path / "complete.dcs", COMPLETE_6)  # over the exact limit
+    meg_only = {"dcsimp.decomposition", "dcsimp.meg"}
+    solvers = meg_only | {"dcsimp.cover", "dcsimp.reduction", "dcsimp.verify"}
     expected = {
         ("check", paths["two_classes"], reduced): {"dcsimp.verify"},
-        ("info", paths["two_classes"]): {"dcsimp.decomposition", "dcsimp.meg"},
-        ("simplify", paths["two_classes"]): {"dcsimp.decomposition", "dcsimp.meg"},
-        ("reduce", paths["two_classes"]): {"dcsimp.decomposition", "dcsimp.meg", "dcsimp.reduction"},
+        ("info", paths["two_classes"]): meg_only,
+        ("redundant", paths["two_classes"]): meg_only,
+        ("simplify", paths["two_classes"]): meg_only,
+        ("simplify", complete): meg_only | {"dcsimp.cover"},
+        ("redundant", complete): meg_only,
+        ("reduce", paths["two_classes"]): {"dcsimp.decomposition", "dcsimp.reduction"},
+        ("condense", paths["two_classes"]): {"dcsimp.decomposition"},
     }
     for command, wanted in expected.items():
         run = subprocess.run(

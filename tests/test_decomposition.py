@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import decomposition, meg
+from dcsimp import cover, meg
 from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights
 from dcsimp.decomposition import (
     analyze,
@@ -323,13 +323,22 @@ class TestMaxRedundantEdgeSet:
         g = load_fixture("two_classes")  # 4 tight intra-class edges
         monkeypatch.setattr(meg, "EXACT_LIMIT", 3)
         res = max_redundant_edge_set(g)
-        assert not res.certified
-        assert res.edges == {(3, 2)}  # greedy finds the optimum here
+        # the cover keeps the 4-cycle, which meets the bound L = 4
+        assert res.certified
+        assert res.edges == {(3, 2)}
         assert is_redundant_edge_set(g, res.edges)
+        # two complete 4-node zero classes joined by (1, 5) and (5, 1): the
+        # cover keeps a minimum, 10 arcs, but cannot prove it against L = 8
+        k4 = [(i, j) for i in range(4) for j in range(4) if i != j]
+        joins = [(1, 5, 0), (5, 1, 0)]
+        h = normalize(8, [(b + i, b + j, 0) for b in (1, 5) for i, j in k4] + joins)
+        res = max_redundant_edge_set(h)
+        assert not res.certified and len(res.edges) == 16
+        assert is_redundant_edge_set(h, res.edges)
 
     def test_heuristic_fallback_on_a_giant_class(self):
         # 1500-odd zero-slack arcs over 300 nodes: one class far over the
-        # exact limit, solved by greedy on a strong-connectivity certificate
+        # exact limit, solved by the cover fallback: 299 arcs on 294 nodes
         g = oracles.random_potential_system(Random(317), 300, 3000, 0.5)
         res = max_redundant_edge_set(g)
         assert not res.certified
@@ -343,17 +352,30 @@ class TestMaxRedundantEdgeSet:
             # from its tail over the other kept arcs
             assert not redundant_arcs(g.n, kept)
 
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_a_giant_class_keeps_about_one_arc_per_node(self, seed):
+        # the giant class of these systems goes to the cover fallback, which
+        # keeps 3 to 6 tight arcs above |C| on them
+        g = oracles.random_potential_system(Random(seed), 300, 3000, 0.5)
+        res = max_redundant_edge_set(g)
+        k = max(res.analysis.tight, key=lambda k: len(res.analysis.tight[k]))
+        kept = res.analysis.tight[k] - res.edges
+        assert len(kept) <= len(res.analysis.d.classes[k]) + 15
+
     def test_heuristic_fallback_is_maximal_on_the_feasible_suite(self, monkeypatch):
-        # every class goes greedy: no edge of what is left can go, and the
-        # set is no larger than the maximum; only a system without tight
-        # arcs keeps its certificate
+        # every class goes to the cover: no edge of what is left can go, and
+        # the set is no larger than the maximum; certified, it is the maximum
         monkeypatch.setattr(meg, "EXACT_LIMIT", 0)
+        certified = 0
         for g in oracles.feasible_suite(318, 80):
             res = max_redundant_edge_set(g)
             assert is_redundant_edge_set(g, res.edges)
             assert not redundant_edges(analyze(g.without(res.edges)))
-            assert len(res.edges) <= brute_force_max_redundant(g)[0]
-            assert res.certified == (not res.analysis.tight)
+            size = brute_force_max_redundant(g)[0]
+            assert len(res.edges) <= size
+            assert not res.certified or len(res.edges) == size
+            certified += res.certified and bool(res.analysis.tight)
+        assert certified > 5
 
     def test_class_preservation(self):
         # removing the set keeps the node partition intact
@@ -397,8 +419,10 @@ class TestRedundantEdges:
 
 
 def test_no_meg_question_is_sized_by_the_system(monkeypatch):
-    # 60 nodes, most of them isolated, and three small zero-weight classes
-    # joined by crossings: each MEG instance is built on one class's nodes
+    # 60 nodes, most of them isolated, and four small zero-weight classes,
+    # three joined by crossings: each MEG instance is built on one class's
+    # nodes; the last class, two 2-cycles through node 30, has no perfect
+    # matching, so its cover needs the certificate too
     g = normalize(
         60,
         [
@@ -406,31 +430,36 @@ def test_no_meg_question_is_sized_by_the_system(monkeypatch):
             (10, 11, 0), (11, 12, 0), (12, 10, 0), (10, 12, 0),
             (20, 21, 1), (21, 20, -1), (21, 22, 2), (22, 20, -3),
             (4, 10, 2), (12, 20, 5), (3, 20, 1), (22, 50, 0),
+            (30, 31, 0), (31, 30, 0), (30, 32, 0), (32, 30, 0),
         ],
     )
     sizes = []  # (function, n) per call into the meg module and inside it
 
     def recording(solve):
-        def solve_and_record(n, arcs, *budget):
-            sizes.append((solve.__name__, n))
-            return solve(n, arcs, *budget)
+        def solve_and_record(first, *rest):
+            # a node count, or the per-node lists of _matching
+            sizes.append((solve.__name__, first if isinstance(first, int) else len(first) - 1))
+            return solve(first, *rest)
 
         return solve_and_record
 
     for module, solve in (
-        (decomposition, meg.redundant_arcs),
-        (decomposition, meg.minimum_equivalent),
+        (meg, meg.redundant_arcs),
+        (meg, meg.minimum_equivalent),
         (meg, meg._search),
-        (meg, meg.certificate),
+        (cover, cover._search),
+        (cover, cover.cycle_cover),
+        (cover, cover._matching),
+        (cover, cover.certificate),
     ):
         monkeypatch.setattr(module, solve.__name__, recording(solve))
     largest = max(map(len, min_walk_weights(g).classes))
     assert largest == 3
     redundant_edges(analyze(g))
     max_redundant_edge_set(g)
-    monkeypatch.setattr(meg, "EXACT_LIMIT", 0)  # the first descent on a certificate
+    monkeypatch.setattr(meg, "EXACT_LIMIT", 0)  # the cover on every class
     max_redundant_edge_set(g)
     assert {name for name, _ in sizes} == {
-        "redundant_arcs", "minimum_equivalent", "_search", "certificate"
+        "redundant_arcs", "minimum_equivalent", "_search", "cycle_cover", "_matching", "certificate"
     }
     assert max(n for _, n in sizes) <= largest

@@ -1,5 +1,5 @@
-"""Minimum equivalent graph: reachability, the search, its first descent
-and the one entry point."""
+"""Minimum equivalent graph: reachability, the search, its first descent,
+the cover fallback and the one entry point."""
 
 from __future__ import annotations
 
@@ -8,8 +8,10 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp import meg
-from dcsimp.meg import certificate, minimum_equivalent, redundant_arcs
+from dcsimp import cover, meg
+from dcsimp.cover import certificate, cycle_cover
+from dcsimp.decomposition import _class_digraphs, analyze
+from dcsimp.meg import minimum_equivalent, redundant_arcs
 
 # a digraph as the meg functions take it: a node count n and a frozenset
 # of arcs on 1..n
@@ -90,6 +92,55 @@ def _strongly_connected(rng: Random) -> tuple[Instance, int]:
     return (n, frozenset(cycle.union(chords))), k
 
 
+def _strong(rng: Random) -> Instance:
+    """A strongly connected digraph on k of n nodes, 2 <= k <= 9, built by
+    ears: a cycle, then paths through new nodes between placed ones, then up
+    to four more arcs.  An ear that starts and ends at one node closes a
+    cycle through it, so some of these digraphs have no perfect matching."""
+    k = rng.randint(2, 9)
+    n = k + rng.randint(0, 2)
+    nodes = rng.sample(range(1, n + 1), k)
+    c = rng.randint(2, k)
+    arcs = {(nodes[t], nodes[(t + 1) % c]) for t in range(c)}
+    placed = nodes[:c]
+    while len(placed) < k:
+        ear = nodes[len(placed) : len(placed) + rng.randint(1, k - len(placed))]
+        walk = [rng.choice(placed), *ear, rng.choice(placed)]
+        arcs.update(zip(walk, walk[1:]))
+        placed += ear
+    others = [(i, j) for i in nodes for j in nodes if i != j and (i, j) not in arcs]
+    arcs.update(rng.sample(others, min(len(others), rng.randint(0, 4))))
+    return n, frozenset(arcs)
+
+
+def _out(n: int, arcs: frozenset) -> list[list[int]]:
+    """Each node's heads in order, as ``cover._matching`` takes them."""
+    out: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in sorted(arcs):
+        out[i].append(j)
+    return out
+
+
+def _matched(n: int, *walks: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """``nxt`` and ``prv`` of a matching made of the given cycles."""
+    nxt, prv = [0] * (n + 1), [0] * (n + 1)
+    for walk in walks:
+        for i, j in zip(walk, walk[1:] + walk[:1]):
+            nxt[i], prv[j] = j, i
+    return nxt, prv
+
+
+def _check_fallback(h: Instance, kept: frozenset, exact: bool) -> bool:
+    """The fallback's answer against the oracles; whether it met the bound."""
+    n, arcs = h
+    assert _same_closure(h, kept)
+    assert not redundant_arcs(n, kept)
+    size = oracles.brute_meg_size(n, arcs)
+    assert len(kept) >= size
+    assert not exact or len(kept) == size
+    return exact
+
+
 class TestReachability:
     def test_three_cycle_reaches_everything(self):
         h = (3, frozenset({(1, 2), (2, 3), (3, 1)}))
@@ -166,11 +217,12 @@ class TestMegExact:
         assert meg._search(*h, 5) == (leaf, True)
         assert meg._search(*h, 4) == (leaf, False)
         assert meg._search(*h, 0) == (h[1], False)
-        # over its budget the entry point answers by the first descent on
-        # the certificate, graded not minimum
+        # over its budget the entry point answers by the cover, here a
+        # Hamiltonian cycle, which meets the bound and is graded minimum
         monkeypatch.setattr(meg, "SEARCH_BUDGET", 0)
         cycle = frozenset({(1, 2), (2, 3), (3, 1)})
-        assert minimum_equivalent(3, cycle | {(1, 3)}) == (cycle, False)
+        assert minimum_equivalent(3, cycle | {(1, 3)}) == (cycle, True)
+        assert minimum_equivalent(3, frozenset()) == (frozenset(), True)
 
     def test_matches_brute_force_size(self):
         for h in _digraphs(90, 80):
@@ -256,13 +308,163 @@ class TestMinimumEquivalent:
             assert minimum_equivalent(n, cycle) == (cycle, True)
         assert searches == []
 
-    def test_over_the_limit_takes_the_first_descent_on_the_certificate(self, monkeypatch):
+    def test_over_the_limit_takes_the_cover(self, monkeypatch):
+        # the complete digraph on 6 nodes: the cover is a Hamiltonian cycle,
+        # certified like the exact search's
         nodes = range(1, 7)
         h = (6, frozenset((i, j) for i in nodes for j in nodes if i != j))
         assert len(h[1]) > meg.EXACT_LIMIT
-        assert minimum_equivalent(*h) == (_first_descent(6, certificate(*h)), False)
+        kept, exact = minimum_equivalent(*h)
+        assert (kept, exact) == cycle_cover(*h)
+        assert exact and len(kept) == 6 and _same_closure(h, kept)
         monkeypatch.setattr(meg, "EXACT_LIMIT", len(h[1]))
         assert minimum_equivalent(*h) == (_exact(*h), True)
+
+    def test_classes_the_search_finishes_keep_its_answer(self):
+        # the cover never runs while the exact search finishes
+        for h in _digraphs(99, 80):
+            if len(h[1]) <= meg.EXACT_LIMIT:
+                assert minimum_equivalent(*h) == (_exact(*h), True)
+
+
+class TestCover:
+    """The fallback: a matching's cycles and paths, merged and connected."""
+
+    def test_matches_the_oracles_on_strongly_connected_digraphs(self, monkeypatch):
+        monkeypatch.setattr(meg, "EXACT_LIMIT", 0)
+        rng = Random(97)
+        certified = deficient = 0
+        for _ in range(1000):
+            n, arcs = h = _strong(rng)
+            certified += _check_fallback(h, *minimum_equivalent(*h))
+            nodes = len({v for arc in arcs for v in arc})
+            deficient += sum(map(bool, cover._matching(_out(n, arcs))[0])) < nodes
+        assert 850 < certified < 1000 and deficient > 300
+
+    def test_matches_the_oracles_on_the_feasible_suite(self, monkeypatch):
+        # every class with tight arcs goes to the fallback
+        monkeypatch.setattr(meg, "EXACT_LIMIT", 0)
+        sizes = []
+        for g in oracles.feasible_suite(98, 800):
+            for members, arcs in _class_digraphs(analyze(g)):
+                sizes.append(len(members))
+                _check_fallback((len(members), arcs), *minimum_equivalent(len(members), arcs))
+        assert len(sizes) > 80 and sum(size > 2 for size in sizes) > 15
+
+    def test_the_matching_is_maximum(self):
+        nx = pytest.importorskip("networkx")
+        rng = Random(100)
+        for n, arcs in _digraphs(101, 200) + [_strong(rng) for _ in range(300)]:
+            nxt, prv = cover._matching(_out(n, arcs))
+            matched = {(i, nxt[i]) for i in range(1, n + 1) if nxt[i]}
+            assert matched <= arcs
+            assert all(prv[j] == i for i, j in matched)
+            assert sum(map(bool, prv)) == len(matched)
+            bipartite = nx.Graph()
+            tails = [("tail", i) for i in range(1, n + 1)]
+            bipartite.add_nodes_from(tails)
+            bipartite.add_nodes_from(("head", j) for j in range(1, n + 1))
+            bipartite.add_edges_from((("tail", i), ("head", j)) for i, j in arcs)
+            maximum = nx.bipartite.hopcroft_karp_matching(bipartite, top_nodes=tails)
+            assert len(matched) == len(maximum) // 2
+
+    def test_no_perfect_matching_meets_the_bound(self):
+        # two 2-cycles through node 1: nu = 2 of 3 nodes, so L = 4, all of it
+        h = (3, frozenset({(1, 2), (2, 1), (1, 3), (3, 1)}))
+        assert cycle_cover(*h) == (h[1], True)
+
+    @pytest.mark.parametrize(
+        "cycles, extra, merged",
+        [
+            # the scan meets (1, 4), out of the first cycle, and its partner
+            # (3, 2) is an arc: 1 -> 4 -> 3 -> 2 -> 1
+            (((1, 2), (3, 4)), {(1, 4), (3, 2)}, (1, 4, 3, 2)),
+            # the scan meets (2, 1), into the first cycle, from the smaller
+            # one, whose nodes take the larger one's label
+            (((1, 5, 6), (2, 3)), {(2, 1), (6, 3)}, (1, 5, 6, 3, 2)),
+        ],
+        ids=["out-of-the-first", "into-the-first"],
+    )
+    def test_two_exchange_merges_two_cycles(self, cycles, extra, merged):
+        n = max(map(max, cycles))
+        nxt, prv = _matched(n, *cycles)
+        arcs = frozenset(extra).union(*(zip(c, c[1:] + c[:1]) for c in cycles))
+        nodes = sorted({v for c in cycles for v in c})
+        label = cover._merge(nodes, sorted(arcs), arcs, nxt, prv)
+        assert (nxt, prv) == _matched(n, merged)
+        assert len({label[v] for v in nodes}) == 1 and label[1] > 0
+        assert cycle_cover(n, arcs) == (frozenset(zip(merged, merged[1:] + merged[:1])), True)
+
+    def test_no_exchange_without_both_arcs(self):
+        # two 4-node complete digraphs joined by (1, 5) and (5, 1): no pair
+        # of arcs swaps their cycles, so the cover keeps 4 + 4 + 2 arcs, a
+        # minimum above L = 8, graded not minimum
+        k4 = [(i, j) for i in range(4) for j in range(4) if i != j]
+        arcs = frozenset([(b + i, b + j) for b in (1, 5) for i, j in k4] + [(1, 5), (5, 1)])
+        kept, exact = cycle_cover(8, arcs)
+        assert len(kept) == 10 == len(_exact(8, arcs))
+        assert not exact and _same_closure((8, arcs), kept)
+
+    @pytest.mark.parametrize(
+        "extra, cycle, path",
+        [
+            # the end 5 has an arc back to 3: cycle 3 -> 4 -> 5, path 1 -> 2
+            ((5, 3), (3, 4, 5), (1, 2)),
+            # 3 has an arc back to the start 1: cycle 1 -> 2 -> 3, path 4 -> 5
+            ((3, 1), (1, 2, 3), (4, 5)),
+        ],
+        ids=["at-the-end", "at-the-start"],
+    )
+    def test_a_path_sheds_a_cycle(self, extra, cycle, path):
+        n = 5
+        nxt, prv = [0, 2, 3, 4, 5, 0], [0, 0, 1, 2, 3, 4]  # the path 1 -> .. -> 5
+        arcs = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), extra})
+        inn = _out(n, {(j, i) for i, j in arcs})
+        cover._shed(list(range(1, n + 1)), _out(n, arcs), inn, nxt, prv)
+        want_nxt, want_prv = _matched(n, cycle)
+        want_nxt[path[0]], want_prv[path[1]] = path[1], path[0]
+        assert (nxt, prv) == (want_nxt, want_prv)
+
+    def test_a_path_whose_inner_node_joins_two_pieces(self, monkeypatch):
+        # contracted whole, the path 3 -> 9 -> 5 -> 8 leaves the piece it
+        # feeds unreached, so each of its nodes stands alone
+        h = (9, frozenset({
+            (1, 2), (2, 1), (2, 4), (3, 4), (3, 9), (4, 1), (4, 2), (4, 5),
+            (5, 1), (5, 3), (5, 8), (8, 4), (8, 5), (9, 1), (9, 2), (9, 5),
+        }))
+        sizes = []
+
+        def recorded(n, arcs, first):
+            sizes.append(n)
+            return certificate(n, arcs, first)
+
+        monkeypatch.setattr(cover, "certificate", recorded)
+        kept, exact = cycle_cover(*h)
+        assert len(sizes) == 2 and sizes[0] < sizes[1]
+        assert not _check_fallback(h, kept, exact)
+
+    def test_refuses_what_is_not_strongly_connected(self):
+        for arcs in (
+            {(1, 2), (2, 3)},
+            {(1, 2), (2, 1), (3, 4), (4, 3)},
+            {(3, 1), (1, 2), (2, 1)},
+            {(1, 2), (2, 1), (2, 3)},
+        ):
+            with pytest.raises(ValueError):
+                cycle_cover(4, frozenset(arcs))
+
+    def test_keeps_no_arc_the_digraph_can_spare(self, monkeypatch):
+        # dense digraphs, a Hamiltonian cycle plus chords, isolated nodes
+        # among them: no kept arc can go
+        monkeypatch.setattr(meg, "EXACT_LIMIT", 0)
+        rng = Random(95)
+        for _ in range(300):
+            h, k = _strongly_connected(rng)
+            kept, exact = minimum_equivalent(*h)
+            assert _same_closure(h, kept)
+            for a in sorted(kept):
+                assert not _same_closure(h, kept - {a})
+            assert exact == (len(kept) == k)
 
 
 class TestCertificate:
@@ -315,6 +517,13 @@ class TestCertificate:
     def test_no_arcs_gives_no_arcs(self):
         assert certificate(3, frozenset()) == frozenset()
 
+    def test_the_search_follows_the_first_arcs(self):
+        # on the complete digraph, (1, 3), (3, 2), (2, 4) first out of their
+        # tails become the tree, and (4, 1) closes it: a Hamiltonian cycle
+        complete = frozenset((i, j) for i in range(1, 5) for j in range(1, 5) if i != j)
+        first = frozenset({(1, 3), (3, 2), (2, 4)})
+        assert certificate(4, complete, first) == first | {(4, 1)}
+
     def test_refuses_what_is_not_strongly_connected(self):
         # a path: node 3 has no arc back; two 2-cycles: the search from
         # node 1 never meets 3 and 4; a source feeding a 2-cycle
@@ -325,16 +534,3 @@ class TestCertificate:
         ):
             with pytest.raises(ValueError):
                 certificate(4, frozenset(arcs))
-
-    def test_greedy_on_it_is_minimal_against_h(self, monkeypatch):
-        # the fallback, the first descent on the certificate, keeps no arc
-        # that h can spare
-        monkeypatch.setattr(meg, "EXACT_LIMIT", 0)
-        rng = Random(95)
-        for _ in range(300):
-            h, _ = _strongly_connected(rng)
-            kept, exact = minimum_equivalent(*h)
-            assert not exact
-            assert _same_closure(h, kept)
-            for a in sorted(kept):
-                assert not _same_closure(h, kept - {a})
