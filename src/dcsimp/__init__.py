@@ -42,12 +42,12 @@ _LAZY = {
     "condensation_redundant_pairs": "decomposition",
     "max_redundant_edge_set": "decomposition",
     "redundant_edges": "decomposition",
-    "equivalent_reduction": "reduction",
+    "equivalent_reduction": "decomposition",
     "EquivalenceReport": "verify",
     "is_redundant_edge_set": "verify",
     "systems_equivalent": "verify",
 }
-_SUBMODULES = ("decomposition", "meg", "reduction", "verify")
+_SUBMODULES = ("decomposition", "meg", "verify")
 
 __version__ = "0.1.0"
 

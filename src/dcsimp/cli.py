@@ -113,7 +113,7 @@ def _cmd_simplify(out: str | None, path: str) -> int:
 
 
 def _cmd_reduce(out: str | None, path: str) -> int:
-    from .reduction import equivalent_reduction
+    from .decomposition import equivalent_reduction
 
     g = _load(path)
     reduced = equivalent_reduction(g)
@@ -160,11 +160,11 @@ def _cmd_check(out: str | None, path_a: str, path_b: str) -> int:
 
 # Each command: its handler, the names of its input files and the flags it
 # takes.  Each handler imports the solver module it runs, first, so that a
-# command compiles no other: check never compiles decomposition, meg or
-# reduction.  --allow-heuristic is accepted and ignored, unlisted in the help:
-# the greedy fallback always runs.  Each command computes the distances once
-# per input; reduce, condense and check route no edge beyond that, and only
-# condense builds the weighted condensation.
+# command compiles no other: check never compiles decomposition or meg.
+# --allow-heuristic is accepted and ignored, unlisted in the help: a class
+# past the exact search always gets the cycle cover.  Each command computes
+# the distances once per input; reduce, condense and check route no edge
+# beyond that, and only condense builds the weighted condensation.
 _COMMANDS = {
     "info": (_cmd_info, ("FILE",), ("--out", "--allow-heuristic")),
     "redundant": (_cmd_redundant, ("FILE",), ("--out",)),

@@ -20,7 +20,7 @@ them when it relaxes an arc into its class; once few are left open, it
 settles those by one backward search each over the in-arcs, which meets
 it from the far side.  The search for the classes
 can also record a sparse strong-connectivity certificate; the MEG fallback
-runs it again on each fallback class's own sorted arcs to get one.
+runs it again on the sorted arcs of a contracted cycle cover to get one.
 
 Feasibility is a walk statement: the system has a solution precisely when no
 closed walk has negative weight, and then the tightest derivable bound on
@@ -129,6 +129,11 @@ def as_weight(value: WeightLike) -> Fraction:
         if not frac:
             return Fraction(_int(whole))
         return Fraction(_int(whole + frac), 10 ** len(frac))
+    return _rational(value)
+
+
+def _rational(value: Fraction | int) -> Fraction:
+    """``value`` as a weight if it is a ``Fraction`` or an int, else ``TypeError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -285,10 +290,6 @@ class Walk(_Value):
     @property
     def steps(self) -> tuple[Edge, ...]:
         return tuple(zip(self.nodes, self.nodes[1:]))
-
-    @property
-    def closed(self) -> bool:
-        return len(self.nodes) > 1 and self.nodes[0] == self.nodes[-1]
 
 
 class DistanceMatrix(_Value):
@@ -492,7 +493,9 @@ class DistanceMatrix(_Value):
         """The first constraint ((i, j), c), in sorted order, that the
         system does not force, or None when it forces them all.  A node id
         that is not an int raises ``TypeError``, and one outside 1..n
-        :class:`IndexOutOfRange`, as in :meth:`get`.
+        :class:`IndexOutOfRange`, as in :meth:`get`; a bound c that is
+        neither a ``Fraction`` nor an int (a bool is not) raises the
+        ``TypeError`` of :func:`as_weight`.
 
         ``x_i - x_j <= c`` is forced exactly when some walk i ~> j weighs at
         most c, that is when the least reduced cost D from i's class a to
@@ -510,16 +513,19 @@ class DistanceMatrix(_Value):
         ordered = list(constraints)
         try:
             ordered.sort()
-        except TypeError:  # ids that do not compare: name the one that is not an int
-            for (i, j), _ in ordered:
+        except TypeError:  # items that do not compare: name the id or bound at fault
+            for (i, j), c in ordered:
                 _check_nodes(n, i, j)
+                _rational(c)
             raise
         by_class: dict[int, list[tuple[Edge, Fraction]]] = {}
         v = None  # the tail of the run being gathered
         for q in ordered:
-            i, j = q[0]
+            (i, j), c = q
             if type(i) is not int or type(j) is not int or not (0 < i <= n and 0 < j <= n):
                 _check_nodes(n, i, j)
+            if c.__class__ is not Fraction:  # an attribute, not a call, on the hot path
+                _rational(c)
             if i != v:
                 v = i
                 tail = by_class.setdefault(of[v], [])
@@ -570,12 +576,6 @@ class DistanceMatrix(_Value):
             row = self._rows[a] = self._reach(a, {})
         cost = row.get(b)
         return None if cost is None else Fraction(p[j] - p[i] + cost, self.scale)
-
-    def reduced(self, i: int, j: int, w: Fraction) -> int:
-        """The reduced cost of a weight-w constraint (i, j), scaled, for w a
-        multiple of ``1 / scale``, as every weight of the graph measured is."""
-        p = self.potential
-        return w.numerator * (self.scale // w.denominator) + p[i] - p[j]
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n}, classes={len(self.classes)})"

@@ -1,5 +1,6 @@
 """Zero-cycle classes, the split of a system into independent pieces, and
-the general maximum redundant edge set.
+both of the paper's answers on them: the general maximum redundant edge set
+and the equivalent reduction.
 
 Two nodes are equivalent when some zero-weight closed walk passes through
 both.  Inside a class every minimum walk weight is pinned down rigidly
@@ -22,8 +23,17 @@ lets the redundancy problem split cleanly:
 :func:`analyze` runs that split once per system, and every solver that
 deletes edges reads its distances, classes, edge pieces and dropped crossings
 from there.  :func:`condensation` builds the weighted condensation itself,
-which only the ``condense`` command prints; the equivalent reduction takes
-the same rep-to-rep weights from :func:`_rep_arcs`.
+which only the ``condense`` command prints; :func:`equivalent_reduction`
+takes the same rep-to-rep weights from :func:`_rep_arcs`.
+
+Redundancy removal may only delete constraints, and with zero-weight cycles
+the intra-class leftovers make it NP-hard to even find the best deletion.
+Allowing *new* constraints sidesteps both problems: each multi-node class is
+rewired into a single zero-weight cycle through its nodes, each surviving
+class pair becomes one constraint between the classes' smallest members,
+and the whole construction is polynomial while meeting the minimum
+possible constraint count.  It reads only the minimum walk weights, which
+the solution set fixes, so equivalent systems reduce to the same system.
 """
 
 from __future__ import annotations
@@ -127,20 +137,47 @@ def condensation_redundant_pairs(d: DistanceMatrix) -> frozenset[tuple[int, int]
     return frozenset(removed)
 
 
+def equivalent_reduction(g: PrecedenceGraph) -> PrecedenceGraph:
+    """Synthesize a minimum-cardinality system equivalent to g, the same one
+    for every system equivalent to g.
+
+    Per class with at least two nodes, a cycle through the members in
+    ascending order, each edge weighted by the minimum walk weight between
+    its endpoints; the class identities force those weights to telescope to
+    exactly zero.  Then per condensation arc that is not redundant, one edge
+    between the two classes' smallest members at their minimum walk weight,
+    which is the arc's own: every detour through other classes costs more.
+    The edge count is therefore sum of multi-class sizes plus surviving
+    condensation edges, which is the minimum achievable.
+    """
+    d = min_walk_weights(g)
+    p, classes = d.potential, d.classes
+    edges: dict[Edge, Fraction] = {}
+    for members in classes:
+        if len(members) > 1:
+            for i, j in zip(members, members[1:] + members[:1]):
+                edges[(i, j)] = Fraction(p[j] - p[i], d.scale)
+    for a, b, w in _rep_arcs(d, condensation_redundant_pairs(d)):
+        edges[(classes[a][0], classes[b][0])] = w
+    return PrecedenceGraph._checked(g.n, edges)
+
+
 def analyze(g: PrecedenceGraph) -> Analysis:
     """Split g into its independent pieces, with one distance computation.
 
-    Each edge is judged by its reduced cost r.  Inside a class the minimum
-    walk weight is a difference of potentials, so an edge is slack exactly
-    when r > 0.  A crossing (s, t) of a class pair costs
-    d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by the pair, so
-    the cheapest crossings are those whose r is the pair's
+    Each edge is judged by its reduced cost r = c_ij·scale + potential[i]
+    - potential[j], an int, as scale is a multiple of every denominator.
+    Inside a class the minimum walk weight is a difference of potentials,
+    so an edge is slack exactly when r > 0.  A crossing (s, t) of a class
+    pair costs d(rep_a, s) + c_st + d(t, rep_b) = r_st + a term fixed by
+    the pair, so the cheapest crossings are those whose r is the pair's
     ``d.class_succ`` entry.  A crossing goes to ``drop`` when it is dearer
     than that, when its pair's condensation edge is redundant, or when a
     smaller cheapest crossing of its pair turns up, whatever the input
     order; the one left of a surviving pair represents it.
     """
     d = min_walk_weights(g)
+    scale, p = d.scale, d.potential
     removed = condensation_redundant_pairs(d)
     slack: set[Edge] = set()
     tight: dict[int, set[Edge]] = {}
@@ -149,7 +186,7 @@ def analyze(g: PrecedenceGraph) -> Analysis:
     tied: set[tuple[int, int]] = set()
     for e, w in g.edges.items():
         i, j = e
-        r = d.reduced(i, j, w)
+        r = w.numerator * (scale // w.denominator) + p[i] - p[j]
         a, b = d.class_of[i], d.class_of[j]
         if a == b:
             if r > 0:

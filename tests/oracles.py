@@ -316,6 +316,30 @@ def forward_unimplied(d, constraints) -> tuple[Edge, Fraction] | None:
     return None
 
 
+def sample_minimum_equivalent(rng: Random, d, surviving) -> PrecedenceGraph:
+    """A random member of the paper's family of minimum equivalent systems
+    of the system whose distance matrix is ``d``, read as data.
+
+    Each class of two or more nodes becomes a cycle through its members in
+    a random order, each edge at the difference of their potentials.  Each
+    class pair (a, b) in ``surviving``, the condensation arcs that are not
+    redundant, becomes one edge (u, v) with u drawn from class a and v from
+    class b, at D(u, v): the arc's reduced cost, which no detour meets,
+    plus potential[v] - potential[u], unscaled.
+    """
+    p, scale = d.potential, d.scale
+    edges: dict[Edge, Fraction] = {}
+    for members in d.classes:
+        if len(members) > 1:
+            order = rng.sample(members, len(members))
+            for i, j in zip(order, order[1:] + order[:1]):
+                edges[(i, j)] = Fraction(p[j] - p[i], scale)
+    for a, b in sorted(surviving):
+        u, v = rng.choice(d.classes[a]), rng.choice(d.classes[b])
+        edges[(u, v)] = Fraction(d.class_succ[a][b] + p[v] - p[u], scale)
+    return PrecedenceGraph(d.n, edges)
+
+
 def random_system(
     rng: Random,
     max_n: int = 5,

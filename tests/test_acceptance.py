@@ -227,7 +227,7 @@ def test_criterion_10_walk_decomposition(criterion):
             assert path.nodes[-1] == w.nodes[-1]
             assert len(set(path.nodes)) == len(path.nodes)
             for c in cycles:
-                assert c.closed
+                assert c.nodes[0] == c.nodes[-1]
                 assert len(set(c.nodes)) == len(c.nodes) - 1
 
 

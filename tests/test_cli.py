@@ -144,6 +144,31 @@ def test_check_not_equivalent(paths, capsys, tmp_path):
     assert "not equivalent" in out and "(1,2)" in out
 
 
+def test_check_on_minimum_equivalent_systems_other_than_the_reduction(capsys, tmp_path):
+    # members of the paper's family drawn by the oracle on project networks:
+    # each is equivalent to the input, and one with an edge loosened by 1 is
+    # not, the loosened constraint of the member its witness
+    for seed in range(4):
+        rng = Random(seed)
+        g = oracles.project_system(rng, 40, maxlag_share=0.5)
+        d = min_walk_weights(g)
+        surviving = {pair for pair, _ in oracles.class_arcs(d)} - oracles.forward_redundant_pairs(d)
+        member = oracles.sample_minimum_equivalent(rng, d, surviving)
+        (i, j) = e = rng.choice(sorted(member.edges))
+        loosened = PrecedenceGraph(g.n, {**member.edges, e: member.edges[e] + 1})
+        files = {}
+        for name, h in (("input", g), ("member", member), ("loosened", loosened)):
+            files[name] = str(tmp_path / f"{name}.dcs")
+            Path(files[name]).write_text(dumps(h))
+        assert main(["check", files["input"], files["member"]]) == 0
+        assert capsys.readouterr().out == "equivalent\n"
+        assert main(["check", files["member"], files["loosened"]]) == 3
+        assert capsys.readouterr().out == (
+            f"not equivalent: constraint ({i},{j}) of {files['member']} "
+            "is not implied by the other system\n"
+        )
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.dcs"
     bad.write_text("p dcs 2 1\ne 1 2\n")
@@ -608,7 +633,7 @@ def test_each_command_loads_only_its_modules(paths, tmp_path):
     assert main(["reduce", paths["two_classes"], "--out", reduced]) == 0
     complete = _zero_class(tmp_path / "complete.dcs", COMPLETE_6)  # over the exact limit
     meg_only = {"dcsimp.decomposition", "dcsimp.meg"}
-    solvers = meg_only | {"dcsimp.cover", "dcsimp.reduction", "dcsimp.verify"}
+    solvers = meg_only | {"dcsimp.cover", "dcsimp.verify"}
     expected = {
         ("check", paths["two_classes"], reduced): {"dcsimp.verify"},
         ("info", paths["two_classes"]): meg_only,
@@ -616,7 +641,7 @@ def test_each_command_loads_only_its_modules(paths, tmp_path):
         ("simplify", paths["two_classes"]): meg_only,
         ("simplify", complete): meg_only | {"dcsimp.cover"},
         ("redundant", complete): meg_only,
-        ("reduce", paths["two_classes"]): {"dcsimp.decomposition", "dcsimp.reduction"},
+        ("reduce", paths["two_classes"]): {"dcsimp.decomposition"},
         ("condense", paths["two_classes"]): {"dcsimp.decomposition"},
     }
     for command, wanted in expected.items():
@@ -659,14 +684,14 @@ def test_the_package_resolves_solver_names_on_first_access():
         assert value is getattr(module, name), name
         if name in lazy:
             assert dcsimp.__getattr__(name) is value, name
-    for name in ("core", "decomposition", "errors", "fileformat", "meg", "reduction", "verify"):
+    for name in ("core", "decomposition", "errors", "fileformat", "meg", "verify"):
         assert getattr(dcsimp, name) is importlib.import_module(f"dcsimp.{name}"), name
         assert name in dir(dcsimp)
     star: dict = {}
     exec("from dcsimp import *", star)
     assert set(dcsimp.__all__) <= set(star) and set(dcsimp.__all__) <= set(dir(dcsimp))
     assert all(star[name] is getattr(dcsimp, name) for name in dcsimp.__all__)
-    for unknown in ("nothing", "_LAZY_", "redundancy"):
+    for unknown in ("nothing", "_LAZY_", "redundancy", "reduction"):
         with pytest.raises(AttributeError, match=unknown):
             getattr(dcsimp, unknown)
 

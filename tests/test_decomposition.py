@@ -319,6 +319,22 @@ class TestMaxRedundantEdgeSet:
             size, _ = brute_force_max_redundant(g)
             assert len(res.edges) == size
 
+    def test_matches_brute_force_on_small_project_networks(self):
+        # layered precedences with maximum time lags, zero cycles where a lag
+        # is fixed; the seeds whose network fits the oracle's edge limit
+        checked = 0
+        for n in (6, 7):
+            for seed in range(20):
+                g = oracles.project_system(Random(seed), n, maxlag_share=0.5)
+                if g.m > oracles.DEFAULT_ORACLE_LIMIT:
+                    continue
+                res = max_redundant_edge_set(g)
+                size, maxima = brute_force_max_redundant(g)
+                assert res.certified and len(res.edges) == size
+                assert res.edges in maxima
+                checked += 1
+        assert checked >= 20
+
     def test_heuristic_fallback_flags_result(self, monkeypatch):
         g = load_fixture("two_classes")  # 4 tight intra-class edges
         monkeypatch.setattr(meg, "EXACT_LIMIT", 3)

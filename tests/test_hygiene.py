@@ -1,7 +1,7 @@
 """What a deletion leaves behind: imports nothing uses, module-level names
-nothing references, value-type fields nothing reads, exports and fields
-the README does not name, and limits whose values it no longer states.
-Read from the sources with ``ast`` alone."""
+nothing references, value-type fields nothing reads, exports, fields and
+methods the README does not name, and limits whose values it no longer
+states.  Read from the sources with ``ast`` alone."""
 
 from __future__ import annotations
 
@@ -77,15 +77,21 @@ def unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     return [f"{mod}:{name}" for mod, tree in trees.items() for name in _defined(tree) if name not in seen]
 
 
+def _value_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
+    """Each direct ``_Value`` subclass a module defines."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and "_Value" in map(ast.unparse, cls.bases):
+            yield cls
+
+
 def _value_fields(tree: ast.Module) -> Iterator[tuple[str, str]]:
     """Each public ``__slots__`` name of a direct ``_Value`` subclass, as
     (class, field)."""
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and "_Value" in map(ast.unparse, cls.bases):
-            for item in cls.body:
-                if isinstance(item, ast.Assign) and ast.unparse(item.targets[0]) == "__slots__":
-                    fields = ast.literal_eval(item.value)
-                    yield from ((cls.name, f) for f in fields if not f.startswith("_"))
+    for cls in _value_classes(tree):
+        for item in cls.body:
+            if isinstance(item, ast.Assign) and ast.unparse(item.targets[0]) == "__slots__":
+                fields = ast.literal_eval(item.value)
+                yield from ((cls.name, f) for f in fields if not f.startswith("_"))
 
 
 def unread_fields(trees: dict[str, ast.Module]) -> list[str]:
@@ -94,6 +100,24 @@ def unread_fields(trees: dict[str, ast.Module]) -> list[str]:
     seen = {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     fields = [(mod, cls, f) for mod, tree in trees.items() for cls, f in _value_fields(tree)]
     return [f"{mod}:{cls}.{f}" for mod, cls, f in fields if f not in seen]
+
+
+def _value_members(tree: ast.Module) -> Iterator[tuple[str, str]]:
+    """Each public method or property of a direct ``_Value`` subclass, as
+    (class, name)."""
+    for cls in _value_classes(tree):
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                yield cls.name, item.name
+
+
+def unnamed_members(trees: dict[str, ast.Module], readme: str) -> list[str]:
+    """Methods and properties of exported value types that the README never
+    names in backticks as ``x.name``."""
+    exported = _exported(trees)
+    named = set(re.findall(r"`\w+\.(\w+)", readme))
+    members = [(cls, m) for tree in trees.values() for cls, m in _value_members(tree)]
+    return [f"{cls}.{m}" for cls, m in members if cls in exported and m not in named]
 
 
 def unnamed_fields(trees: dict[str, ast.Module], readme: str) -> list[str]:
@@ -141,6 +165,35 @@ def test_the_readme_field_guard_finds_an_unnamed_field():
     }
     readme = "`r.kept` holds what stays and `grade` its grade; removed is unnamed"
     assert unnamed_fields(trees, readme) == ["Result.removed"]
+
+
+def test_every_method_of_an_exported_value_type_is_named_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unnamed_members(_trees(), readme) == []
+
+
+def test_the_readme_member_guard_finds_an_unnamed_member():
+    # what adding a method or property without documenting it leaves
+    # behind; a private type's or private name's members and a bare name
+    # without its owner do not count
+    trees = {
+        "m.py": ast.parse(
+            "from .core import _Value\n"
+            "__all__ = ['Result']\n"
+            "class Result(_Value):\n"
+            "    __slots__ = ('kept',)\n"
+            "    @property\n"
+            "    def size(self): return len(self.kept)\n"
+            "    def merged(self, other): return self\n"
+            "    def grade(self): return 0\n"
+            "    def _cache(self): return None\n"
+            "class _Inner(_Value):\n"
+            "    __slots__ = ('hidden',)\n"
+            "    def peek(self): return self.hidden\n"
+        )
+    }
+    readme = "`r.size` counts `r.kept`, `r.merged(s)` joins two, and `grade` grades"
+    assert unnamed_members(trees, readme) == ["Result.grade"]
 
 
 def test_the_readme_states_the_packaging_floor():

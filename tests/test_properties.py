@@ -18,12 +18,12 @@ from dcsimp.decomposition import (  # noqa: E402
     analyze,
     condensation,
     condensation_redundant_pairs,
+    equivalent_reduction,
     max_redundant_edge_set,
     redundant_edges,
 )
 from dcsimp.errors import NegativeSelfLoop, ParseError  # noqa: E402
 from dcsimp.fileformat import dumps, loads  # noqa: E402
-from dcsimp.reduction import equivalent_reduction  # noqa: E402
 from dcsimp.verify import systems_equivalent  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_max_redundant,

@@ -7,9 +7,12 @@ from random import Random
 
 import oracles
 from dcsimp.core import PrecedenceGraph, Walk, min_walk_weights
-from dcsimp.decomposition import condensation, condensation_redundant_pairs
+from dcsimp.decomposition import (
+    condensation,
+    condensation_redundant_pairs,
+    equivalent_reduction,
+)
 from dcsimp.fileformat import dumps
-from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import systems_equivalent
 from oracles import normalize
 from shipped import load_fixture
@@ -160,3 +163,61 @@ class TestCanonicalOutput:
             for h in (_with_implied(rng, g), loosened):
                 same = dumps(equivalent_reduction(h)) == dumps(reduced)
                 assert systems_equivalent(g, h).equivalent == same
+
+
+def _family_suite():
+    """Systems from the random and the project generators, each with a
+    generator for its sampled members: random ones rich in zero-weight
+    cycles and project networks with time windows."""
+    for seed in range(8):
+        rng = Random(seed)
+        yield rng, oracles.random_potential_system(rng, 30, 120, zero_slack_share=0.5)
+        rng = Random(100 + seed)
+        yield rng, oracles.project_system(rng, 40, maxlag_share=0.5)
+
+
+def _members(rng, g, count=3):
+    """``count`` members of g's family of minimum equivalent systems, drawn
+    by the oracle from g's distances and the condensation arcs that the
+    oracle's forward searches find not redundant."""
+    d = min_walk_weights(g)
+    surviving = {pair for pair, _ in oracles.class_arcs(d)} - oracles.forward_redundant_pairs(d)
+    return [oracles.sample_minimum_equivalent(rng, d, surviving) for _ in range(count)]
+
+
+class TestMinimumEquivalentFamily:
+    """Members of the paper's family other than the canonical reduction:
+    canonical bytes cannot decide these pairs, so the equivalence search
+    itself is on trial."""
+
+    def test_each_member_is_equivalent_and_minimum(self):
+        other = 0
+        for rng, g in _family_suite():
+            reduced = equivalent_reduction(g)
+            members = _members(rng, g)
+            for member, next_member in zip(members, members[1:] + members[:1]):
+                assert member.m == reduced.m
+                assert systems_equivalent(g, member).equivalent
+                assert systems_equivalent(member, g).equivalent
+                assert systems_equivalent(member, reduced).equivalent
+                assert systems_equivalent(member, next_member).equivalent
+                assert dumps(equivalent_reduction(member)) == dumps(reduced)
+                other += member != reduced
+        assert other > 0  # the sampler left the canonical member
+
+    def test_a_member_loosened_by_one_is_not_equivalent(self):
+        # no edge of a minimum system is implied by the others, so loosening
+        # one leaves exactly that constraint unforced
+        for rng, g in _family_suite():
+            for member in _members(rng, g, 2):
+                e = rng.choice(sorted(member.edges))
+                loosened = PrecedenceGraph(g.n, {**member.edges, e: member.edges[e] + 1})
+                assert systems_equivalent(member, loosened).witness == (e, "a")
+                assert systems_equivalent(loosened, member).witness == (e, "b")
+                report = systems_equivalent(g, loosened)
+                assert not report.equivalent
+                (i, j), side = report.witness
+                assert side == "a" and (i, j) in g.edges
+                assert oracles.forward_unimplied(
+                    min_walk_weights(loosened), [((i, j), g.edges[(i, j)])]
+                ) == ((i, j), g.edges[(i, j)])

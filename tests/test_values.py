@@ -22,11 +22,11 @@ from dcsimp.decomposition import (
     Analysis,
     MresResult,
     analyze,
+    equivalent_reduction,
     max_redundant_edge_set,
 )
 from dcsimp.errors import IndexOutOfRange, InfeasibleSystem
 from dcsimp.fileformat import dumps, loads
-from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import EquivalenceReport, systems_equivalent
 from shipped import FIXTURE_DIR, NAMES, load_fixture
 

@@ -10,9 +10,8 @@ import pytest
 
 import oracles
 from dcsimp.core import PrecedenceGraph, implies, min_walk_weights
-from dcsimp.decomposition import max_redundant_edge_set
+from dcsimp.decomposition import equivalent_reduction, max_redundant_edge_set
 from dcsimp.errors import IndexOutOfRange, InfeasibleSystem, NodeCountMismatch
-from dcsimp.reduction import equivalent_reduction
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
 from oracles import OracleLimit, brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import load_fixture
@@ -246,6 +245,32 @@ class TestUnimplied:
             for constraints in ([(e, Fraction(c))], [((1, 2), Fraction(100)), (e, Fraction(c))]):
                 with pytest.raises(error, match=message):
                     d.unimplied(constraints)
+
+    def test_refuses_a_bound_that_is_neither_a_fraction_nor_an_int(self):
+        # True would stand for 1 and 1.5 has no numerator: each raises the
+        # TypeError of as_weight, as implies does for it, alone, behind a
+        # valid constraint, and on the pair of one, where a str or None
+        # bound fails the sort; an int bound reads as its Fraction
+        d = min_walk_weights(load_fixture("two_classes"))
+        for c, message in (
+            (True, "weights must be rational numbers, not bool"),
+            (1.5, r"refusing float weight 1\.5"),
+            ("1", "cannot interpret str as a weight"),
+            (None, "cannot interpret NoneType as a weight"),
+        ):
+            for constraints in (
+                [((1, 2), c)],
+                [((1, 2), Fraction(100)), ((3, 4), c)],
+                [((1, 2), Fraction(100)), ((1, 2), c)],
+            ):
+                with pytest.raises(TypeError, match=message):
+                    d.unimplied(constraints)
+        for c in (True, 1.5):
+            with pytest.raises(TypeError, match=str(type(c).__name__)):
+                implies(d, 1, 2, c)
+        assert d.unimplied([((1, 2), 1), ((3, 4), 0)]) == d.unimplied(
+            [((1, 2), Fraction(1)), ((3, 4), Fraction(0))]
+        )
 
     def test_a_detour_that_ties_the_bound_forces_it(self):
         d = min_walk_weights(normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 3)]))
