@@ -14,7 +14,11 @@ entry through :meth:`DistanceMatrix.get`.  They are stored factored: a
 potential from one Bellman-Ford pass makes every reduced cost
 non-negative, the arcs of reduced cost zero split the nodes into the
 zero-cycle classes, and a distance between classes is found on demand by
-one Dijkstra search over the condensation, one node per class.  That
+one Dijkstra search over the condensation, one node per class.  Each
+class's potential is then shifted as one, to balance its cheapest in-arc
+against its cheapest out-arc: the costs stay non-negative, and many arcs
+that Bellman-Ford's shortest-path tree left at cost zero lose it, so that
+each search floods fewer classes.  That
 search is bounded by the costs the caller asks about and settles each of
 them when it relaxes an arc into its class; once few are left open, it
 settles those by one backward search each over the in-arcs, which meets
@@ -36,7 +40,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import inf, lcm
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Union
 
 from .errors import IndexOutOfRange, InfeasibleSystem, SameNode
@@ -50,10 +54,18 @@ _WEIGHT = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
 
 # A bounded search from one class settles its open classes backward once
 # their count times the cost left to the largest bound is at most this many
-# times the cost covered (DistanceMatrix._reach).  Chosen by the classes the
-# searches expand and their time on K = n inputs (n = 250 to 2000) and on
-# planted classes; 4 and 8 were close, 2 and 16 expanded more.
+# times the cost covered (DistanceMatrix._reach).  Chosen by time at K = n
+# with balanced class potentials (2-vCPU Xeon): 4, 8 and 16 expand 53,049,
+# 60,431 and 100,756 classes at n = 1000, where condensation_redundant_pairs
+# takes 0.081, 0.071 and 0.092 s (0.176, 0.157 and 0.200 s at n = 2000).
 _FINISH_RATIO = 8
+
+# Gauss-Seidel sweeps of the class shifts (_balance).  After 0 to 3 sweeps
+# the condensation searches expand 121,082, 72,652, 60,431 and 56,254
+# classes at K = n = 1000, and equivalent_reduction takes 25.7, 21.1, 19.8
+# and 19.7 ms on the positive-cycles bench files and 6.0, 6.0, 6.2 and 6.2
+# ms on planted-classes (2-vCPU Xeon).
+_BALANCE_SWEEPS = 2
 
 # The arcs of a class without any; shared and never written
 _NO_ARCS: Mapping[int, int] = {}
@@ -298,14 +310,16 @@ class DistanceMatrix(_Value):
 
     ``potential`` is a solution of the scaled system (``potential[0]`` is
     padding): every reduced cost ``c_ij·scale + potential[i] - potential[j]``
-    is non-negative.  ``classes`` are the strongly connected components of
-    the arcs of reduced cost zero, ordered by smallest member, with sorted
-    members; ``class_of[v]`` is the index of v's class (``class_of[0]`` is
-    padding).  ``class_succ`` is the condensation, each arc held once:
-    ``class_succ[a][b]`` is the least reduced cost of an edge from class a
-    to class b, for each ordered pair of class indices that some edge
-    crosses.  Each ``class_succ[a]`` holds its arcs cheapest first, ties by
-    head, and only classes with out-arcs are keyed.
+    is non-negative.  It is balanced per class: the cheapest arcs into and
+    out of a class cost about the same (:func:`_balance`).  ``classes`` are
+    the strongly connected components of the arcs of reduced cost zero,
+    ordered by smallest member, with sorted members; ``class_of[v]`` is the
+    index of v's class (``class_of[0]`` is padding).  ``class_succ`` is the
+    condensation, each arc held once: ``class_succ[a][b]`` is the least
+    reduced cost of an edge from class a to class b, for each ordered pair
+    of class indices that some edge crosses.  Each ``class_succ[a]`` holds
+    its arcs cheapest first, ties by head, and only classes with out-arcs
+    are keyed.
 
     Inside a class every walk costs at least zero and the class's zero arcs
     connect it, so for i in class a and j in class b the least weight over
@@ -738,26 +752,67 @@ def min_walk_weights(g: PrecedenceGraph) -> DistanceMatrix:
     condensation is kept, one node per class and one arc per class pair at
     its least crossing reduced cost (``class_succ``); a distance across
     classes is a search over it, on Python ints, so the result is exact
-    whatever the size of the weights.  The crossings, sorted by (cost,
-    tail, head), fill it cheapest first, the first of each pair kept.
+    whatever the size of the weights.
+
+    Any potential that keeps every cost non-negative gives the same
+    distances, and shifting a whole class moves no cost inside it, so the
+    classes stay as found.  :func:`_balance` shifts each class to balance
+    its cheapest in-arc and out-arc; then each class's arcs are sorted by
+    their shifted cost, ties by head.
     """
     n = g.n
     scale, scaled, potential = _potential(g)
     zero = [(i, j) for (i, j), w in scaled.items() if w + potential[i] == potential[j]]
     class_of, classes, _ = _components(n, zero)
-    crossing = []
+    succ: dict[int, dict[int, int]] = {}
     for (i, j), w in scaled.items():
         a, b = class_of[i], class_of[j]
         if a != b:
-            crossing.append((w + potential[i] - potential[j], a, b))
-    crossing.sort()
-    succ: dict[int, dict[int, int]] = {}
-    for r, a, b in crossing:
-        if a not in succ:
-            succ[a] = {b: r}
-        elif b not in succ[a]:
-            succ[a][b] = r
+            r = w + potential[i] - potential[j]
+            heads = succ.get(a)
+            if heads is None:
+                succ[a] = {b: r}
+            elif r < heads.get(b, r + 1):
+                heads[b] = r
+    shift = _balance(succ)
+    for a, heads in succ.items():
+        t = shift[a]
+        succ[a] = {b: r + t for r, b in sorted([(r - shift[b], b) for b, r in heads.items()])}
+    for k, t in shift.items():
+        for v in classes[k]:
+            potential[v] += t
     return DistanceMatrix(n, scale, tuple(potential), tuple(class_of), tuple(classes), succ)
+
+
+def _balance(succ: dict[int, dict[int, int]]) -> dict[int, int]:
+    """A shift of the potential, ``shift[c]``, for each class c with a
+    condensation arc, that evens out c's cheapest in-arc and cheapest
+    out-arc.
+
+    Adding t to the potential of every member of class c lowers the cost of
+    each arc into c by t and raises that of each arc out of c by t, and
+    moves no cost inside a class.  With A the least of r + shift[x] over
+    the in-arcs (x, c) and B the least of r - shift[y] over the out-arcs
+    (c, y), t = (A - B) // 2 leaves c's cheapest arcs on both sides at
+    about (A + B) / 2, and A + B >= 0 while every cost is, so no cost goes
+    below zero.  Each sweep sets t for every class with arcs on both sides,
+    in class order, each from the shifts already set (Gauss-Seidel).
+    """
+    into: dict[int, tuple[list[int], list[int]]] = {}
+    for a, heads in succ.items():
+        for b, r in heads.items():
+            if b in into:
+                into[b][0].append(a)
+                into[b][1].append(r)
+            else:
+                into[b] = ([a], [r])
+    shift = dict.fromkeys(into.keys() | succ.keys(), 0)
+    at = shift.__getitem__
+    both = [(c, *into[c], succ[c]) for c in sorted(succ) if c in into]
+    for _ in range(_BALANCE_SWEEPS):
+        for c, tails, costs, out in both:
+            shift[c] = (min(map(add, costs, map(at, tails))) - min(map(sub, out.values(), map(at, out)))) // 2
+    return shift
 
 
 def implies(d: DistanceMatrix, u: int, v: int, bound: WeightLike) -> bool:

@@ -316,6 +316,22 @@ def forward_unimplied(d, constraints) -> tuple[Edge, Fraction] | None:
     return None
 
 
+def potential_faults(g: PrecedenceGraph, d, dense: dict[Edge, Fraction | None]) -> list[Edge]:
+    """The edges of g, in order, that the potential of a distance matrix
+    ``d``, read as data, prices wrongly: at a reduced cost
+    c_ij·scale + potential[i] - potential[j] below zero, or above zero on a
+    zero-weight cycle, which the dense distances ``dense`` of g show as
+    c_ij + D(j, i) = 0.  The cost is a Fraction, so a scale that misses a
+    denominator shows too."""
+    out = []
+    for (i, j), w in sorted(g.edges.items()):
+        r = w * d.scale + d.potential[i] - d.potential[j]
+        back = dense[(j, i)]
+        if r < 0 or r > 0 and back is not None and w + back == 0:
+            out.append((i, j))
+    return out
+
+
 def sample_minimum_equivalent(rng: Random, d, surviving) -> PrecedenceGraph:
     """A random member of the paper's family of minimum equivalent systems
     of the system whose distance matrix is ``d``, read as data.

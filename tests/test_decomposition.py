@@ -218,8 +218,7 @@ class TestCondensation:
         assert python_int_runs >= 40
 
     # Hand-made condensations, each pinning one case of the search.  Every
-    # cycle weighs more than zero, so node k + 1 is class k and the
-    # potential is zero: the reduced costs are the weights.
+    # cycle weighs more than zero, so node k + 1 is class k.
 
     def test_a_detour_that_ties_the_edge_removes_it(self):
         d = min_walk_weights(normalize(3, [(1, 2, 5), (1, 3, 2), (3, 2, 3)]))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -33,6 +34,7 @@ from oracles import (  # noqa: E402
     forward_redundant_pairs,
     forward_unimplied,
 )
+from test_search import assert_matches_forward, assert_potential_holds  # noqa: E402
 
 SETTINGS = settings(deadline=None, database=None)
 
@@ -196,3 +198,37 @@ def test_the_condensation_search_matches_a_forward_search(g, data):
     bounds = st.lists(st.tuples(pairs, st.integers(-4, 4).map(Fraction)), max_size=12)
     constraints = data.draw(bounds)
     assert d.unimplied(constraints) == forward_unimplied(d, constraints)
+
+
+@st.composite
+def _project_networks(draw) -> PrecedenceGraph:
+    """A small project network with time windows, drawn as
+    ``oracles.project_system`` builds one: activities at positions 0..n-1
+    under a drawn permutation of the ids, durations of 1..10, and 1..3
+    predecessors among the 4 positions before.  A precedence (q, k) is
+    x_q - x_k <= -p_q, and some also bound the lag back at the earliest
+    start times S plus a slack, 0 to close a zero cycle.  S is a solution,
+    and the classes form a layered condensation, whose first and last
+    layers have arcs on one side only."""
+    n = draw(st.integers(2, 12))
+    ids = draw(st.permutations(range(1, n + 1)))
+    p = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
+    start = [0] * n
+    edges = {}
+    for k in range(1, n):
+        preds = draw(st.lists(st.integers(max(0, k - 4), k - 1), min_size=1, max_size=3, unique=True))
+        start[k] = max(start[q] + p[q] for q in preds)
+        for q in preds:
+            edges[(ids[q], ids[k])] = Fraction(-p[q])
+            slack = draw(st.one_of(st.none(), st.just(0), st.integers(1, 20)))
+            if slack is not None:
+                edges[(ids[k], ids[q])] = Fraction(start[k] - start[q] + slack)
+    return PrecedenceGraph(n, edges)
+
+
+@SETTINGS
+@given(_project_networks(), st.integers(0, 2**32))
+def test_project_networks_hold_the_potential_and_match_a_forward_search(g, seed):
+    d = min_walk_weights(g)
+    assert_potential_holds(g, d)
+    assert_matches_forward(d, Random(seed))

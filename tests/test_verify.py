@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp.core import PrecedenceGraph, implies, min_walk_weights
+from dcsimp.core import DistanceMatrix, PrecedenceGraph, implies, min_walk_weights
 from dcsimp.decomposition import equivalent_reduction, max_redundant_edge_set
 from dcsimp.errors import IndexOutOfRange, InfeasibleSystem, NodeCountMismatch
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
@@ -220,8 +220,7 @@ class TestSystemsEquivalent:
 
 
 class TestUnimplied:
-    # hand-made condensations, each pinning one case of the search; with no
-    # negative weights the potential is zero
+    # hand-made condensations, each pinning one case of the search
 
     def test_refuses_a_node_id_outside_the_range_or_not_an_int(self):
         # 0 would read the padding class_of[0] = -1, the last class; True
@@ -289,7 +288,8 @@ class TestUnimplied:
         assert not implies(d, 3, 1, 10**9)
 
     def test_a_sole_out_arc_meets_its_bound_directly(self):
-        d = min_walk_weights(normalize(3, [(1, 2, 4), (2, 3, 1)]))
+        # built by hand at potential zero: class k is node k + 1
+        d = DistanceMatrix(3, 1, (0, 0, 0, 0), (-1, 0, 1, 2), ((1,), (2,), (3,)), {0: {1: 4}, 1: {2: 1}})
         assert [(b, r) for (a, b), r in oracles.class_arcs(d) if a == 0] == [(1, 4)]
         assert d.unimplied([((1, 2), Fraction(4)), ((1, 3), Fraction(5))]) is None
         assert d.unimplied([((1, 2), Fraction(7, 2))]) == ((1, 2), Fraction(7, 2))
