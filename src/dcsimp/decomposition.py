@@ -18,7 +18,8 @@ lets the redundancy problem split cleanly:
   That piece is NP-hard and goes to :mod:`dcsimp.meg` as an arc set on the
   class's members renumbered 1..|C|, whose one entry point,
   :func:`~dcsimp.meg.minimum_equivalent`, solves it exactly or by a cycle
-  cover and says whether the answer is a minimum.
+  cover and says whether the answer is a minimum.  The module is loaded at the
+  first class with tight arcs, so a system without one never compiles it.
 
 :func:`analyze` runs that split once per system, and every solver that
 deletes edges reads its distances, classes, edge pieces and dropped crossings
@@ -234,10 +235,10 @@ def redundant_edges(a: Analysis) -> frozenset[Edge]:
     in ``drop`` or ``tied``, every one but the only cheapest crossing of a
     pair whose condensation edge survives.
     """
-    from .meg import redundant_arcs
-
     out = set(a.slack | a.drop | a.tied)
     for members, arcs in _class_digraphs(a):
+        from .meg import redundant_arcs
+
         out |= {(members[s - 1], members[t - 1]) for s, t in redundant_arcs(len(members), arcs)}
     return frozenset(out)
 
@@ -256,12 +257,12 @@ def max_redundant_edge_set(g: PrecedenceGraph) -> MresResult:
     by the exact search or by meeting the fallback's matching bound, the
     result is a certified maximum; otherwise it is maximal.
     """
-    from .meg import minimum_equivalent
-
     a = analyze(g)
     out = set(a.slack | a.drop)
     certified = True
     for members, arcs in _class_digraphs(a):
+        from .meg import minimum_equivalent
+
         kept, exact = minimum_equivalent(len(members), arcs)
         certified &= exact
         out |= {(members[s - 1], members[t - 1]) for s, t in arcs - kept}

@@ -3,8 +3,10 @@
 Two systems are equivalent when they admit exactly the same solutions, i.e.
 each one's constraints are all implied by the other.  An edge set is
 redundant when the graph without it still implies every deleted
-constraint.  Both questions, like :func:`~dcsimp.core.implies`, are
-answered by :meth:`~dcsimp.core.DistanceMatrix.unimplied`.
+constraint, that is when the graph and the graph without it are
+equivalent, so :func:`is_redundant_edge_set` is one call of
+:func:`systems_equivalent`, which, like :func:`~dcsimp.core.implies`,
+answers by :meth:`~dcsimp.core.DistanceMatrix.unimplied`.
 """
 
 from __future__ import annotations
@@ -77,24 +79,16 @@ def _not_held(g: PrecedenceGraph, other: PrecedenceGraph) -> list[tuple[Edge, Fr
 
 
 def is_redundant_edge_set(g: PrecedenceGraph, r: Iterable[Edge]) -> bool:
-    """Decide redundancy of an edge set by recomputing distances without it.
+    """Decide redundancy of an edge set by the definition: g and g without
+    it are equivalent, :func:`systems_equivalent` (g, g - r).
 
-    Every deleted edge (u,v) must keep a replacement walk u ~> v of weight
-    at most c_uv in the remaining graph.  This is the definition itself:
-    exponential nowhere, sound everywhere, zero cycles included.
-
-    An infeasible g is refused, as :func:`systems_equivalent` refuses it:
-    a system without solutions implies every constraint.  When every
-    deleted edge is implied, g has the remaining graph's solutions, so only
-    a negative answer checks g's feasibility, by its Bellman-Ford pass
-    alone: the same error as :func:`~dcsimp.core.min_walk_weights` raises,
-    without g's classes.
+    Exponential nowhere, sound everywhere, zero cycles included.  The
+    deleted edges are the only constraints of g that g - r does not hold,
+    so they alone are checked, against g - r's distances; g holds every
+    edge of g - r, so g's distances are never built.  An infeasible g is
+    refused with its own negative cycle, whatever r is.
     """
     rset = frozenset(r)
     if not rset <= g.edges.keys():
         raise NotASubset(f"{sorted(rset - g.edges.keys())} are not edges of the graph")
-    d = min_walk_weights(g.without(rset))
-    if d.unimplied((e, g.edges[e]) for e in rset) is None:
-        return True
-    _potential(g)
-    return False
+    return systems_equivalent(g, g.without(rset)).equivalent

@@ -19,7 +19,7 @@ from collections.abc import Collection, Iterator
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from math import lcm
+from math import factorial, lcm, prod
 from random import Random
 
 from dcsimp.core import Edge, PrecedenceGraph, Walk, weight_text
@@ -354,6 +354,14 @@ def sample_minimum_equivalent(rng: Random, d, surviving) -> PrecedenceGraph:
         u, v = rng.choice(d.classes[a]), rng.choice(d.classes[b])
         edges[(u, v)] = Fraction(d.class_succ[a][b] + p[v] - p[u], scale)
     return PrecedenceGraph(d.n, edges)
+
+
+def count_minimum_equivalent(d, surviving) -> int:
+    """The number of members of the family :func:`sample_minimum_equivalent`
+    draws from: (|C| - 1)! cycle orders per class C of two or more nodes,
+    times |A|·|B| edges (u, v) per surviving class pair (A, B)."""
+    count = prod(factorial(len(members) - 1) for members in d.classes)
+    return count * prod(len(d.classes[a]) * len(d.classes[b]) for a, b in surviving)
 
 
 def random_system(

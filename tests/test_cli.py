@@ -620,8 +620,10 @@ def test_no_command_loads_dataclasses_or_inspect(paths, tmp_path):
 def test_each_command_loads_only_its_modules(paths, tmp_path):
     # each command in a process of its own, so that every dcsimp module
     # loaded is one the command asked for: check reads only distances, only
-    # check verifies, reduce and condense solve no MEG, and only a class
-    # over the exact limit loads the cover
+    # check verifies, reduce and condense solve no MEG, only a class with
+    # tight arcs loads meg (weight_sensitive has no zero-weight cycle, the
+    # empty system no node), and only a class over the exact limit loads
+    # the cover
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = (
         "import json, sys\n"
@@ -632,6 +634,8 @@ def test_each_command_loads_only_its_modules(paths, tmp_path):
     reduced = str(tmp_path / "reduced.dcs")
     assert main(["reduce", paths["two_classes"], "--out", reduced]) == 0
     complete = _zero_class(tmp_path / "complete.dcs", COMPLETE_6)  # over the exact limit
+    empty = tmp_path / "empty.dcs"
+    empty.write_text("p dcs 0 0\n")
     meg_only = {"dcsimp.decomposition", "dcsimp.meg"}
     solvers = meg_only | {"dcsimp.cover", "dcsimp.verify"}
     expected = {
@@ -644,6 +648,9 @@ def test_each_command_loads_only_its_modules(paths, tmp_path):
         ("reduce", paths["two_classes"]): {"dcsimp.decomposition"},
         ("condense", paths["two_classes"]): {"dcsimp.decomposition"},
     }
+    for source in (paths["weight_sensitive"], str(empty)):
+        for command in ("info", "simplify", "redundant"):
+            expected[(command, source)] = {"dcsimp.decomposition"}
     for command, wanted in expected.items():
         run = subprocess.run(
             [sys.executable, "-c", script, *command, "--out", str(tmp_path / "out.txt")],

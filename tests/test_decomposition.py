@@ -22,6 +22,7 @@ from dcsimp.meg import redundant_arcs
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
 from oracles import brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import NAMES, load_fixture
+from test_search import one_node_classes, record
 
 # P / 3 for the prime P = 10**25 + 13: scaled weights far beyond int64
 WIDE = Fraction(10**25 + 13, 3)
@@ -227,8 +228,8 @@ class TestCondensation:
         assert condensation_redundant_pairs(d) == frozenset()
 
     def test_zero_cost_condensation_arcs(self):
-        d = min_walk_weights(normalize(4, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 0), (1, 4, 1)]))
-        assert len(d.classes) == 4 and {r for _, r in oracles.class_arcs(d)} == {0, 1}
+        # built by hand, so these are the reduced costs searched
+        d = one_node_classes(4, [(0, 1, 0), (1, 2, 0), (0, 2, 0), (2, 3, 0), (0, 3, 1)])
         assert condensation_redundant_pairs(d) == {(0, 2), (0, 3)}
 
     def test_a_target_out_of_reach_stays(self):
@@ -237,12 +238,13 @@ class TestCondensation:
         assert d.get(1, 4) is None
         assert condensation_redundant_pairs(d) == frozenset()
 
-    def test_a_sole_out_arc_is_not_searched(self):
+    def test_a_sole_out_arc_is_not_searched(self, monkeypatch):
         # class 0's only out-arc has no alternative; class 1's dearer arc
-        # has the detour 2 -> 3 -> 4
-        d = min_walk_weights(normalize(4, [(1, 2, 1), (2, 3, 1), (2, 4, 5), (3, 4, 1)]))
-        assert [(b, r) for (a, b), r in oracles.class_arcs(d) if a == 0] == [(1, 1)]
+        # has the detour 1 -> 2 -> 3, so only class 1 is searched from
+        d = one_node_classes(4, [(0, 1, 1), (1, 2, 1), (1, 3, 5), (2, 3, 1)])
+        searched = record(monkeypatch, "_reach")
         assert condensation_redundant_pairs(d) == {(1, 3)}
+        assert searched == [1]
 
     def test_redundant_pairs_match_networkx_dijkstra(self):
         # K = n = 150, where the brute-force oracles are too slow: (a, b)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import oracles
@@ -221,3 +222,43 @@ class TestMinimumEquivalentFamily:
                 assert oracles.forward_unimplied(
                     min_walk_weights(loosened), [((i, j), g.edges[(i, j)])]
                 ) == ((i, j), g.edges[(i, j)])
+
+    def test_the_minimum_systems_at_d_are_the_family(self):
+        # every system of the minimum size over the reachable pairs, each at
+        # its minimum walk weight D: equivalent exactly when it is a member
+        # (one cycle through each class of two or more nodes, one edge per
+        # surviving pair), and as many as the counter says
+        both = orders = 0
+        for g in oracles.feasible_suite(1602, 30):
+            d = min_walk_weights(g)
+            surviving = {pair for pair, _ in oracles.class_arcs(d)} - oracles.forward_redundant_pairs(d)
+            multi = [members for members in d.classes if len(members) > 1]
+            dense = oracles.dense_min_walk_weights(g)
+            pairs = sorted(e for e, w in dense.items() if w is not None and e[0] != e[1])
+            equivalent = 0
+            for chosen in combinations(pairs, sum(map(len, multi)) + len(surviving)):
+                h = PrecedenceGraph(g.n, {e: dense[e] for e in chosen})
+                same = oracles.dense_min_walk_weights(h) == dense
+                assert same == _is_member(d, multi, surviving, chosen), chosen
+                equivalent += same
+            assert equivalent == oracles.count_minimum_equivalent(d, surviving)
+            both += bool(multi and surviving)
+            orders += any(len(members) > 2 for members in multi)
+        assert both >= 4 and orders >= 2
+
+
+def _is_member(d, multi, surviving, chosen):
+    """Do the edges ``chosen`` form one cycle through each class in
+    ``multi`` and one edge per class pair in ``surviving``, and no more?"""
+    crossing = sorted((d.class_of[u], d.class_of[v]) for u, v in chosen if d.class_of[u] != d.class_of[v])
+    if crossing != sorted(surviving):
+        return False
+    succ = {u: v for u, v in chosen if d.class_of[u] == d.class_of[v]}
+    for members in multi:
+        u, seen = members[0], set()
+        while u in succ and u not in seen:
+            seen.add(u)
+            u = succ[u]
+        if seen != set(members) or u != members[0]:
+            return False
+    return len(succ) == sum(map(len, multi))

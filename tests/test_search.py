@@ -22,7 +22,7 @@ from oracles import normalize
 WIDE = Fraction(10**25 + 13, 3)
 
 
-def _record(monkeypatch, name: str) -> list[int]:
+def record(monkeypatch, name: str) -> list[int]:
     """The class each call of ``DistanceMatrix.<name>`` searches from, in
     call order, for the rest of the test."""
     seen: list[int] = []
@@ -39,13 +39,13 @@ def _record(monkeypatch, name: str) -> list[int]:
 @pytest.fixture
 def finishes(monkeypatch) -> list[int]:
     """The classes settled backward so far, one entry per backward search."""
-    return _record(monkeypatch, "_finish")
+    return record(monkeypatch, "_finish")
 
 
 @pytest.fixture
 def searches(monkeypatch) -> list[int]:
     """The classes searched from so far, one entry per forward search."""
-    return _record(monkeypatch, "_reach")
+    return record(monkeypatch, "_reach")
 
 
 def _small_weights(rng: Random, n: int, m: int) -> PrecedenceGraph:
@@ -226,7 +226,7 @@ class TestAgainstForwardSearch:
                 assert d.unimplied(cs) == (loose[0] if loose else None)
 
 
-def _one_node_classes(k: int, arcs: list[tuple[int, int, int]]) -> DistanceMatrix:
+def one_node_classes(k: int, arcs: list[tuple[int, int, int]]) -> DistanceMatrix:
     """A distance matrix built by hand: class c is node c + 1, the potential
     is zero and ``class_succ`` holds the arcs (a, b, r) as given, so the
     reduced costs are the arc costs whatever min_walk_weights would shift."""
@@ -243,11 +243,11 @@ class TestTiesAtTheSwitch:
         # from class 0 the search settles class 2 at 1, then turns at 5 with
         # only class 1 open: from it, class 3 lies 5 back, at the radius,
         # and was reached at 5, so the detour costs 10, the arc's own cost
-        d = _one_node_classes(4, [(0, 1, 10), (0, 2, 1), (2, 3, 4), (3, 1, 5)])
+        d = one_node_classes(4, [(0, 1, 10), (0, 2, 1), (2, 3, 4), (3, 1, 5)])
         assert condensation_redundant_pairs(d) == {(0, 1)}
         assert finishes == [1]
         finishes.clear()
-        d = _one_node_classes(4, [(0, 1, 10), (0, 2, 1), (2, 3, 4), (3, 1, 6)])
+        d = one_node_classes(4, [(0, 1, 10), (0, 2, 1), (2, 3, 4), (3, 1, 6)])
         assert condensation_redundant_pairs(d) == frozenset()
         assert finishes == [1]
 
@@ -255,12 +255,12 @@ class TestTiesAtTheSwitch:
         # the search turns at 10, the bound of both open classes, so the
         # backward radius is 0; class 2 was reached at 10 and its zero-cost
         # arc into class 1 ties the arc (0, 1)
-        d = _one_node_classes(3, [(0, 1, 10), (0, 2, 10), (2, 1, 0)])
+        d = one_node_classes(3, [(0, 1, 10), (0, 2, 10), (2, 1, 0)])
         assert condensation_redundant_pairs(d) == {(0, 1)}
         assert sorted(finishes) == [1, 2]
 
     def test_a_backward_detour_that_ties_the_bound_forces_it(self, finishes):
-        d = _one_node_classes(5, [(0, 2, 1), (2, 3, 4), (3, 1, 5), (0, 4, 9)])
+        d = one_node_classes(5, [(0, 2, 1), (2, 3, 4), (3, 1, 5), (0, 4, 9)])
         assert d.unimplied([((1, 2), Fraction(10))]) is None
         assert d.unimplied([((1, 2), Fraction(19, 2))]) == ((1, 2), Fraction(19, 2))
         assert finishes == [1, 1]

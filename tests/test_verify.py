@@ -9,9 +9,9 @@ from random import Random
 import pytest
 
 import oracles
-from dcsimp.core import DistanceMatrix, PrecedenceGraph, implies, min_walk_weights
+from dcsimp.core import DistanceMatrix, PrecedenceGraph, _potential, implies, min_walk_weights
 from dcsimp.decomposition import equivalent_reduction, max_redundant_edge_set
-from dcsimp.errors import IndexOutOfRange, InfeasibleSystem, NodeCountMismatch
+from dcsimp.errors import IndexOutOfRange, InfeasibleSystem, NodeCountMismatch, NotASubset
 from dcsimp.verify import is_redundant_edge_set, systems_equivalent
 from oracles import OracleLimit, brute_force_max_redundant, brute_force_redundant_edges, normalize
 from shipped import load_fixture
@@ -140,6 +140,29 @@ class TestSystemsEquivalent:
             is_redundant_edge_set(bad, r)
         assert (str(info.value), info.value.cycle) == want
         assert calls == [bad.without(r)]
+
+    def test_an_infeasible_graph_is_refused_with_its_own_cycle(self, replace):
+        # two negative cycles, 1-2-1 and 3-4-3: g's Bellman-Ford pass names
+        # 3-4-3, and so must every refusal of an edge set of g, even when
+        # the remainder without (3, 4) or (4, 3) has only 1-2-1 left
+        g = normalize(4, [(1, 2, -1), (2, 1, 0), (3, 4, -1), (4, 3, 0)])
+        with pytest.raises(InfeasibleSystem) as alone:
+            min_walk_weights(g)
+        assert alone.value.cycle.nodes == (3, 4, 3)
+        for r in ([(3, 4)], [(4, 3)], [(1, 2)], []):
+            with pytest.raises(InfeasibleSystem) as info:
+                is_redundant_edge_set(g, r)
+            assert (str(info.value), info.value.cycle) == (str(alone.value), alone.value.cycle)
+        # a set that is not a subset is refused before any distance work
+        def no_distances(h):
+            raise AssertionError("distance work")
+
+        replace(min_walk_weights, no_distances)
+        replace(_potential, no_distances)
+        with pytest.raises(NotASubset):
+            is_redundant_edge_set(g, [(3, 4), (1, 3)])
+        with pytest.raises(AssertionError, match="distance work"):
+            is_redundant_edge_set(g, [(3, 4)])
 
     def test_a_not_equivalent_pair_holds_one_distance_matrix_at_a_time(self):
         # K = n, b the reduction of a with one constraint loosened by 1: b
